@@ -54,9 +54,6 @@ DEFAULT_MAX_ATTEMPTS = 3
 DEFAULT_BACKOFF_BASE_S = 0.05
 DEFAULT_BACKOFF_CAP_S = 2.0
 
-#: How often the supervisor wakes to check deadlines when nothing completes.
-DEFAULT_POLL_INTERVAL_S = 0.05
-
 
 def retry_backoff_s(
     attempt: int,
@@ -219,8 +216,6 @@ class SupervisedPool:
             exactly like the pre-supervisor executor).
         max_attempts: Total tries per job before quarantine (>= 1).
         backoff_base_s / backoff_cap_s: Deterministic retry backoff shape.
-        poll_interval_s: Supervisor wake-up granularity; bounds how stale a
-            deadline check can be.
         chaos: Optional fault-injection spec, forwarded into every worker.
     """
 
@@ -231,7 +226,6 @@ class SupervisedPool:
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         backoff_base_s: float = DEFAULT_BACKOFF_BASE_S,
         backoff_cap_s: float = DEFAULT_BACKOFF_CAP_S,
-        poll_interval_s: float = DEFAULT_POLL_INTERVAL_S,
         chaos: Optional[ChaosSpec] = None,
     ) -> None:
         if workers < 1:
@@ -245,7 +239,6 @@ class SupervisedPool:
         self.max_attempts = max_attempts
         self.backoff_base_s = backoff_base_s
         self.backoff_cap_s = backoff_cap_s
-        self.poll_interval_s = poll_interval_s
         self.chaos = chaos
 
     # ------------------------------------------------------------------ run
@@ -337,19 +330,18 @@ class SupervisedPool:
         waiting: List[Tuple[float, int, int, SweepJob]],
         now: float,
     ) -> None:
-        """Block until a result is likely ready, a deadline nears, or a
-        backoff elapses — whichever comes first."""
-        timeout = self.poll_interval_s
+        """Block until the next real wake-up, without polling: a busy worker's
+        pipe turning readable (a result, or EOF when it dies), the earliest
+        attempt deadline, or the queue head's ready time — counted only while
+        a worker is idle to take that job, since it cannot start before."""
         busy = [worker for worker in pool if worker.task is not None]
-        for worker in busy:
-            if worker.task.deadline is not None:
-                timeout = min(timeout, worker.task.deadline - now)
-        if waiting:
-            timeout = min(timeout, waiting[0][0] - now)
-        timeout = max(0.0, timeout)
+        wake_ups = [worker.task.deadline for worker in busy if worker.task.deadline is not None]
+        if waiting and len(busy) < len(pool):
+            wake_ups.append(waiting[0][0])
+        timeout = max(0.0, min(wake_ups) - now) if wake_ups else None
         if busy:
             mp_connection.wait([worker.conn for worker in busy], timeout=timeout)
-        elif timeout > 0:
+        elif timeout:
             time.sleep(timeout)
 
     def _handle_message(

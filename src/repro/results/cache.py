@@ -47,17 +47,22 @@ def spec_fingerprint(spec) -> str:
     (:meth:`ScenarioSpec.to_dict` — protocol, workload/placement and their
     options, the full :class:`SimulationConfig` including the seed, and the
     failure/mobility parameters) rendered as canonical JSON — the same
-    dictionary layout ``repro run --spec`` consumes.  Values that are not
-    JSON-native (e.g. custom workload objects) fall back to ``repr``, which
-    keeps the key deterministic as long as the object's repr is.
+    dictionary layout ``repro run --spec`` consumes.  A value that is not
+    JSON-native raises :class:`ValueError`: its ``repr`` may carry a memory
+    address, which would fingerprint the same spec differently in every
+    process and make ``--resume`` miss silently.
     """
     payload = spec.to_dict() if hasattr(spec, "to_dict") else dataclasses.asdict(spec)
     description = {
         "schema": CACHE_SCHEMA_VERSION,
         "spec": payload,
     }
-    text = json.dumps(description, sort_keys=True, default=repr)
+    text = json.dumps(description, sort_keys=True, default=_reject_non_json)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _reject_non_json(value: object) -> None:
+    raise ValueError(f"spec value {value!r} ({type(value).__name__}) is not JSON-native")
 
 
 class ResultCache:

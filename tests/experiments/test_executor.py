@@ -1,6 +1,11 @@
 """Tests for the parallel job executor and the content-addressed result cache."""
 
 import json
+import multiprocessing
+import os
+import signal
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -331,6 +336,26 @@ class TestFaultTolerance:
         assert len(records) == 1
         assert report.completed == 1
         assert report.merged_summary is not None
+
+    def test_sigterm_interrupts_a_blocked_pool(self, small_matrix):
+        # Both workers hang and no job timeout is set, so the supervisor
+        # blocks on the worker pipes with no timeout at all.  SIGTERM must
+        # still reach it, tear the pool down and return a partial report.
+        timer = threading.Timer(1.0, os.kill, args=(os.getpid(), signal.SIGTERM))
+        started = time.monotonic()
+        timer.start()
+        try:
+            records, report = execute_jobs(
+                small_matrix.expand(),
+                workers=2,
+                chaos=ChaosSpec.parse("0:hang,1:hang"),
+            )
+        finally:
+            timer.cancel()
+        assert report.interrupted
+        assert report.completed == 0 and records == {}
+        assert multiprocessing.active_children() == []
+        assert time.monotonic() - started < 10.0
 
     @settings(max_examples=8, deadline=None)
     @given(

@@ -257,3 +257,20 @@ class TestCacheKeyStability:
             name="t", protocol="spms", config=SimulationConfig(), placement="random"
         )
         assert spec_fingerprint(spec) != spec_fingerprint(randomized)
+
+    def test_fingerprint_rejects_non_json_values(self):
+        # A plain object's repr carries its address, so a repr-based key
+        # would differ in every process and `--resume` would miss silently.
+        class Opaque:
+            pass
+
+        value = Opaque()
+        spec = ScenarioSpec(
+            name="t",
+            protocol="spms",
+            config=SimulationConfig(),
+            workload_options={"schedule": value},
+        )
+        with pytest.raises(ValueError, match="Opaque") as raised:
+            spec_fingerprint(spec)
+        assert repr(value) in str(raised.value)

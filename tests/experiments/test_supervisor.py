@@ -7,6 +7,8 @@ fault-free run**, because injected faults fire before the simulation builds
 and jobs are independently seeded.
 """
 
+from multiprocessing import connection as mp_connection
+
 import pytest
 
 from repro.experiments import ChaosSpec, SupervisedPool, retry_backoff_s, run_serial
@@ -181,3 +183,33 @@ class TestSupervisedPoolFaults:
         stream.close()
         # close() runs the supervisor's finally: every worker killed+joined.
         assert len(multiprocessing.active_children()) <= before
+
+
+class TestWakeUps:
+    def test_supervisor_blocks_instead_of_polling(self, monkeypatch):
+        # With every worker busy and jobs queued, the queue head's ready time
+        # is already past.  A supervisor that counts it as a wake-up spins on
+        # `connection.wait(timeout=0)` hundreds of times per job; one that
+        # blocks until a pipe turns readable makes about one loop turn per
+        # job.  The wrapper also sees each `Connection.poll`, which goes
+        # through the same module function.
+        jobs = matrix_from_axes(
+            "wake-up",
+            "seed",
+            range(16),
+            base_config=SimulationConfig(num_nodes=9, transmission_radius_m=15.0),
+            workload="single_pair",
+            workload_options={"source": 0, "destinations": [4, 8]},
+        ).expand()
+        calls = 0
+        real_wait = mp_connection.wait
+
+        def counting_wait(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return real_wait(*args, **kwargs)
+
+        monkeypatch.setattr(mp_connection, "wait", counting_wait)
+        outcomes = _pool_outcomes(jobs, workers=2)
+        assert all(outcome.ok for outcome in outcomes.values())
+        assert calls <= 10 * len(jobs)
