@@ -33,7 +33,7 @@ def _run_with_exponent(exponent: float, num_nodes: int, seed: int):
         runner.network.mac_delay.contention = PolynomialContention(
             g=config.csma_g, exponent=exponent
         )
-        results[protocol] = runner.run()
+        results[protocol] = runner.run_record()
     return results
 
 

@@ -1,10 +1,11 @@
 """IPC payload benchmark: streamed record summaries vs shipped collectors.
 
-The pre-redesign executor returned ``(index, ScenarioResult, MetricsCollector)``
-from every worker — the collector alone carries one entry per (item,
-destination) delivery, so the pickled payload grew with the traffic volume.
-The redesigned executor reduces to a :class:`MetricsSummary` in-process and
-ships a single :class:`RunRecord` per job.
+The pre-redesign executor shipped the run's full ``MetricsCollector`` back
+from every worker next to its result — the collector alone carries one entry
+per (item, destination) delivery, so the pickled payload grew with the
+traffic volume.  The redesigned executor reduces to a :class:`MetricsSummary`
+in-process and ships a single :class:`RunRecord` per job.  The pre-redesign
+payload is measured as ``(index, record, collector)``.
 
 This benchmark runs the full fig06 grid and measures both pickled payloads
 per job.  The acceptance bar of the redesign is a >= 5x total reduction; at
@@ -17,7 +18,6 @@ import pickle
 from benchmarks.conftest import emit, run_once
 from repro.experiments.matrix import get_matrix
 from repro.experiments.runner import ExperimentRunner
-from repro.results import ScenarioResult
 
 #: The redesign's acceptance bar for total payload reduction on fig06.
 REQUIRED_REDUCTION_FACTOR = 5.0
@@ -29,9 +29,7 @@ def _measure_fig06_payloads(scale):
         runner = ExperimentRunner(job.spec)
         record = runner.run_record(key=job.key, axes=job.axes)
         # What the pre-redesign worker pickled back per job...
-        old_payload = pickle.dumps(
-            (job.index, ScenarioResult.from_record(record), runner.metrics)
-        )
+        old_payload = pickle.dumps((job.index, record, runner.metrics))
         # ...vs the streamed record the redesigned worker ships.
         new_payload = pickle.dumps((job.index, record))
         rows.append((job.key, len(old_payload), len(new_payload)))

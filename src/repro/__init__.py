@@ -40,8 +40,6 @@ from repro.core import (
     ProtocolNode,
     SpinNode,
     SpmsNode,
-    available_protocols,
-    create_protocol_node,
 )
 from repro.experiments import (
     ExperimentRunner,
@@ -55,17 +53,12 @@ from repro.experiments import (
     cluster_scenario,
     line_positions,
     run_scenario,
-    run_scenario_record,
     single_pair_scenario,
-    sweep_nodes,
-    sweep_radius,
 )
 from repro.results import (
     MetricsSummary,
-    ResultCache,
     RunRecord,
     RunStore,
-    ScenarioResult,
     SweepResult,
 )
 from repro.sim import Simulator
@@ -90,11 +83,9 @@ __all__ = [
     "Packet",
     "PacketType",
     "ProtocolNode",
-    "ResultCache",
     "RunRecord",
     "RunStore",
     "Sandbox",
-    "ScenarioResult",
     "ScenarioSpec",
     "SimulationConfig",
     "Simulator",
@@ -102,15 +93,10 @@ __all__ = [
     "SpmsNode",
     "SweepResult",
     "all_to_all_scenario",
-    "available_protocols",
     "build_sandbox",
     "cluster_scenario",
-    "create_protocol_node",
     "line_positions",
     "run_scenario",
-    "run_scenario_record",
     "single_pair_scenario",
-    "sweep_nodes",
-    "sweep_radius",
     "__version__",
 ]

@@ -13,10 +13,11 @@ code:
 * ``compare``   — run SPMS and SPIN on the same scenario and print the
   headline metrics (energy per item, average delay, delivery ratio).
 * ``sweep``     — expand a registered scenario matrix into independent jobs
-  and execute them across a supervised worker pool, with optional
-  content-addressed result caching and ``--resume``; fault tolerance is
-  first-class (``--job-timeout``, ``--max-retries``, and the deterministic
-  ``--chaos`` fault-injection dev flag).
+  and execute them across a supervised worker pool, optionally appending
+  the records to a run directory (``--run-dir``) that ``--resume`` serves
+  finished jobs from; fault tolerance is first-class (``--job-timeout``,
+  ``--max-retries``, and the deterministic ``--chaos`` fault-injection dev
+  flag).
 * ``list``      — list registered components (protocols, workloads,
   placements, mobility/failure/contention models) or scenario matrices.
 * ``bench``     — run a named kernel benchmark serially in-process and append
@@ -38,7 +39,7 @@ Examples::
     python -m repro list placements
     python -m repro compare --nodes 49 --radius 20
     python -m repro sweep fig06 --workers 4
-    python -m repro sweep fig06 --workers 4 --cache-dir .sweep-cache --resume
+    python -m repro sweep fig06 --workers 4 --run-dir runs/fig06 --resume
     python -m repro sweep fig06 --workers 2 --job-timeout 30 --max-retries 1
     python -m repro sweep --list
     python -m repro bench fig06
@@ -99,13 +100,7 @@ from repro.perf import (
     run_benchmark,
 )
 from repro.perf.bench import QUICK_BENCHMARK, format_bench_record
-from repro.results import (
-    ResultCache,
-    RunRecord,
-    RunStore,
-    RunStoreError,
-    ScenarioResult,
-)
+from repro.results import HEADLINE_METRICS, RunRecord, RunStore, RunStoreError
 
 #: Exit code of a run that finished but could not complete every job: a
 #: sweep with quarantined failures or an interrupt-shortened pool, and
@@ -118,11 +113,7 @@ EXIT_PARTIAL_FAILURE = 3
 #: numeric scalar headline metrics every record exposes (names like
 #: ``protocol`` or dict-valued fields such as ``packets_sent`` are not
 #: tabulatable and are rejected up front).
-METRIC_NAMES = tuple(sorted(
-    f.name
-    for f in dataclasses.fields(ScenarioResult)
-    if f.type in ("int", "float")
-))
+METRIC_NAMES = tuple(sorted(HEADLINE_METRICS))
 
 def _listing_name(kind: str) -> str:
     """User-facing (pluralised) name of a registry kind."""
@@ -268,20 +259,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the matrix base seed (per-job seeds derive from it)",
     )
     sweep.add_argument(
-        "--cache-dir", default=None,
-        help="directory of the content-addressed result cache (written through)",
-    )
-    sweep.add_argument(
         "--run-dir", default=None,
         help="run directory to append the sweep's records to (see 'repro report')",
     )
     sweep.add_argument(
         "--resume", action="store_true",
-        help="serve jobs already present in --cache-dir instead of re-running",
+        help="serve jobs whose spec --run-dir already holds a record of "
+             "instead of re-running them",
     )
     sweep.add_argument(
         "--metric", default="energy_per_item_uj",
-        help="ScenarioResult metric printed in the sweep table",
+        help="record metric printed in the sweep table",
     )
     sweep.add_argument(
         "--quiet", action="store_true", help="suppress per-job progress lines"
@@ -437,13 +425,18 @@ def _run_single_spec(args: argparse.Namespace, out: Callable[[str], None]) -> in
     if args.run_dir:
         raw = runner.raw_metrics() if args.keep_raw else None
         record = RunStore(args.run_dir).append(record, raw=raw)
-    result = ScenarioResult.from_record(record)
     if args.as_json:
-        out(json.dumps(result.to_dict(), sort_keys=True, indent=1))
+        flat = {
+            **record.as_dict(),
+            "energy_breakdown_uj": record.energy_breakdown_uj,
+            "packets_sent": record.packets_sent,
+            "packets_dropped": record.packets_dropped,
+        }
+        out(json.dumps(flat, sort_keys=True, indent=1))
         return 0
-    out(f"scenario {result.scenario!r} (protocol={result.protocol}, "
-        f"nodes={result.num_nodes}, radius={result.transmission_radius_m:g} m)")
-    for key, value in result.as_dict().items():
+    out(f"scenario {record.scenario!r} (protocol={record.protocol}, "
+        f"nodes={record.num_nodes}, radius={record.transmission_radius_m:g} m)")
+    for key, value in record.as_dict().items():
         if key in ("protocol", "scenario", "num_nodes", "transmission_radius_m"):
             continue
         out(f"  {key:<24} {value:.4f}" if isinstance(value, float) else f"  {key:<24} {value}")
@@ -686,8 +679,9 @@ def _cmd_sweep(args: argparse.Namespace, out: Callable[[str], None]) -> int:
             out("pick one: repro sweep <matrix> [--workers N]")
             return 2
         return 0
-    if args.resume and not args.cache_dir:
-        out("--resume needs --cache-dir (there is no cache to resume from)")
+    if args.resume and not args.run_dir:
+        out("--resume needs --run-dir (it serves the records the run "
+            "directory already holds)")
         return 2
     chaos = None
     if args.chaos is not None:
@@ -732,7 +726,6 @@ def _cmd_sweep(args: argparse.Namespace, out: Callable[[str], None]) -> int:
         f"({matrix.parameter} x {sorted(set(j.protocol for j in jobs))}), "
         f"workers={args.workers}, seed_policy={matrix.seed_policy}"
     )
-    cache = ResultCache(args.cache_dir) if args.cache_dir else None
     store = RunStore(args.run_dir) if args.run_dir else None
 
     if chaos is not None:
@@ -753,7 +746,6 @@ def _cmd_sweep(args: argparse.Namespace, out: Callable[[str], None]) -> int:
     records, report = execute_jobs(
         jobs,
         workers=args.workers,
-        cache=cache,
         resume=args.resume,
         progress=progress,
         store=store,

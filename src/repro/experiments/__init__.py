@@ -3,7 +3,7 @@
 The harness turns a declarative :class:`~repro.experiments.config.SimulationConfig`
 plus a scenario description into a full simulation (field, radio, MAC,
 routing, protocol nodes, workload, failures, mobility), runs it, and returns a
-:class:`~repro.experiments.results.ScenarioResult`.
+:class:`~repro.results.RunRecord`.
 
 Every figure of the paper's evaluation has a generator in
 :mod:`repro.experiments.figures`; the benchmark files under ``benchmarks/``
@@ -11,9 +11,9 @@ simply call those generators and print the resulting rows.
 
 Sweeps are declared as :class:`~repro.experiments.matrix.ScenarioMatrix`
 parameter grids, expanded into independent seed-derived jobs and executed —
-serially or across a ``multiprocessing`` pool — by
-:mod:`repro.experiments.executor`, with content-addressed result caching in
-:class:`~repro.experiments.results.ResultCache`.
+serially or across a supervised worker pool — by
+:mod:`repro.experiments.executor`, which appends every record to a
+:class:`~repro.results.RunStore` run directory and resumes from one.
 """
 
 from repro.experiments.chaos import (
@@ -47,15 +47,8 @@ from repro.experiments.matrix import (
     get_matrix,
     register_matrix,
 )
-from repro.experiments.runner import ExperimentRunner, run_scenario, run_scenario_record
-from repro.results import (
-    MetricsSummary,
-    ResultCache,
-    RunRecord,
-    RunStore,
-    ScenarioResult,
-    SweepResult,
-)
+from repro.experiments.runner import ExperimentRunner, run_scenario
+from repro.results import MetricsSummary, RunRecord, RunStore, SweepResult
 from repro.experiments.sandbox import Sandbox, build_sandbox, line_positions
 from repro.experiments.scenarios import (
     ScenarioSpec,
@@ -63,7 +56,6 @@ from repro.experiments.scenarios import (
     cluster_scenario,
     single_pair_scenario,
 )
-from repro.experiments.sweep import run_matrix, sweep_nodes, sweep_radius
 from repro.experiments import claims, figures
 
 __all__ = [
@@ -79,12 +71,10 @@ __all__ = [
     "SupervisedResult",
     "MetricsSummary",
     "MobilityConfig",
-    "ResultCache",
     "RunRecord",
     "RunStore",
     "Sandbox",
     "ScenarioMatrix",
-    "ScenarioResult",
     "ScenarioSpec",
     "SimulationConfig",
     "SweepJob",
@@ -101,12 +91,8 @@ __all__ = [
     "line_positions",
     "register_matrix",
     "retry_backoff_s",
-    "run_matrix",
     "run_scenario",
     "run_serial",
-    "run_scenario_record",
     "single_pair_scenario",
     "stream_jobs",
-    "sweep_nodes",
-    "sweep_radius",
 ]

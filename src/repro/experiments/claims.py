@@ -9,17 +9,18 @@ Abstract / Section 5 claims:
   routing-table re-convergence;
 * cluster-based hierarchical traffic: SPMS consumes 35-59 % less energy.
 
-These helpers turn :class:`SweepResult` objects into the corresponding
-percentages/ratios so the headline-claims benchmark and the integration tests
-can assert the direction (and rough magnitude) of every claim.
+These helpers turn :class:`~repro.results.SweepResult` objects into the
+corresponding percentages/ratios so the headline-claims benchmark and the
+integration tests can assert the direction (and rough magnitude) of every
+claim.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
-from repro.experiments.results import ScenarioResult, SweepResult
+from repro.results import RunRecord, SweepResult
 
 
 @dataclass(frozen=True)
@@ -39,25 +40,31 @@ class ClaimCheck:
     holds: bool
 
 
-def energy_saving_percent(spin: ScenarioResult, spms: ScenarioResult) -> float:
+def energy_saving_percent(spin: RunRecord, spms: RunRecord) -> float:
     """Energy saved by SPMS relative to SPIN, in percent."""
     if spin.energy_per_item_uj == 0:
         return 0.0
     return 100.0 * (1.0 - spms.energy_per_item_uj / spin.energy_per_item_uj)
 
 
-def delay_ratio(spin: ScenarioResult, spms: ScenarioResult) -> float:
+def delay_ratio(spin: RunRecord, spms: RunRecord) -> float:
     """SPIN delay divided by SPMS delay (>1 means SPMS is faster)."""
     if spms.average_delay_ms == 0:
         return float("inf") if spin.average_delay_ms > 0 else 1.0
     return spin.average_delay_ms / spms.average_delay_ms
 
 
-def _paired(sweep: SweepResult, a: str = "spin", b: str = "spms") -> List[tuple]:
-    pairs = []
-    for spin_result, spms_result in zip(sweep.results.get(a, []), sweep.results.get(b, [])):
-        pairs.append((spin_result, spms_result))
-    return pairs
+def _paired(
+    sweep: SweepResult, a: str = "spin", b: str = "spms"
+) -> List[Tuple[RunRecord, RunRecord]]:
+    """``(a, b)`` record pairs at every swept value both series cover.
+
+    Pairs by swept value, like :meth:`SweepResult.rows`: a hole in one
+    series (a quarantined job) drops that point instead of shifting every
+    later pair onto the wrong value.
+    """
+    first, second = sweep.by_value(a), sweep.by_value(b)
+    return [(first[v], second[v]) for v in sweep.values if v in first and v in second]
 
 
 def energy_savings_across(sweep: SweepResult) -> List[float]:

@@ -9,7 +9,9 @@ Scaling: the paper runs 10 packets per node on up to ~225 nodes.  That is
 minutes of simulation per figure in pure Python, so the default
 :func:`bench_scale` uses the same topology sweep with fewer packets per node
 and slightly smaller node counts; :func:`paper_scale` reproduces the paper's
-sizes.  ``EXPERIMENTS.md`` records which scale produced the recorded numbers.
+sizes.  The drivers under ``benchmarks/`` run the bench scale, and
+``repro bench`` records its throughput and canonical digests in
+``BENCH_kernel.json``.
 """
 
 from __future__ import annotations
@@ -25,10 +27,9 @@ from repro.experiments.config import (
     SimulationConfig,
     TABLE1_PARAMETERS,
 )
-from repro.experiments.executor import default_workers
+from repro.experiments.executor import assemble_sweep, default_workers, execute_jobs
 from repro.experiments.matrix import ScenarioMatrix, matrix_from_axes, register_matrix
-from repro.experiments.results import SweepResult
-from repro.experiments.sweep import run_matrix
+from repro.results import SweepResult
 
 
 @dataclass(frozen=True)
@@ -295,8 +296,9 @@ def fig13_cluster_failures_matrix(scale: "FigureScale | None" = None) -> Scenari
 
 def _run_registered(matrix: ScenarioMatrix) -> SweepResult:
     """Execute a figure matrix (worker count from ``REPRO_SWEEP_WORKERS``)."""
-    sweep, _report = run_matrix(matrix, workers=default_workers())
-    return sweep
+    jobs = matrix.expand()
+    records, _report = execute_jobs(jobs, workers=default_workers())
+    return assemble_sweep(jobs, records)
 
 
 # --------------------------------------------------------------------- Table 1

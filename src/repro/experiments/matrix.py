@@ -14,8 +14,7 @@ picklable description of one simulation run:
   the job's stable key, so grid points are statistically independent while the
   whole grid stays reproducible from a single integer.  The ``"shared"``
   policy keeps the base seed on every job (the paper's figures re-use one
-  seed per sweep point, and the legacy ``sweep_nodes``/``sweep_radius``
-  helpers preserve that behaviour).
+  seed per sweep point).
 
 Named grids live in a registry (:func:`register_matrix` /
 :func:`get_matrix`): each figure of the paper registers its grid once, and
@@ -118,9 +117,6 @@ class ScenarioMatrix:
         mobility: Mobility, or ``None``.
         seed_policy: "spawn" (per-job derived seeds) or "shared" (all jobs use
             ``base_config.seed``).
-        scenario_factory: Optional custom spec builder ``(protocol, config,
-            name) -> ScenarioSpec`` replacing the standard builders.  Must be
-            a picklable (module-level) callable when used with worker pools.
     """
 
     name: str
@@ -134,7 +130,6 @@ class ScenarioMatrix:
     failures: Optional[FailureConfig] = None
     mobility: Optional[MobilityConfig] = None
     seed_policy: str = "spawn"
-    scenario_factory: Optional[Callable[..., ScenarioSpec]] = None
 
     def __post_init__(self) -> None:
         if not self.axes:
@@ -148,18 +143,11 @@ class ScenarioMatrix:
         for axis, values in self.axes.items():
             if not list(values):
                 raise ValueError(f"axis {axis!r} has no values")
-            kind = self._axis_kind(axis)
-            if kind is None:
+            if self._axis_kind(axis) is None:
                 raise ValueError(
                     f"unknown axis {axis!r}: not a SimulationConfig field, not one "
                     f"of {_SPEC_AXES}, and not a dotted option path "
                     f"(e.g. 'workload_options.packets_per_member')"
-                )
-            if kind != "config" and self.scenario_factory is not None:
-                raise ValueError(
-                    f"axis {axis!r} is a non-config axis, which a custom "
-                    "scenario_factory cannot receive; use the standard spec "
-                    "builder or fold the axis into the factory itself"
                 )
 
     @staticmethod
@@ -219,7 +207,7 @@ class ScenarioMatrix:
                     config = replace(
                         config, seed=spawn_seed(self.base_config.seed, key)
                     )
-                spec = self._build_spec(protocol, config, key, point)
+                spec = self._build_spec(protocol, config, point)
                 jobs.append(
                     SweepJob(
                         index=index,
@@ -241,18 +229,11 @@ class ScenarioMatrix:
         return f"{self.name}/{coords}/{protocol}"
 
     def _build_spec(
-        self,
-        protocol: str,
-        config: SimulationConfig,
-        name: str,
-        point: Optional[Mapping[str, object]] = None,
+        self, protocol: str, config: SimulationConfig, point: Mapping[str, object]
     ) -> ScenarioSpec:
-        if self.scenario_factory is not None:
-            return self.scenario_factory(protocol, config, name)
-        point = point or {}
         # Jobs are materialised from the canonical serialized-spec payload —
-        # the same dictionary layout `repro run --spec` consumes and the
-        # result cache hashes — so any registered workload/placement plugin
+        # the same dictionary layout `repro run --spec` consumes and
+        # `spec_fingerprint` hashes — so any registered workload/placement plugin
         # is sweepable and the payload is validated on the way in.  Spec-level
         # axes override the matrix-wide selectors; dotted option axes merge
         # into the corresponding options dictionary.

@@ -30,7 +30,7 @@ from repro.core.network import Network
 from repro.core.node_base import ProtocolNode
 from repro.experiments.config import SimulationConfig
 from repro.experiments.scenarios import ScenarioSpec
-from repro.results import RunRecord, ScenarioResult, spec_fingerprint
+from repro.results import RunRecord, spec_fingerprint
 from repro.faults.injector import FailureInjector
 from repro.metrics.collector import MetricsCollector
 from repro.routing.manager import RoutingManager
@@ -87,15 +87,6 @@ class ExperimentRunner:
         self._built = True
 
     # ---------------------------------------------------------------------- run
-
-    def run(self) -> ScenarioResult:
-        """Execute the scenario and return its flat result view.
-
-        Kept for the historical single-run API; the canonical product is
-        :meth:`run_record`, of which this returns the
-        :class:`~repro.results.ScenarioResult` flattening.
-        """
-        return ScenarioResult.from_record(self.run_record())
 
     def run_record(
         self,
@@ -234,12 +225,7 @@ class ExperimentRunner:
         }
 
 
-def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
-    """Convenience wrapper: build, run and return the flat result of *spec*."""
-    return ExperimentRunner(spec).run()
-
-
-def run_scenario_record(
+def run_scenario(
     spec: ScenarioSpec,
     key: Optional[str] = None,
     axes: Optional[Mapping[str, object]] = None,

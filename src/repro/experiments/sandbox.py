@@ -11,11 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.build import PROTOCOL, default_registry, normalize_protocol_name
 from repro.core.interests import ExplicitInterest
 from repro.core.metadata import DataDescriptor, DataItem
 from repro.core.network import Network
 from repro.core.node_base import ProtocolNode
-from repro.core.registry import create_protocol_node, normalize_protocol_name
 from repro.mac.delay import MacDelayModel
 from repro.metrics.collector import MetricsCollector
 from repro.radio.energy import EnergyModel
@@ -91,7 +91,8 @@ def build_sandbox(
         trace: Record a packet-level trace in ``sandbox.sim.trace_log``.
         protocol_options: Extra keyword arguments for the node constructor.
     """
-    canonical = normalize_protocol_name(protocol)
+    registry = default_registry()
+    canonical = normalize_protocol_name(protocol, registry=registry)
     sim = Simulator(seed=seed, trace=trace)
     field = SensorField(
         [NodeInfo(node_id=i, position=Position(x, y)) for i, (x, y) in enumerate(positions)]
@@ -124,7 +125,8 @@ def build_sandbox(
     interest = ExplicitInterest({})
     nodes: Dict[int, ProtocolNode] = {}
     for node_id in field.node_ids:
-        node = create_protocol_node(
+        node = registry.create(
+            PROTOCOL,
             canonical,
             node_id,
             network,

@@ -9,7 +9,8 @@ Specs round-trip losslessly through plain dictionaries and JSON
 (:meth:`ScenarioSpec.to_dict` / :meth:`ScenarioSpec.from_dict`), with a
 schema version and unknown-key rejection.  That canonical serialization is
 the single configuration format shared by the CLI (``repro run --spec``),
-the content-addressed result cache and the scenario-matrix job expansion.
+the spec fingerprints run records carry and the scenario-matrix job
+expansion.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ class ScenarioSpec:
         labels: Free-form, JSON-native provenance metadata (e.g. a fleet
             name, a ticket id, experiment tags).  Labels do not influence the
             simulation, but they are part of the canonical serialization —
-            and therefore of the cache fingerprint — and are queryable
+            and therefore of the spec fingerprint — and are queryable
             through :meth:`repro.results.RunStore.query`.
         charge_initial_routing: Charge the energy of the very first routing
             table construction to SPMS (the paper only charges re-executions
@@ -95,7 +96,7 @@ class ScenarioSpec:
         """Canonical, JSON-safe dictionary representation.
 
         The layout is versioned (:data:`SPEC_SCHEMA_VERSION`) and is the
-        single source for CLI spec files, result-cache keys and matrix job
+        single source for CLI spec files, spec fingerprints and matrix job
         payloads.
         """
         return {

@@ -9,18 +9,14 @@ Everything a run produces flows through one canonical, schema-versioned type:
   *mergeable* metrics reduction workers compute in-process (defined in
   :mod:`repro.metrics.summary`, re-exported here).
 * :class:`RunStore` — a run directory of sharded JSONL record logs with
-  ``query(protocol=..., metric=...)`` and optional lazy raw-metrics blobs.
-* :class:`ResultCache` — the content-addressed random-access companion
-  (``--resume``), keyed by :func:`spec_fingerprint`.
-* :class:`ScenarioResult` / :class:`SweepResult` — thin flat/tabular views
-  kept for the historical API surface.
-
-``repro.experiments.results`` re-exports these names for backwards
-compatibility; new code should import from :mod:`repro.results`.
+  ``query(protocol=..., metric=...)``, a :func:`spec_fingerprint` index
+  (what ``--resume`` reads) and optional lazy raw-metrics blobs.
+* :class:`SweepResult` — records pivoted by a swept parameter into series,
+  for figure tables and the headline claims.
 """
 
 from repro.metrics.summary import DistributionSummary, MetricsSummary
-from repro.results.cache import CACHE_SCHEMA_VERSION, ResultCache, spec_fingerprint
+from repro.results.cache import CACHE_SCHEMA_VERSION, spec_fingerprint
 from repro.results.failures import (
     ATTEMPT_OUTCOMES,
     FAILURE_SCHEMA_KEY,
@@ -29,9 +25,9 @@ from repro.results.failures import (
     JobAttempt,
     JobFailure,
 )
-from repro.results.legacy import ScenarioResult, SweepResult
 from repro.results.record import (
     CANONICAL_SCHEMA_VERSION,
+    HEADLINE_METRICS,
     RECORD_SCHEMA_KEY,
     RESULTS_SCHEMA_VERSION,
     SUPPORTED_RESULTS_SCHEMA_VERSIONS,
@@ -39,6 +35,7 @@ from repro.results.record import (
     RunRecord,
 )
 from repro.results.store import RunStore, RunStoreError
+from repro.results.sweep import SweepResult
 
 __all__ = [
     "ATTEMPT_OUTCOMES",
@@ -48,6 +45,7 @@ __all__ = [
     "FAILURE_SCHEMA_KEY",
     "FAILURE_SCHEMA_VERSION",
     "FailureValidationError",
+    "HEADLINE_METRICS",
     "JobAttempt",
     "JobFailure",
     "MetricsSummary",
@@ -55,11 +53,9 @@ __all__ = [
     "RESULTS_SCHEMA_VERSION",
     "SUPPORTED_RESULTS_SCHEMA_VERSIONS",
     "RecordValidationError",
-    "ResultCache",
     "RunRecord",
     "RunStore",
     "RunStoreError",
-    "ScenarioResult",
     "SweepResult",
     "spec_fingerprint",
 ]

@@ -5,8 +5,7 @@ completed simulation run: provenance (job key, spec fingerprint, seed, grid
 coordinates), a compact :class:`~repro.metrics.summary.MetricsSummary`, the
 routing/fault bookkeeping and the measured wall time.  Every producer (the
 runner, the executor workers) emits RunRecords and every consumer (sweeps,
-stores, caches, reports, figures) reads them; the historical
-``ScenarioResult`` is a thin flat view derived from a record.
+stores, reports, figures, the headline claims) reads them.
 
 Records round-trip losslessly through JSON (:meth:`RunRecord.to_dict` /
 :meth:`RunRecord.from_dict`) with unknown-key and bad-version rejection.
@@ -37,7 +36,7 @@ RESULTS_SCHEMA_VERSION = 2
 
 #: Serialized versions :meth:`RunRecord.from_dict` accepts.  v1 is readable
 #: because v2 changed only the surrounding store layout, not the record
-#: fields — migrated legacy shards (and old cache entries) keep loading.
+#: fields — migrated legacy shards keep loading.
 SUPPORTED_RESULTS_SCHEMA_VERSIONS = (1, 2)
 
 #: Version stamped into :meth:`RunRecord.canonical_dict`.  The canonical
@@ -55,6 +54,25 @@ RECORD_SCHEMA_KEY = "schema_version"
 #: *execution* (how long it took, where the raw blob landed), not the result,
 #: and legitimately differ between byte-identical runs.
 VOLATILE_FIELDS = ("wall_time_s", "raw_ref")
+
+#: The numeric scalar metrics of a record's flat view (:meth:`RunRecord.as_dict`),
+#: in display order — also the metric names ``repro sweep``/``repro report``
+#: can tabulate.
+HEADLINE_METRICS = (
+    "num_nodes",
+    "transmission_radius_m",
+    "items_generated",
+    "expected_deliveries",
+    "deliveries_completed",
+    "total_energy_uj",
+    "energy_per_item_uj",
+    "average_delay_ms",
+    "delivery_ratio",
+    "routing_rebuilds",
+    "routing_energy_uj",
+    "sim_time_ms",
+    "failures_injected",
+)
 
 
 class RecordValidationError(ValueError):
@@ -107,7 +125,7 @@ class RunRecord:
     #
     # The headline metrics live on the summary; exposing them as properties
     # lets every metric-by-name consumer (``SweepResult.series``, the report
-    # tables, the claims helpers) read records and flat results identically.
+    # tables, the claims helpers) read them straight off the record.
 
     @property
     def items_generated(self) -> int:
@@ -245,23 +263,10 @@ class RunRecord:
 
     def as_dict(self) -> Dict[str, object]:
         """Flat headline-metric view (used by reports and the CLI)."""
-        return {
-            "protocol": self.protocol,
-            "scenario": self.scenario,
-            "num_nodes": self.num_nodes,
-            "transmission_radius_m": self.transmission_radius_m,
-            "items_generated": self.items_generated,
-            "expected_deliveries": self.expected_deliveries,
-            "deliveries_completed": self.deliveries_completed,
-            "total_energy_uj": self.total_energy_uj,
-            "energy_per_item_uj": self.energy_per_item_uj,
-            "average_delay_ms": self.average_delay_ms,
-            "delivery_ratio": self.delivery_ratio,
-            "routing_rebuilds": self.routing_rebuilds,
-            "routing_energy_uj": self.routing_energy_uj,
-            "sim_time_ms": self.sim_time_ms,
-            "failures_injected": self.failures_injected,
-        }
+        flat: Dict[str, object] = {"protocol": self.protocol, "scenario": self.scenario}
+        for name in HEADLINE_METRICS:
+            flat[name] = getattr(self, name)
+        return flat
 
     def with_execution(
         self, wall_time_s: Optional[float] = None, raw_ref: Optional[str] = None

@@ -12,11 +12,23 @@ from repro.build import (
     default_registry,
     normalize_protocol_name,
 )
+from repro.core.flooding import FloodingNode
+from repro.core.gossip import GossipNode
+from repro.core.interests import AllInterested
+from repro.core.spin import SpinNode
+from repro.core.spms import SpmsNode
+
+from tests.helpers import build_network, chain_positions
 
 
 @pytest.fixture
 def registry():
     return ComponentRegistry()
+
+
+@pytest.fixture
+def harness():
+    return build_network(chain_positions(3, spacing=5.0))
 
 
 class TestComponentRegistry:
@@ -117,6 +129,42 @@ class TestDefaultRegistry:
         assert registry.metadata(PROTOCOL, "spms")["needs_routing"] is True
         assert not registry.metadata(PROTOCOL, "spin").get("needs_routing")
 
+    def test_create_spms_requires_routing(self, harness):
+        with pytest.raises(ValueError):
+            default_registry().create(
+                PROTOCOL, "spms", 0, harness.network, AllInterested(), routing=None
+            )
+
+    def test_create_each_protocol(self, harness):
+        registry = default_registry()
+        interest = AllInterested()
+        # Fresh ids are unavailable (already registered) so we only construct,
+        # not register — construction must not raise.
+        spms = registry.create(
+            PROTOCOL, "spms", 0, harness.network, interest, routing=harness.routing
+        )
+        spin = registry.create(PROTOCOL, "spin", 1, harness.network, interest)
+        flood = registry.create(PROTOCOL, "flooding", 2, harness.network, interest)
+        gossip = registry.create(PROTOCOL, "gossip", 0, harness.network, interest)
+        assert isinstance(spms, SpmsNode)
+        assert isinstance(spin, SpinNode)
+        assert isinstance(flood, FloodingNode)
+        assert isinstance(gossip, GossipNode)
+
+    def test_protocol_options_forwarded(self, harness):
+        node = default_registry().create(
+            PROTOCOL,
+            "spms",
+            0,
+            harness.network,
+            AllInterested(),
+            routing=harness.routing,
+            tout_adv_ms=9.0,
+            serve_from_cache=True,
+        )
+        assert node.tout_adv_ms == 9.0
+        assert node.serve_from_cache is True
+
 
 class TestProtocolNormalization:
     def test_f_prefix_works_for_any_registered_protocol(self):
@@ -124,6 +172,13 @@ class TestProtocolNormalization:
         assert normalize_protocol_name("F-SPIN") == "spin"
         # Through an alias, too: the f- variant of "flood" (alias of flooding).
         assert normalize_protocol_name("f-flood") == "flooding"
+
+    def test_surrounding_whitespace_is_ignored(self):
+        assert normalize_protocol_name("  SPIN ") == "spin"
+
+    def test_unknown_protocol_rejected(self):
+        with pytest.raises(ValueError):
+            normalize_protocol_name("aodv")
 
     def test_f_prefix_works_for_third_party_plugins(self):
         registry = ComponentRegistry()

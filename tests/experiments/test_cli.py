@@ -97,6 +97,8 @@ class TestSweepCommand:
         assert any("unknown scenario matrix" in line for line in lines)
 
     def test_sweep_runs_tiny_grid(self, capture, monkeypatch, tmp_path):
+        from repro.results import RunStore
+
         lines, out = capture
         tiny = FigureScale(
             node_counts=(9,),
@@ -106,9 +108,9 @@ class TestSweepCommand:
             arrival_mean_interarrival_ms=5.0,
         )
         monkeypatch.setattr(figures, "bench_scale", lambda: tiny)
-        cache_dir = tmp_path / "cache"
+        run_dir = tmp_path / "run"
         code = main(
-            ["sweep", "fig06", "--workers", "1", "--cache-dir", str(cache_dir)],
+            ["sweep", "fig06", "--workers", "1", "--run-dir", str(run_dir)],
             out=out,
         )
         assert code == 0
@@ -117,19 +119,25 @@ class TestSweepCommand:
         assert "spms" in text and "spin" in text
         assert "2 simulated, 0 from cache" in text
         assert "aggregate:" in text
+        table = [row for row in text.splitlines() if row.strip().startswith("9 ")]
+        assert len(table) == 1
 
-        # Resuming from the cache re-simulates nothing and prints the same table.
+        # Resuming from the run dir re-simulates nothing, appends nothing and
+        # prints the same table.
         lines.clear()
         code = main(
-            ["sweep", "fig06", "--cache-dir", str(cache_dir), "--resume"], out=out
+            ["sweep", "fig06", "--run-dir", str(run_dir), "--resume"], out=out
         )
         assert code == 0
-        assert "0 simulated, 2 from cache" in "\n".join(lines)
+        text = "\n".join(lines)
+        assert "0 simulated, 2 from cache" in text
+        assert [row for row in text.splitlines() if row.strip().startswith("9 ")] == table
+        assert len(RunStore(run_dir)) == 2
 
-    def test_sweep_resume_requires_cache_dir(self, capture):
+    def test_sweep_resume_requires_run_dir(self, capture):
         lines, out = capture
         assert main(["sweep", "fig06", "--resume"], out=out) == 2
-        assert any("--cache-dir" in line for line in lines)
+        assert any("--run-dir" in line for line in lines)
 
 
 class TestListCommand:
@@ -195,6 +203,20 @@ class TestRunCommand:
         payload = json.loads("\n".join(lines))
         assert payload["protocol"] == "spin"
         assert payload["items_generated"] == 9
+
+    def test_run_spec_json_is_the_flat_record_view(self, capture, tmp_path):
+        from repro.results import HEADLINE_METRICS
+
+        lines, out = capture
+        path = self._write_spec(tmp_path, self.SPEC)
+        assert main(["run", "--spec", path, "--json"], out=out) == 0
+        payload = json.loads("\n".join(lines))
+        assert set(payload) == {
+            "protocol", "scenario", *HEADLINE_METRICS,
+            "energy_breakdown_uj", "packets_sent", "packets_dropped",
+        }
+        assert "wall_time_s" not in payload  # volatile: would break determinism
+        assert payload["packets_sent"]["ADV"] > 0
 
     def test_run_is_deterministic_across_invocations(self, capture, tmp_path):
         lines, out = capture
@@ -437,6 +459,25 @@ class TestReportCommand:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["report", "r", "--metric", "packets_sent"])
 
+    def test_metric_choices_are_the_headline_metrics(self):
+        from repro.cli import METRIC_NAMES
+
+        assert METRIC_NAMES == (
+            "average_delay_ms",
+            "deliveries_completed",
+            "delivery_ratio",
+            "energy_per_item_uj",
+            "expected_deliveries",
+            "failures_injected",
+            "items_generated",
+            "num_nodes",
+            "routing_energy_uj",
+            "routing_rebuilds",
+            "sim_time_ms",
+            "total_energy_uj",
+            "transmission_radius_m",
+        )
+
     def test_empty_run_dir_fails_cleanly(self, capture, tmp_path):
         lines, out = capture
         assert main(["report", str(tmp_path)], out=out) == 2
@@ -512,6 +553,26 @@ class TestSweepFaultFlags:
         assert failures[0].last_outcome == "raised"
         # The surviving job's record still landed in the store proper.
         assert [r.key for r in store.records()] == ["fig06/num_nodes=9/spin"]
+
+    def test_resume_reruns_only_the_quarantined_job(self, capture, tiny_scale, tmp_path):
+        from repro.results import RunStore
+
+        lines, out = capture
+        run_dir = str(tmp_path / "run")
+        chaos_run = [
+            "sweep", "fig06", "--chaos", "0:raise", "--max-retries", "0",
+            "--run-dir", run_dir,
+        ]
+        assert main(chaos_run, out=out) == 3
+        lines.clear()
+        assert main(["sweep", "fig06", "--run-dir", run_dir, "--resume"], out=out) == 0
+        text = "\n".join(lines)
+        assert "[  run] fig06/num_nodes=9/spms" in text
+        assert "[cache] fig06/num_nodes=9/spin" in text
+        assert "1 simulated, 1 from cache" in text
+        assert sorted(r.key for r in RunStore(run_dir).records()) == [
+            "fig06/num_nodes=9/spin", "fig06/num_nodes=9/spms",
+        ]
 
     def test_transient_chaos_retries_and_exits_zero(self, capture, tiny_scale):
         lines, out = capture

@@ -1,6 +1,5 @@
-"""Tests for the parallel job executor and the content-addressed result cache."""
+"""Tests for the parallel job executor and run-directory resume."""
 
-import json
 import multiprocessing
 import os
 import signal
@@ -21,7 +20,8 @@ from repro.experiments.executor import (
     stream_jobs,
 )
 from repro.experiments.matrix import matrix_from_axes
-from repro.results import ResultCache, RunRecord, RunStore, spec_fingerprint
+from repro.experiments.runner import ExperimentRunner
+from repro.results import RunRecord, RunStore, spec_fingerprint
 
 
 @pytest.fixture
@@ -117,21 +117,62 @@ class TestStreaming:
         assert [r.key for r in stored] == [c.job.key for c in completions]
         assert stored[0].to_dict() == completions[0].record.to_dict()
 
-    def test_store_receives_cache_hits_too(self, small_matrix, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        jobs = small_matrix.expand()
-        list(stream_jobs(jobs, cache=cache))
-        store = RunStore(tmp_path / "run")
-        completions = list(stream_jobs(jobs, cache=cache, resume=True, store=store))
-        assert all(c.from_cache for c in completions)
-        assert len(list(store.records())) == len(jobs)
+    def test_stream_without_resume_never_fingerprints(
+        self, small_matrix, tmp_path, monkeypatch
+    ):
+        # The non-resume path (every sweep without --resume, and the fleet
+        # runner) must not pay for fingerprinting specs or reading the index.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("resume lookup on the non-resume path")
 
-    def test_cache_hits_are_restamped_with_the_requesting_job(self, small_matrix, tmp_path):
-        # Two matrices can share cache entries (the fingerprint hashes the
-        # spec, not the job key — under "shared" seeding identical specs can
-        # come from differently-named grids); a hit served to a different
-        # sweep must carry *that* sweep's key and axes, not the original
-        # populator's.
+        monkeypatch.setattr(executor_module, "spec_fingerprint", forbidden)
+        monkeypatch.setattr(RunStore, "records_by_fingerprint", forbidden)
+        store = RunStore(tmp_path / "run")
+        completions = list(stream_jobs(small_matrix.expand(), store=store))
+        assert all(c.ok and not c.from_cache for c in completions)
+
+
+class TestResume:
+    def test_resume_serves_the_run_dir_without_appending(self, small_matrix, tmp_path):
+        store = RunStore(tmp_path / "run")
+        jobs = small_matrix.expand()
+        first, report1 = execute_jobs(jobs, store=store)
+        assert report1.executed == len(jobs)
+
+        for _ in range(2):  # resuming twice never duplicates records
+            second, report2 = execute_jobs(jobs, store=store, resume=True)
+            assert report2.executed == 0
+            assert report2.cache_hits == len(jobs)
+            assert len(store) == len(jobs)
+            for key in first:
+                assert first[key].canonical_json() == second[key].canonical_json()
+
+    def test_resume_needs_a_store(self, small_matrix):
+        with pytest.raises(ValueError, match="resume needs a store"):
+            execute_jobs(small_matrix.expand(), resume=True)
+
+    def test_resume_reruns_changed_specs(self, small_matrix, tmp_path):
+        store = RunStore(tmp_path / "run")
+        jobs = small_matrix.expand()
+        execute_jobs(jobs, store=store)
+        reseeded = matrix_from_axes(
+            "exec-test",
+            "num_nodes",
+            (9, 16),
+            protocols=("spms",),
+            base_config=small_matrix.base_config.with_overrides(seed=10),
+        ).expand()
+        _, report = execute_jobs(reseeded, store=store, resume=True)
+        assert report.cache_hits == 0
+        assert report.executed == len(reseeded)
+        assert len(store) == len(jobs) + len(reseeded)
+
+    def test_resume_restamps_records_of_another_matrix(self, small_matrix, tmp_path):
+        # Two matrices can share runs (the fingerprint hashes the spec, not
+        # the job key — under "shared" seeding identical specs can come from
+        # differently-named grids); a record served to a different sweep
+        # must carry *that* sweep's key and axes, not the original runner's,
+        # and is appended so the run directory describes both sweeps.
         def expand(name):
             return matrix_from_axes(
                 name,
@@ -142,49 +183,79 @@ class TestStreaming:
                 seed_policy="shared",
             ).expand()
 
-        cache = ResultCache(tmp_path / "cache")
+        store = RunStore(tmp_path / "run")
         jobs = expand("first-name")
-        list(stream_jobs(jobs, cache=cache))
+        execute_jobs(jobs, store=store)
         renamed = expand("other-name")
         assert [spec_fingerprint(j.spec) for j in renamed] == [
             spec_fingerprint(j.spec) for j in jobs
         ]
-        completions = list(stream_jobs(renamed, cache=cache, resume=True))
+        completions = list(stream_jobs(renamed, store=store, resume=True))
         assert all(c.from_cache for c in completions)
         for completion in completions:
             assert completion.record.key == completion.job.key
             assert completion.record.key.startswith("other-name/")
             assert completion.record.axes == dict(completion.job.axes)
+        assert len(store) == 2 * len(jobs)
+        assert {r.key for r in store.records()} == {
+            j.key for j in jobs + renamed
+        }
+        # The re-stamped records now belong to the run dir: resuming the
+        # renamed matrix again serves them as is.
+        list(stream_jobs(renamed, store=store, resume=True))
+        assert len(store) == 2 * len(jobs)
 
+    def test_restamping_changes_provenance_only(self, small_matrix, tmp_path):
+        store = RunStore(tmp_path / "run")
+        job = small_matrix.expand()[0]
+        original = store.append(
+            ExperimentRunner(job.spec).run_record(key="elsewhere", axes={"spec": "x"})
+        )
+        (completion,) = stream_jobs([job], store=store, resume=True)
+        served = completion.record.to_dict()
+        assert (served.pop("key"), served.pop("axes")) == (job.key, dict(job.axes))
+        expected = original.to_dict()
+        del expected["key"], expected["axes"]
+        assert served == expected
 
-class TestResultCache:
-    def test_write_through_and_resume(self, small_matrix, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        jobs = small_matrix.expand()
-        first, report1 = execute_jobs(jobs, cache=cache)
-        assert report1.executed == len(jobs)
-        assert len(cache) == len(jobs)
-
-        second, report2 = execute_jobs(jobs, cache=cache, resume=True)
-        assert report2.executed == 0
-        assert report2.cache_hits == len(jobs)
-        for key in first:
-            assert first[key].to_json() == second[key].to_json()
-
-    def test_resume_reruns_changed_specs(self, small_matrix, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        jobs = small_matrix.expand()
-        execute_jobs(jobs, cache=cache)
-        reseeded = matrix_from_axes(
-            "exec-test",
+    def test_pooled_resume_runs_only_the_missing_jobs(self, small_matrix, tmp_path):
+        store = RunStore(tmp_path / "run")
+        jobs = matrix_from_axes(
+            "pool-resume",
             "num_nodes",
-            (9, 16),
+            (9, 16, 25),
             protocols=("spms",),
-            base_config=small_matrix.base_config.with_overrides(seed=10),
+            base_config=small_matrix.base_config,
         ).expand()
-        _, report = execute_jobs(reseeded, cache=cache, resume=True)
-        assert report.cache_hits == 0
-        assert report.executed == len(reseeded)
+        clean, _ = execute_jobs(jobs)
+        execute_jobs(jobs[:1], store=store)
+        records, report = execute_jobs(jobs, workers=2, store=store, resume=True)
+        assert (report.cache_hits, report.executed) == (1, len(jobs) - 1)
+        assert len(store) == len(jobs)
+        for job in jobs:
+            assert records[job.key].canonical_json() == clean[job.key].canonical_json()
+
+    def test_resume_reruns_only_quarantined_jobs(self, small_matrix, tmp_path):
+        store = RunStore(tmp_path / "run")
+        jobs = small_matrix.expand()
+        _, report = execute_jobs(
+            jobs, store=store, chaos=ChaosSpec.parse("0:raise"), max_attempts=1
+        )
+        assert report.quarantined == 1
+        simulated = []
+
+        def progress(job, record, from_cache):
+            if not from_cache:
+                simulated.append(job.key)
+
+        records, resumed = execute_jobs(
+            jobs, store=store, resume=True, progress=progress
+        )
+        assert simulated == [jobs[0].key]
+        assert resumed.executed == 1
+        assert resumed.cache_hits == len(jobs) - 1
+        assert set(records) == {j.key for j in jobs}
+        assert len(store) == len(jobs)
 
     def test_fingerprint_sensitive_to_every_knob(self, small_matrix):
         job = small_matrix.expand()[0]
@@ -195,27 +266,6 @@ class TestResultCache:
         ).expand()[0]
         assert spec_fingerprint(other.spec) != base
         assert spec_fingerprint(job.spec) == base  # stable
-
-    def test_corrupt_entries_are_misses(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        key = "ab" + "0" * 62
-        path = cache.path_for(key)
-        path.parent.mkdir(parents=True)
-        path.write_text("{not json")
-        assert cache.load(key) is None
-
-    def test_round_trip_preserves_every_field(self, small_matrix, tmp_path):
-        cache = ResultCache(tmp_path)
-        jobs = small_matrix.expand()
-        results, _ = execute_jobs(jobs[:1], cache=cache)
-        stored = cache.load(spec_fingerprint(jobs[0].spec))
-        original = results[jobs[0].key]
-        assert isinstance(stored, RunRecord)
-        assert stored.to_dict() == original.to_dict()
-        # Entries are valid, human-inspectable JSON with spec provenance.
-        payload = json.loads(cache.path_for(spec_fingerprint(jobs[0].spec)).read_text())
-        assert payload["spec"]["protocol"] == "spms"
-        assert payload["record"]["summary"]["items_generated"] > 0
 
 
 class TestSeriesLabels:

@@ -62,6 +62,15 @@ class TestSimulatedFigures:
         assert set(fig10.results) == {"spms", "spin", "f-spms", "f-spin"}
         assert len(fig10.results["f-spms"]) == 2
 
+    def test_merged_figure_records_carry_their_swept_value(self, tiny_scale):
+        # The merged four-curve figures pivot records from two matrices;
+        # every record must sit in the row of its own grid coordinate.
+        fig10 = figures.figure10_delay_failures_vs_nodes(tiny_scale)
+        for records in fig10.results.values():
+            assert [r.axes["num_nodes"] for r in records] == fig10.values
+        rows = fig10.rows("average_delay_ms")
+        assert all(set(row) == {"num_nodes", *fig10.results} for row in rows)
+
     def test_figure11_has_four_curves(self, tiny_scale):
         fig11 = figures.figure11_delay_failures_vs_radius(tiny_scale)
         assert set(fig11.results) == {"spms", "spin", "f-spms", "f-spin"}

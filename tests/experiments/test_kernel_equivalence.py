@@ -14,7 +14,7 @@ import hashlib
 import pytest
 
 from repro.experiments.config import FailureConfig, MobilityConfig, SimulationConfig
-from repro.experiments.runner import run_scenario_record
+from repro.experiments.runner import run_scenario
 from repro.experiments.scenarios import all_to_all_scenario
 
 #: sha256 of `RunRecord.canonical_json()` for the 9-node reference scenario,
@@ -49,7 +49,7 @@ def config() -> SimulationConfig:
 
 
 def canonical_digest(spec) -> str:
-    record = run_scenario_record(spec)
+    record = run_scenario(spec)
     return hashlib.sha256(record.canonical_json().encode("utf-8")).hexdigest()
 
 
@@ -70,6 +70,6 @@ class TestKernelByteIdentity:
 
     @pytest.mark.parametrize("protocol", sorted(PINNED_DIGESTS))
     def test_canonical_json_identical_across_runs(self, protocol, config):
-        first = run_scenario_record(all_to_all_scenario(protocol, config))
-        second = run_scenario_record(all_to_all_scenario(protocol, config))
+        first = run_scenario(all_to_all_scenario(protocol, config))
+        second = run_scenario(all_to_all_scenario(protocol, config))
         assert first.canonical_json() == second.canonical_json()

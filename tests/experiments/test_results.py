@@ -1,44 +1,36 @@
-"""Tests for result containers."""
+"""Tests for the sweep pivot over run records."""
 
-from repro.results import ScenarioResult, SweepResult
+import pytest
+
+from repro.metrics.summary import MetricsSummary
+from repro.results import RunRecord, SweepResult
 
 
-def make_result(protocol="spms", energy=10.0, delay=5.0, nodes=16):
-    return ScenarioResult(
+def make_record(protocol="spms", energy=10.0, nodes=16):
+    return RunRecord(
+        key=f"test/num_nodes={nodes}/{protocol}",
         protocol=protocol,
         scenario="test",
+        spec_fingerprint="ab" * 32,
+        seed=1,
         num_nodes=nodes,
         transmission_radius_m=20.0,
-        items_generated=4,
-        expected_deliveries=12,
-        deliveries_completed=12,
-        total_energy_uj=energy * 4,
-        energy_per_item_uj=energy,
-        average_delay_ms=delay,
-        delivery_ratio=1.0,
+        summary=MetricsSummary(
+            items_generated=4,
+            expected_deliveries=12,
+            deliveries_completed=12,
+            total_energy_uj=energy * 4,
+        ),
+        axes={"num_nodes": nodes},
     )
-
-
-class TestScenarioResult:
-    def test_as_dict_round_trip(self):
-        result = make_result()
-        data = result.as_dict()
-        assert data["protocol"] == "spms"
-        assert data["energy_per_item_uj"] == 10.0
-        assert data["num_nodes"] == 16
-
-    def test_defaults(self):
-        result = make_result()
-        assert result.routing_rebuilds == 0
-        assert result.failures_injected == 0
 
 
 class TestSweepResult:
     def build(self):
         sweep = SweepResult(parameter="num_nodes")
         for nodes, spin_e, spms_e in ((16, 10.0, 6.0), (36, 20.0, 10.0)):
-            sweep.add("spin", nodes, make_result("spin", energy=spin_e, nodes=nodes))
-            sweep.add("spms", nodes, make_result("spms", energy=spms_e, nodes=nodes))
+            sweep.add("spin", nodes, make_record("spin", energy=spin_e, nodes=nodes))
+            sweep.add("spms", nodes, make_record("spms", energy=spms_e, nodes=nodes))
         return sweep
 
     def test_values_recorded_once(self):
@@ -66,9 +58,10 @@ class TestSweepResult:
 class TestSparseSweeps:
     """Sweeps must tolerate series that do not cover every point.
 
-    Batch fleets and multi-axis matrices legitimately produce series with
-    holes; ``rows``/``format_table`` used to assume every protocol had a run
-    at every value and silently misaligned the table instead.
+    Batch fleets, multi-axis matrices and quarantined jobs legitimately
+    produce series with holes; ``rows``/``format_table`` used to assume
+    every protocol had a run at every value and silently misaligned the
+    table instead.
     """
 
     def build_sparse(self):
@@ -76,15 +69,35 @@ class TestSparseSweeps:
         # run is the 36-node one, which positional alignment would have
         # wrongly placed in the 16-node row.
         sweep = SweepResult(parameter="num_nodes")
-        sweep.add("spms", 16, make_result("spms", energy=6.0, nodes=16))
-        sweep.add("spms", 36, make_result("spms", energy=10.0, nodes=36))
-        sweep.add("spin", 36, make_result("spin", energy=20.0, nodes=36))
+        sweep.add("spms", 16, make_record("spms", energy=6.0, nodes=16))
+        sweep.add("spms", 36, make_record("spms", energy=10.0, nodes=36))
+        sweep.add("spin", 36, make_record("spin", energy=20.0, nodes=36))
         return sweep
 
     def test_rows_align_by_value_not_position(self):
         rows = self.build_sparse().rows("energy_per_item_uj")
         assert rows[0] == {"num_nodes": 16, "spms": 6.0}
         assert rows[1] == {"num_nodes": 36, "spms": 10.0, "spin": 20.0}
+
+    def test_by_value_keys_records_by_their_axis(self):
+        sweep = self.build_sparse()
+        assert list(sweep.by_value("spin")) == [36]
+        assert sweep.by_value("spms")[16].num_nodes == 16
+        assert sweep.by_value("gossip") == {}
+
+    def test_by_value_keeps_the_first_record_of_a_value(self):
+        sweep = SweepResult(parameter="num_nodes")
+        sweep.add("spms", 16, make_record("spms", energy=6.0, nodes=16))
+        sweep.add("spms", 16, make_record("spms", energy=9.0, nodes=16))
+        assert sweep.rows("energy_per_item_uj") == [{"num_nodes": 16, "spms": 6.0}]
+
+    def test_records_must_carry_the_swept_axis(self):
+        # Alignment reads record.axes[parameter]; there is no positional
+        # fallback that could silently pair a record with the wrong value.
+        sweep = SweepResult(parameter="transmission_radius_m")
+        sweep.add("spms", 20.0, make_record("spms"))
+        with pytest.raises(KeyError):
+            sweep.rows("energy_per_item_uj")
 
     def test_format_table_renders_missing_cells_as_dashes(self):
         table = self.build_sparse().format_table("energy_per_item_uj")
@@ -101,32 +114,3 @@ class TestSparseSweeps:
 
     def test_series_tolerates_unknown_series_name(self):
         assert self.build_sparse().series("gossip", "energy_per_item_uj") == []
-
-    def test_positional_fallback_when_no_result_carries_the_parameter(self):
-        # Hand-assembled sweeps over a synthetic index (every result has the
-        # same num_nodes) keep the historical positional alignment instead
-        # of producing an empty table.
-        sweep = SweepResult(parameter="num_nodes")
-        sweep.add("spms", 0, make_result("spms", energy=6.0, nodes=16))
-        sweep.add("spms", 1, make_result("spms", energy=10.0, nodes=16))
-        rows = sweep.rows("energy_per_item_uj")
-        assert rows == [{"num_nodes": 0, "spms": 6.0}, {"num_nodes": 1, "spms": 10.0}]
-
-
-class TestSweepRoundTrip:
-    def test_record_sweeps_round_trip(self):
-        from tests.results.test_record import make_record
-
-        sweep = SweepResult(parameter="num_nodes")
-        sweep.add("spms", 9, make_record(axes={"num_nodes": 9}))
-        rebuilt = SweepResult.from_dict(sweep.to_dict())
-        assert rebuilt.to_dict() == sweep.to_dict()
-        assert rebuilt.results["spms"][0] == sweep.results["spms"][0]
-        assert rebuilt.rows("energy_per_item_uj") == sweep.rows("energy_per_item_uj")
-
-    def test_flat_result_sweeps_round_trip(self):
-        sweep = SweepResult(parameter="num_nodes")
-        sweep.add("spms", 16, make_result("spms", nodes=16))
-        rebuilt = SweepResult.from_dict(sweep.to_dict())
-        assert rebuilt.to_dict() == sweep.to_dict()
-        assert isinstance(rebuilt.results["spms"][0], ScenarioResult)

@@ -54,6 +54,15 @@ class TestStaticRuns:
         assert result.routing_energy_uj == 0.0
         assert result.routing_rebuilds == 1
 
+    def test_run_scenario_returns_the_stamped_record(self, config):
+        spec = all_to_all_scenario("spin", config)
+        plain = run_scenario(spec)
+        assert plain.key == spec.name and plain.axes == {}
+        stamped = run_scenario(spec, key="grid/num_nodes=9/spin", axes={"num_nodes": 9})
+        assert stamped.key == "grid/num_nodes=9/spin"
+        assert stamped.axes == {"num_nodes": 9}
+        assert stamped.summary == plain.summary
+
     def test_flooding_and_gossip_protocols_run(self, config):
         flood = run_scenario(all_to_all_scenario("flooding", config))
         gossip = run_scenario(all_to_all_scenario("gossip", config))

@@ -12,9 +12,9 @@ from repro.results import (
     RECORD_SCHEMA_KEY,
     RESULTS_SCHEMA_VERSION,
     SUPPORTED_RESULTS_SCHEMA_VERSIONS,
+    HEADLINE_METRICS,
     RecordValidationError,
     RunRecord,
-    ScenarioResult,
 )
 
 # --------------------------------------------------------------- strategies
@@ -211,12 +211,9 @@ class TestViews:
         assert record.packets_sent == {"ADV": 9}
         assert record.energy_breakdown_uj["tx"] == 50.0
 
-    def test_scenario_result_view_matches_the_record(self):
+    def test_as_dict_is_the_flat_headline_view(self):
         record = make_record()
-        view = ScenarioResult.from_record(record)
-        for metric, value in view.as_dict().items():
+        flat = record.as_dict()
+        assert list(flat) == ["protocol", "scenario", *HEADLINE_METRICS]
+        for metric, value in flat.items():
             assert getattr(record, metric) == value, metric
-
-    def test_as_dict_matches_the_flat_view(self):
-        record = make_record()
-        assert record.as_dict() == ScenarioResult.from_record(record).as_dict()
