@@ -50,7 +50,8 @@ Examples::
 
 Exit codes: 0 success; 1 drift or lint findings; 2 usage or input errors;
 3 partial failure — a sweep that quarantined or was interrupted mid-run, or
-``repro report --strict`` on a run directory that recorded failures.
+``repro report --strict`` on a run directory with a quarantined job that no
+later run has recorded.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ from repro.results import HEADLINE_METRICS, RunRecord, RunStore, RunStoreError
 
 #: Exit code of a run that finished but could not complete every job: a
 #: sweep with quarantined failures or an interrupt-shortened pool, and
-#: ``report --strict`` over a run directory whose sidecar records failures.
+#: ``report --strict`` over a run directory with a failure no record resolves.
 #: Distinct from 2 (usage errors) so CI can tell "you called it wrong" from
 #: "it ran and some jobs died" — the chaos smoke test pins this.
 EXIT_PARTIAL_FAILURE = 3
@@ -215,8 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument(
         "--strict", action="store_true",
-        help=f"exit {EXIT_PARTIAL_FAILURE} when the run directory recorded "
-             "quarantined job failures (failures.jsonl); CI gates use this",
+        help=f"exit {EXIT_PARTIAL_FAILURE} while a quarantined job failure "
+             "(failures.jsonl) has no record yet; a later run (--resume) that "
+             "records the job resolves it. CI gates use this",
     )
 
     list_cmd = subparsers.add_parser(
@@ -586,11 +588,18 @@ def _cmd_report(args: argparse.Namespace, out: Callable[[str], None]) -> int:
         out(f"run directory not found: {args.run_dir}")
         return 2
     try:
-        records = store.query(protocol=args.protocol)
+        records = store.query()
         failures = store.failures()
     except RunStoreError as exc:
         out(f"unreadable run directory: {exc}")
         return 2
+    # A quarantined job that a later run (``--resume``) recorded is resolved;
+    # checked against every record, not only the --protocol selection.
+    recorded = {record.key for record in records}
+    pending = [f for f in failures if f.key not in recorded]
+    resolved = [f for f in failures if f.key in recorded]
+    if args.protocol is not None:
+        records = [r for r in records if r.protocol == args.protocol]
     if not records and not failures:
         out(f"no records in {args.run_dir}"
             + (f" for protocol {args.protocol!r}" if args.protocol else ""))
@@ -598,17 +607,25 @@ def _cmd_report(args: argparse.Namespace, out: Callable[[str], None]) -> int:
     records = sorted(records, key=lambda r: r.key)
     if args.as_json:
         out(json.dumps([r.to_dict() for r in records], sort_keys=True, indent=1))
-        return EXIT_PARTIAL_FAILURE if (args.strict and failures) else 0
+        return EXIT_PARTIAL_FAILURE if (args.strict and pending) else 0
     out(f"{len(records)} record(s) in {args.run_dir}")
     out("")
     out(_record_table(records, args.metric))
-    if failures:
+    if pending:
         out("")
-        out(f"{len(failures)} job(s) FAILED in this run (see {store.failures_path}):")
-        for failure in sorted(failures, key=lambda f: f.key):
+        out(f"{len(pending)} job(s) FAILED in this run (see {store.failures_path}):")
+        for failure in sorted(pending, key=lambda f: f.key):
             out(
                 f"  {failure.key}: {failure.last_outcome} after "
                 f"{failure.attempt_count} attempt(s) — {failure.last_detail}"
+            )
+    if resolved:
+        out("")
+        out(f"{len(resolved)} quarantined job(s) completed by a later run:")
+        for failure in sorted(resolved, key=lambda f: f.key):
+            out(
+                f"  {failure.key}: {failure.last_outcome} after "
+                f"{failure.attempt_count} attempt(s), since recorded"
             )
     for partial in store.partial_paths():
         out("")
@@ -616,7 +633,7 @@ def _cmd_report(args: argparse.Namespace, out: Callable[[str], None]) -> int:
             f"note: {partial} holds quarantined partial lines from an "
             "interrupted writer; the records above are unaffected"
         )
-    if args.strict and failures:
+    if args.strict and pending:
         return EXIT_PARTIAL_FAILURE
     return 0
 

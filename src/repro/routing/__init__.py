@@ -8,9 +8,13 @@ among the zone members (Section 3.2).  The package provides:
   direct neighbour, with primary and backup next hops (the backup supports the
   single-failure tolerance the paper's implementation keeps).
 * :class:`~repro.routing.bellman_ford.DistributedBellmanFord` — a synchronous
-  round-based distance-vector computation with message and convergence-round
-  accounting, so the energy of route formation can be charged to SPMS in the
-  mobility experiments.
+  round-based distance-vector computation, run as a min-plus relaxation over
+  numpy link-cost and advertised-vector matrices, with message and
+  convergence-round accounting so the energy of route formation can be
+  charged to SPMS in the mobility experiments.  Its naive twin
+  :class:`~repro.routing.bellman_ford.NaiveDistributedBellmanFord` simulates
+  every broadcast with dicts; the differential tests require identical
+  tables and stats from both.
 * :class:`~repro.routing.manager.RoutingManager` — owns the tables, refreshes
   them when topology changes, and charges routing energy to the ledger.
 * :mod:`repro.routing.oracle` — a centralized shortest-path oracle used by the

@@ -6,6 +6,13 @@ receiving node updates, for every destination it cares about, the cost of
 going through the sending neighbour (link cost plus the neighbour's advertised
 cost).  The computation converges when no vector changes during a round.
 
+:class:`DistributedBellmanFord` runs the exchange in matrix form: link costs
+``L`` and last-advertised vectors ``A`` are n×n numpy arrays, and a round is
+one min-plus relaxation ``min(L[i, d], min_s L[i, s] + A[s, d])`` per
+receiving node.  :class:`NaiveDistributedBellmanFord` is the dict-of-dicts
+message simulation it replaced, kept as the naive twin the differential tests
+compare against: both produce float-identical tables and identical stats.
+
 Convergence rounds, messages and bytes are counted so the energy cost of route
 formation and maintenance can be charged to SPMS — this is the cost the
 mobility experiments (Figure 12) account for.
@@ -14,8 +21,10 @@ mobility experiments (Figure 12) account for.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Set
+
+import numpy as np
 
 from repro.radio.pathloss import pairwise_distances
 from repro.radio.power import PowerTable
@@ -84,21 +93,100 @@ class DistributedBellmanFord:
         self.max_rounds = max_rounds if max_rounds is not None else max(len(field), 2)
         self.exclude_nodes = set(exclude_nodes or ())
 
-    # ------------------------------------------------------------------ build
+    def compute(self) -> tuple:
+        """Run the distance-vector exchange to convergence.
 
-    def _link_cost(self, a: int, b: int) -> Optional[float]:
-        distance = self.field.distance(a, b)
-        if distance > self.power_table.max_range_m + 1e-9:
-            return None
-        return self.power_table.level_for_distance(distance).power_mw
+        Rows and columns follow :meth:`SensorField.positions_array` (sorted
+        ids), the order :attr:`ZoneMap.adjacency` is kept in.  Every cost is
+        the same single float add as a per-message simulation, and ``min`` is
+        exact, so the tables match :class:`NaiveDistributedBellmanFord`'s.
+
+        Returns:
+            ``(tables, stats)`` where *tables* maps node id to its
+            :class:`RoutingTable` and *stats* is a :class:`ConvergenceStats`.
+        """
+        ids, positions = self.field.positions_array()
+        active = np.array([node not in self.exclude_nodes for node in ids], dtype=bool)
+        # wanted[i, d]: i keeps a route entry for d (in its zone, both alive);
+        # link[i, s]: one-hop cost i -> s, inf where s is not a usable link.
+        wanted = self.zone_map.adjacency & active[:, None] & active[None, :]
+        costs = self.power_table.power_for_distances(pairwise_distances(positions))
+        linked = wanted & ~np.isnan(costs)
+        link = np.where(linked, costs, np.inf)
+        neighbours = [np.flatnonzero(row) for row in linked]
+        degree = linked.sum(axis=1)
+
+        alive = np.flatnonzero(active)
+        dist = np.full(link.shape, np.inf)
+        dist[alive, alive] = 0.0
+        # advertised[s]: the vector s broadcast last (inf until it first does).
+        advertised = np.full(link.shape, np.inf)
+
+        stats = ConvergenceStats()
+        senders = active
+        for _ in range(self.max_rounds):
+            if not senders.any():
+                break
+            stats.rounds += 1
+            vectors = dist[senders]
+            advertised[senders] = vectors
+            sizes = VECTOR_HEADER_BYTES + VECTOR_ENTRY_BYTES * np.isfinite(vectors).sum(axis=1)
+            receivers = degree[senders]
+            stats.messages += int(senders.sum())
+            stats.bytes_sent += int(sizes.sum())
+            stats.receptions += int(receivers.sum())
+            stats.bytes_received += int((sizes * receivers).sum())
+            # Only a node that heard a broadcast can change its vector.
+            relaxed = dist.copy()
+            for i in np.flatnonzero(linked[:, senders].any(axis=1)):
+                nb = neighbours[i]
+                through = (link[i, nb, None] + advertised[nb]).min(axis=0)
+                relaxed[i] = np.where(wanted[i], np.minimum(link[i], through), np.inf)
+                relaxed[i, i] = 0.0
+            senders = (relaxed != dist).any(axis=1)
+            dist = relaxed
+
+        ids_array = np.array(ids)
+        tables: Dict[int, RoutingTable] = {}
+        for i in alive:
+            table = RoutingTable(ids[i])
+            tables[ids[i]] = table
+            nb = neighbours[i]
+            dests = np.flatnonzero(wanted[i])
+            # via[k, d]: cost to d through neighbour nb[k] as last advertised;
+            # the direct link is that neighbour's candidate for itself.
+            via = link[i, nb, None] + advertised[nb]
+            hop = np.arange(len(nb))
+            via[hop, nb] = np.minimum(via[hop, nb], link[i, nb])
+            candidates = via[:, dests].T
+            # Neighbours are in ascending id order, so a stable sort by cost
+            # leaves equal-cost candidates ordered by next-hop id.
+            order = np.argsort(candidates, axis=1, kind="stable")
+            sorted_costs = np.take_along_axis(candidates, order, axis=1)
+            counts = np.isfinite(sorted_costs).sum(axis=1).tolist()
+            hop_rows = ids_array[nb][order].tolist()
+            cost_rows = sorted_costs.tolist()
+            for dest, hops, row, count in zip(
+                ids_array[dests].tolist(), hop_rows, cost_rows, counts
+            ):
+                if count:
+                    table.set_sorted(dest, hops[:count], row[:count])
+        return tables, stats
+
+
+class NaiveDistributedBellmanFord(DistributedBellmanFord):
+    """Per-message dict-of-dicts DBF: the naive twin of the matrix form.
+
+    Simulates every broadcast and reception explicitly.  The differential
+    tests and ``oracle_mode()`` run it in place of
+    :class:`DistributedBellmanFord` and require identical tables and stats.
+    """
 
     def _link_cost_matrix(self) -> tuple:
         """``(index_of_id, cost_matrix)`` for every node pair, vectorised.
 
         One pairwise-distance computation plus one vectorised power-level
-        lookup replaces the per-pair ``_link_cost`` calls of the main loop;
-        out-of-range pairs hold ``nan``.  The tolerances match the scalar
-        path exactly, so costs are bit-identical.
+        lookup gives every link cost; out-of-range pairs hold ``nan``.
         """
         ids, positions = self.field.positions_array()
         distances = pairwise_distances(positions)

@@ -26,42 +26,72 @@ class RouteCandidate:
 
 
 class RoutingTable:
-    """Routes from one node to every destination it maintains state for."""
+    """Routes from one node to every destination it maintains state for.
+
+    Per destination it keeps parallel next-hop and cost lists, cheapest
+    first (ties by next-hop id), plus the primary route as one
+    :class:`RouteCandidate`; other candidates are materialised on demand.
+    """
 
     def __init__(self, owner: int) -> None:
         self.owner = owner
-        self._routes: Dict[int, List[RouteCandidate]] = {}
+        self._hops: Dict[int, List[int]] = {}
+        self._costs: Dict[int, List[float]] = {}
+        self._best: Dict[int, RouteCandidate] = {}
 
     # --------------------------------------------------------------- building
 
     def set_candidates(self, destination: int, candidates: Iterable[RouteCandidate]) -> None:
         """Replace the candidate list for *destination* (sorted by cost)."""
+        ordered = sorted(candidates, key=lambda c: (c.cost, c.next_hop))
+        self.set_sorted(
+            destination, [c.next_hop for c in ordered], [c.cost for c in ordered]
+        )
+
+    def set_sorted(
+        self, destination: int, next_hops: List[int], costs: List[float]
+    ) -> None:
+        """Replace *destination*'s routes with lists in ``(cost, next_hop)`` order.
+
+        *next_hops* and *costs* are parallel and already sorted, so bulk
+        builders skip per-candidate objects; the table keeps them, not copies.
+        """
         if destination == self.owner:
             raise ValueError("a node does not keep a route to itself")
-        ordered = sorted(candidates, key=lambda c: (c.cost, c.next_hop))
-        if ordered:
-            self._routes[destination] = ordered
+        if next_hops:
+            self._hops[destination] = next_hops
+            self._costs[destination] = costs
+            self._best[destination] = RouteCandidate(next_hops[0], costs[0])
         else:
-            self._routes.pop(destination, None)
+            self._hops.pop(destination, None)
+            self._costs.pop(destination, None)
+            self._best.pop(destination, None)
 
     def clear(self) -> None:
         """Drop every route (used when the topology changes)."""
-        self._routes.clear()
+        self._hops.clear()
+        self._costs.clear()
+        self._best.clear()
 
     # ---------------------------------------------------------------- queries
 
     @property
     def destinations(self) -> Set[int]:
         """Destinations this table has at least one route for."""
-        return set(self._routes)
+        return set(self._hops)
 
     def has_route(self, destination: int) -> bool:
         """Whether any route to *destination* is known."""
-        return destination in self._routes
+        return destination in self._hops
 
     def candidates(self, destination: int) -> List[RouteCandidate]:
         """All candidate routes to *destination*, cheapest first."""
-        return list(self._routes.get(destination, []))
+        return [
+            RouteCandidate(hop, cost)
+            for hop, cost in zip(
+                self._hops.get(destination, ()), self._costs.get(destination, ())
+            )
+        ]
 
     def best(self, destination: int) -> Optional[RouteCandidate]:
         """The cheapest route candidate to *destination*, if any.
@@ -69,50 +99,48 @@ class RoutingTable:
         One dict lookup for the protocol hot path that needs both the next
         hop and the cost of the primary route (SPMS advertisement handling).
         """
-        candidates = self._routes.get(destination)
-        return candidates[0] if candidates else None
+        return self._best.get(destination)
 
     def next_hop(self, destination: int, exclude: Optional[Set[int]] = None) -> Optional[int]:
         """Best next hop towards *destination*, skipping nodes in *exclude*.
 
         Returns ``None`` if no (non-excluded) route exists.
         """
-        candidates = self._routes.get(destination)
-        if candidates is None:
+        hops = self._hops.get(destination)
+        if hops is None:
             return None
         if not exclude:
-            return candidates[0].next_hop
-        for candidate in candidates:
-            if candidate.next_hop not in exclude:
-                return candidate.next_hop
+            return hops[0]
+        for hop in hops:
+            if hop not in exclude:
+                return hop
         return None
 
     def cost(self, destination: int, exclude: Optional[Set[int]] = None) -> Optional[float]:
         """Cost of the best (non-excluded) route to *destination*."""
-        candidates = self._routes.get(destination)
-        if candidates is None:
+        costs = self._costs.get(destination)
+        if costs is None:
             return None
         if not exclude:
-            return candidates[0].cost
-        for candidate in candidates:
-            if candidate.next_hop not in exclude:
-                return candidate.cost
+            return costs[0]
+        for hop, cost in zip(self._hops[destination], costs):
+            if hop not in exclude:
+                return cost
         return None
 
     def backup_next_hop(self, destination: int) -> Optional[int]:
         """The second-best next hop (distinct from the primary), if any."""
-        candidates = self._routes.get(destination, [])
-        if len(candidates) < 2:
+        hops = self._hops.get(destination, ())
+        if len(hops) < 2:
             return None
-        primary = candidates[0].next_hop
-        for candidate in candidates[1:]:
-            if candidate.next_hop != primary:
-                return candidate.next_hop
+        for hop in hops[1:]:
+            if hop != hops[0]:
+                return hop
         return None
 
     def entry_count(self) -> int:
         """Total number of stored candidates (used for state-size metrics)."""
-        return sum(len(c) for c in self._routes.values())
+        return sum(len(hops) for hops in self._hops.values())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RoutingTable(owner={self.owner}, destinations={sorted(self._routes)})"
+        return f"RoutingTable(owner={self.owner}, destinations={sorted(self._hops)})"

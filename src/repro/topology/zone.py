@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Set
 
+import numpy as np
+
 from repro.radio.pathloss import neighbors_within_matrix
 from repro.topology.field import SensorField
 
@@ -31,10 +33,12 @@ class ZoneMap:
 
         Uses the vectorised neighbour-range computation (one numpy adjacency
         for the whole field) instead of n per-node O(n) scans; the tolerance
-        matches the scalar queries so membership is identical.
+        matches the scalar queries so membership is identical.  The adjacency
+        itself is kept for matrix consumers (:attr:`adjacency`).
         """
         ids, positions = self._field.positions_array()
         adjacency = neighbors_within_matrix(positions, self.radius_m)
+        self._adjacency = adjacency
         self._zones = {
             node_id: {ids[j] for j in adjacency[i].nonzero()[0]}
             for i, node_id in enumerate(ids)
@@ -45,6 +49,16 @@ class ZoneMap:
     def stale(self) -> bool:
         """Whether node positions changed since the last :meth:`refresh`."""
         return self._built_for_version != self._field.topology_version
+
+    @property
+    def adjacency(self) -> np.ndarray:
+        """Boolean zone adjacency from the last :meth:`refresh`.
+
+        Rows and columns follow :meth:`SensorField.positions_array` (sorted
+        ids); ``[i, j]`` is true when node *j* is in node *i*'s zone.  Shared,
+        not copied: callers must not write to it.
+        """
+        return self._adjacency
 
     def zone_neighbors(self, node_id: int) -> Set[int]:
         """Zone neighbours of *node_id* (excluding itself)."""

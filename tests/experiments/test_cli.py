@@ -626,6 +626,28 @@ class TestReportStrict:
         assert main(["report", str(run_dir), "--strict", "--json"], out=out) == (
             EXIT_PARTIAL_FAILURE
         )
+        # Selecting only the survivor's protocol does not hide the open failure.
+        assert main(["report", str(run_dir), "--strict", "--protocol", "spin"], out=out) == (
+            EXIT_PARTIAL_FAILURE
+        )
+
+    def test_strict_passes_once_resume_records_every_failure(
+        self, capture, monkeypatch, tmp_path
+    ):
+        lines, out = capture
+        run_dir = self._chaos_run(capture, monkeypatch, tmp_path)
+        assert main(["sweep", "fig06", "--quiet", "--run-dir", str(run_dir), "--resume"],
+                    out=out) == 0
+        lines.clear()
+        assert main(["report", str(run_dir), "--strict"], out=out) == 0
+        text = "\n".join(lines)
+        assert "2 record(s)" in text
+        assert "FAILED" not in text
+        assert "1 quarantined job(s) completed by a later run:" in text
+        assert "fig06/num_nodes=9/spms: raised after 1 attempt(s), since recorded" in text
+        assert main(["report", str(run_dir), "--strict", "--json"], out=out) == 0
+        # The resolving record counts even when --protocol filters it out.
+        assert main(["report", str(run_dir), "--strict", "--protocol", "spin"], out=out) == 0
 
     def test_strict_without_failures_exits_zero(self, capture, monkeypatch, tmp_path):
         lines, out = capture

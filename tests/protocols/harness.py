@@ -23,7 +23,12 @@ positions, and byte-identical ``RunRecord.canonical_json()``.
 * descriptor interning — :meth:`DataDescriptor.intern` constructs a fresh
   instance per call (which also routes ``intern_descriptor`` and every
   workload through plain construction), so nothing ever compares by
-  identity.
+  identity;
+* matrix-form routing — :class:`~repro.routing.manager.RoutingManager`
+  builds its tables with
+  :class:`~repro.routing.bellman_ford.NaiveDistributedBellmanFord` (the
+  retained per-message dict-of-dicts exchange) instead of the numpy
+  min-plus :class:`~repro.routing.bellman_ford.DistributedBellmanFord`.
 """
 
 from __future__ import annotations
@@ -38,6 +43,8 @@ from repro.core.metadata import DataDescriptor
 from repro.core.network import Network
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.scenarios import ScenarioSpec
+from repro.routing import manager as routing_manager_module
+from repro.routing.bellman_ford import NaiveDistributedBellmanFord
 
 
 @contextlib.contextmanager
@@ -47,12 +54,14 @@ def oracle_mode():
     saved_levels = Network.UNICAST_LEVEL_CACHE
     saved_cache = node_base_module.DataCache
     saved_intern = DataDescriptor.__dict__["intern"]
+    saved_dbf = routing_manager_module.DistributedBellmanFord
     Network.ADV_FAST_PATH = False
     Network.UNICAST_LEVEL_CACHE = False
     node_base_module.DataCache = NaiveDataCache
     DataDescriptor.intern = classmethod(
         lambda cls, name, region=None: cls(name, region)
     )
+    routing_manager_module.DistributedBellmanFord = NaiveDistributedBellmanFord
     try:
         yield
     finally:
@@ -60,6 +69,7 @@ def oracle_mode():
         Network.UNICAST_LEVEL_CACHE = saved_levels
         node_base_module.DataCache = saved_cache
         DataDescriptor.intern = saved_intern
+        routing_manager_module.DistributedBellmanFord = saved_dbf
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,11 @@ from repro.experiments.scenarios import (
     cluster_scenario,
     single_pair_scenario,
 )
+from repro.routing import manager as routing_manager_module
+from repro.routing.bellman_ford import (
+    DistributedBellmanFord,
+    NaiveDistributedBellmanFord,
+)
 
 from tests.protocols.harness import assert_identical, oracle_mode, run_differential
 
@@ -79,12 +84,22 @@ class TestOracleModeActuallyDisables:
             assert first == second == interned
         assert DataDescriptor.intern("item/x") is interned
 
+    def test_routing_built_by_naive_dbf(self):
+        assert routing_manager_module.DistributedBellmanFord is DistributedBellmanFord
+        with oracle_mode():
+            assert (
+                routing_manager_module.DistributedBellmanFord
+                is NaiveDistributedBellmanFord
+            )
+        assert routing_manager_module.DistributedBellmanFord is DistributedBellmanFord
+
     def test_restored_on_exception(self):
         with pytest.raises(RuntimeError):
             with oracle_mode():
                 raise RuntimeError("boom")
         assert Network.ADV_FAST_PATH and Network.UNICAST_LEVEL_CACHE
         assert DataDescriptor.intern("item/y") is DataDescriptor.intern("item/y")
+        assert routing_manager_module.DistributedBellmanFord is DistributedBellmanFord
 
 
 class _FakeNetwork:
