@@ -1,7 +1,7 @@
 """Lint-engine benchmark: the graph phase must stay a cheap second pass.
 
 The two-phase engine parses every file once and builds the call graph at
-most once, so the project-wide T/L/P families should cost a fraction of
+most once, so the project-wide T/L families should cost a fraction of
 the parse-dominated per-file pass — not multiply it.  This benchmark times
 a full run (all rules, graph built) against a per-file-only run (graph
 families ignored, graph never built) over the same tree and holds the
@@ -14,7 +14,7 @@ from pathlib import Path
 from time import perf_counter
 
 from benchmarks.conftest import emit, run_once
-from repro.lint import default_registry, load_config, run_lint
+from repro.lint import RULES, LintConfig, run_lint
 
 #: Acceptance bar: full two-phase wall <= 2x the per-file-only wall.
 MAX_TWO_PHASE_RATIO = 2.0
@@ -27,15 +27,9 @@ ROUNDS = 2
 
 def _measure_two_phase_overhead():
     root = Path(__file__).resolve().parents[1]
-    config = load_config(root, paths=LINT_PATHS)
-    graph_ids = tuple(
-        registration.id
-        for registration in default_registry().select()
-        if registration.rule_class.needs_graph
-    )
-    per_file_config = dataclasses.replace(
-        config, ignore=(*config.ignore, *graph_ids)
-    )
+    config = LintConfig(project_root=root, paths=LINT_PATHS)
+    graph_ids = tuple(rule.id for rule in RULES if rule.needs_graph)
+    per_file_config = dataclasses.replace(config, ignore=graph_ids)
 
     per_file_walls, full_walls = [], []
     for _ in range(ROUNDS):  # interleaved; best-of damps scheduler noise

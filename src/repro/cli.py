@@ -24,8 +24,8 @@ code:
   a schema-versioned throughput record (events/sec, wall time, canonical
   digest, git metadata) to ``BENCH_kernel.json``.
 * ``lint``      — run the AST-based determinism/invariant linter
-  (``repro lint src tests``); non-zero exit on new findings, so CI can gate
-  on it.
+  (``repro lint src tests``); non-zero exit on findings, so CI can gate on
+  it.
 * ``figure``    — regenerate one of the paper's figures and print its rows.
 * ``list-figures`` — list the available figure names.
 * ``table1``    — print the Table 1 parameter set.
@@ -329,27 +329,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument(
         "paths", nargs="*", metavar="PATH",
-        help="files or directories to lint (default: [tool.repro-lint] "
-             "paths in pyproject.toml, else src)",
+        help="files or directories to lint (default: src tests benchmarks)",
     )
     lint.add_argument(
         "--select", action="append", default=[], metavar="RULES",
-        help="comma-separated rule-id prefixes to run (e.g. D,S201); "
-             "default: every registered rule",
+        help="comma-separated rule-id prefixes to run (e.g. D,L501); "
+             "default: every rule; a prefix matching no rule is an error",
     )
     lint.add_argument(
         "--ignore", action="append", default=[], metavar="RULES",
         help="comma-separated rule-id prefixes to skip",
-    )
-    lint.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="baseline file of grandfathered findings (default: the "
-             "[tool.repro-lint] baseline, if configured)",
-    )
-    lint.add_argument(
-        "--write-baseline", action="store_true",
-        help="write the current findings to --baseline and exit 0 "
-             "(migration aid; the policy is an empty baseline at HEAD)",
     )
     lint.add_argument(
         "--root", default=None, metavar="DIR",
@@ -357,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument(
         "--list-rules", action="store_true",
-        help="list the registered rules and exit",
+        help="list the rules and exit",
     )
     lint.add_argument(
         "--json", action="store_true", dest="as_json",
@@ -367,12 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--graph-debug", action="store_true",
         help="attach the resolved project call graph to the report "
              "(edges, lock contexts, unresolved calls with reasons)",
-    )
-    lint.add_argument(
-        "--changed", nargs="?", const="HEAD", default=None, metavar="REF",
-        help="lint only python files that differ from REF (default HEAD, "
-             "including untracked); per-file rules only — the call-graph "
-             "pass needs the whole tree and is left to full runs",
     )
 
     figure = subparsers.add_parser("figure", help="regenerate one of the paper's figures")
@@ -864,21 +847,18 @@ def _cmd_lint(args: argparse.Namespace, out: Callable[[str], None]) -> int:
     # Imported here so `repro lint` stays self-contained: the linter runs on
     # stdlib ast only and never pulls the simulation stack into memory.
     from repro.lint import (
-        BaselineError,
-        default_registry,
+        RULES,
+        LintConfig,
         find_project_root,
-        load_config,
         render_json,
         render_text,
         run_lint,
-        write_baseline,
     )
+    from repro.lint.config import DEFAULT_PATHS
 
     if args.list_rules:
-        registry = default_registry()
-        for rule_id in registry.available():
-            registration = registry.lookup(rule_id)
-            out(f"{rule_id}  {registration.name:<24} {registration.description}")
+        for rule_class in sorted(RULES, key=lambda rule_class: rule_class.id):
+            out(f"{rule_class.id}  {rule_class.name:<24} {rule_class.description}")
         return 0
     if args.root is not None:
         root = Path(args.root)
@@ -888,62 +868,15 @@ def _cmd_lint(args: argparse.Namespace, out: Callable[[str], None]) -> int:
     else:
         anchor = Path(args.paths[0]) if args.paths else Path.cwd()
         root = find_project_root(anchor if anchor.exists() else Path.cwd())
-    config = load_config(
-        root,
-        paths=tuple(args.paths),
-        select=_split_rule_args(args.select),
-        ignore=_split_rule_args(args.ignore),
-        baseline=args.baseline,
+    report = run_lint(
+        LintConfig(
+            project_root=root.resolve(),
+            paths=tuple(args.paths) or DEFAULT_PATHS,
+            select=_split_rule_args(args.select),
+            ignore=_split_rule_args(args.ignore),
+            graph_debug=args.graph_debug,
+        )
     )
-    if args.graph_debug:
-        config = dataclasses.replace(config, graph_debug=True)
-    if args.changed is not None:
-        from repro.lint.changed import ChangedFilesError, scoped_changed_paths
-
-        try:
-            lintable, changed = scoped_changed_paths(config, base=args.changed)
-        except ChangedFilesError as exc:
-            out(f"--changed: {exc}")
-            return 2
-        if not lintable:
-            out(
-                f"--changed: no lintable python files differ from "
-                f"{args.changed} ({len(changed)} changed path(s) out of scope)"
-            )
-            return 0
-        registry = default_registry()
-        graph_ids = tuple(
-            registration.id
-            for registration in registry.select(config.select, config.ignore)
-            if registration.rule_class.needs_graph
-        )
-        config = dataclasses.replace(
-            config,
-            paths=tuple(lintable),
-            ignore=(*config.ignore, *graph_ids),
-        )
-        skipped = f", {len(graph_ids)} graph rule(s) deferred" if graph_ids else ""
-        out(f"--changed: linting {len(lintable)} file(s){skipped}")
-    if args.write_baseline:
-        if config.baseline_path() is None:
-            out("--write-baseline needs --baseline (or a configured baseline path)")
-            return 2
-        # Findings are recomputed without the existing baseline applied, so
-        # rewriting is idempotent and complete.
-        bare = dataclasses.replace(config, baseline=None)
-        report = run_lint(bare)
-        if report.errors:
-            for error in report.errors:
-                out(f"error: {error}")
-            return 2
-        count = write_baseline(config.baseline_path(), report.findings)
-        out(f"baseline written to {config.baseline_path()} ({count} finding(s))")
-        return 0
-    try:
-        report = run_lint(config)
-    except BaselineError as exc:
-        out(str(exc))
-        return 2
     if args.as_json:
         out(render_json(report))
     else:

@@ -377,8 +377,3 @@ class Network:
             per_node_category[(receiver, "rx")] += rx_cost
             received[type_label] += 1
             node.on_adv(packet)
-
-    def _deliver(self, receiver: int, packet: Packet) -> None:
-        """Deliver to a single receiver (kept for tests/diagnostics; the
-        simulation path goes through :meth:`_deliver_batch`)."""
-        self._deliver_batch((receiver,), packet)

@@ -4,22 +4,19 @@ The runtime guarantees this repository leans on (byte-identical metrics
 across serial/parallel runs and fast-path/oracle pairs) are enforced
 dynamically by the differential suites and digest pins — but a differential
 suite takes minutes to say what a static check can say in milliseconds.
-This package is that static check: a pluggable rule framework
-(:mod:`repro.lint.framework`) over one shared per-file AST/symbol pass
-(:mod:`repro.lint.symbols`), with three built-in rule families:
+This package holds the checks that need static analysis: a small rule
+framework (:mod:`repro.lint.framework`) over one shared per-file
+AST/symbol pass (:mod:`repro.lint.symbols`), with two per-file families:
 
 * **D-rules** (:mod:`repro.lint.rules_determinism`) — determinism hazards
   in the simulation layers: stdlib entropy, wall-clock reads, hash-ordered
   set iteration, ``id()``/``hash()`` ordering.
-* **S-rules** (:mod:`repro.lint.rules_slots`) — declared hot-path classes
-  must keep ``__slots__``.
-* **C-rules** (:mod:`repro.lint.rules_policy`) — cross-module policy: the
-  oracle's fast-path switches must resolve, and every ``*_SCHEMA_VERSION``
-  constant must be pinned by a test.
+* **R-rules** (:mod:`repro.lint.rules_robustness`) — worker/supervisor
+  modules never swallow a failed attempt.
 
 On top of the per-file pass sits a project-wide analysis engine: a
 resolved call graph (:mod:`repro.lint.callgraph`) with taint/reachability
-and lock-dominance layers (:mod:`repro.lint.dataflow`), consumed by three
+and lock-dominance layers (:mod:`repro.lint.dataflow`), consumed by the
 graph-driven families run as a second phase:
 
 * **T-rules** (:mod:`repro.lint.rules_taint`) — cross-file entropy taint:
@@ -28,49 +25,32 @@ graph-driven families run as a second phase:
 * **L-rules** (:mod:`repro.lint.rules_locks`) — store lock discipline:
   writes in the results store dominated by the store lock, no store
   handles captured across multiprocessing forks.
-* **P-rules** (:mod:`repro.lint.rules_parity`) — oracle parity: class
-  twins swapped by ``oracle_mode()`` keep identical public signatures,
-  every fast-path toggle is flipped under ``tests/protocols/``.
 
 The engine itself emits **E/W findings**
 (:mod:`repro.lint.rules_engine`): unparseable/unreadable files (E001/
 E002) and stale suppression comments (W001).
 
-Entry points: ``repro lint`` on the command line (``--changed`` for
-git-diff-scoped pre-commit runs, ``--graph-debug`` to dump the graph),
-:func:`run_lint` from code.  Findings are silenced per line with
-``# repro-lint: disable=RULE`` plus a justification, or grandfathered in a
-committed baseline file (:mod:`repro.lint.baseline`) during migrations.
+Invariants that only name a fixed list of classes or constants are checked
+at runtime instead: hot-path ``__slots__`` and schema-constant pins by
+tests, oracle switches and twin signatures by ``oracle_mode()`` on entry.
+
+Entry points: ``repro lint`` on the command line (``--graph-debug`` to dump
+the graph), :func:`run_lint` from code.  Findings are silenced per line
+with ``# repro-lint: disable=RULE`` plus a justification.
 """
 
-from repro.lint.baseline import (
-    LINT_BASELINE_SCHEMA_VERSION,
-    BaselineError,
-    load_baseline,
-    write_baseline,
-)
-from repro.lint.config import (
-    SIM_LAYERS,
-    SLOTS_CLASSES,
-    LintConfig,
-    find_project_root,
-    load_config,
-)
 from repro.lint.callgraph import CallGraph, CallSite, FunctionInfo, build_callgraph
-from repro.lint.changed import ChangedFilesError, scoped_changed_paths
-from repro.lint.engine import LintReport, Project, SourceFile, parse_source, run_lint
+from repro.lint.config import SIM_LAYERS, LintConfig, find_project_root
+from repro.lint.engine import RULES, LintReport, Project, SourceFile, parse_source, run_lint
 from repro.lint.framework import (
-    DuplicateRuleError,
     EngineRule,
     FileRule,
     Finding,
     GraphRule,
-    ProjectRule,
     Rule,
-    RuleRegistry,
     Severity,
-    default_registry,
-    rule,
+    UnknownRuleError,
+    select_rules,
 )
 from repro.lint.reporting import (
     LINT_REPORT_SCHEMA_VERSION,
@@ -80,39 +60,29 @@ from repro.lint.reporting import (
 )
 
 __all__ = [
-    "BaselineError",
     "CallGraph",
     "CallSite",
-    "ChangedFilesError",
-    "DuplicateRuleError",
     "EngineRule",
     "FileRule",
     "Finding",
     "FunctionInfo",
     "GraphRule",
-    "build_callgraph",
-    "scoped_changed_paths",
-    "LINT_BASELINE_SCHEMA_VERSION",
     "LINT_REPORT_SCHEMA_VERSION",
     "LintConfig",
     "LintReport",
     "Project",
-    "ProjectRule",
+    "RULES",
     "Rule",
-    "RuleRegistry",
     "SIM_LAYERS",
-    "SLOTS_CLASSES",
     "Severity",
     "SourceFile",
-    "default_registry",
+    "UnknownRuleError",
+    "build_callgraph",
     "find_project_root",
-    "load_baseline",
-    "load_config",
     "parse_source",
     "render_json",
     "render_text",
     "report_to_dict",
-    "rule",
     "run_lint",
-    "write_baseline",
+    "select_rules",
 ]

@@ -32,6 +32,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
+from repro.lint.config import SRC_ROOT
 from repro.lint.symbols import _is_type_checking_test
 
 if TYPE_CHECKING:  # pragma: no cover - types only
@@ -299,7 +300,7 @@ class _Builder:
     def __init__(self, project: "Project") -> None:
         self.project = project
         self.graph = CallGraph()
-        self.src_root = project.config.src_root
+        self.src_root = SRC_ROOT
         self._sources: List["SourceFile"] = [
             source for source in project.files if source.tree is not None
         ]

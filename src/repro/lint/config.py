@@ -1,26 +1,21 @@
-"""Lint configuration: defaults, pyproject block, CLI overrides.
+"""Lint configuration: the run's knobs and the repository facts rules read.
 
-The knobs live in ``[tool.repro-lint]`` of ``pyproject.toml``::
-
-    [tool.repro-lint]
-    paths = ["src", "tests", "benchmarks"]
-    select = []          # rule-id prefixes; empty = all rules
-    ignore = []
-    baseline = ""        # path of a committed baseline file, if any
-    exclude = ["**/_vendored/**"]
-
-Python 3.10 (the oldest supported interpreter) has no ``tomllib``, so a
-minimal fallback parser handles exactly the flat table shape above; on 3.11+
-the stdlib parser is used.
+A run is configured by :class:`LintConfig` (project root, paths, rule
+selection); everything else the rules need to know about this repository's
+layout is a module constant below.
 """
 
 from __future__ import annotations
 
-import ast as _ast
-import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Tuple
+
+#: What ``repro lint`` checks when given no paths.
+DEFAULT_PATHS: Tuple[str, ...] = ("src", "tests", "benchmarks")
+
+#: Root of the importable source tree, relative to the project root.
+SRC_ROOT = "src"
 
 #: Layers of ``src/repro`` whose code runs *inside* a simulation and is
 #: therefore covered by the determinism (D) rules.  ``experiments``/``perf``/
@@ -32,7 +27,6 @@ SIM_LAYERS: Tuple[str, ...] = (
     "mac",
     "radio",
     "routing",
-    "protocols",
     "topology",
     "workload",
     "mobility",
@@ -42,17 +36,6 @@ SIM_LAYERS: Tuple[str, ...] = (
 #: The one module allowed to touch the stdlib ``random`` machinery: the
 #: named-stream registry every stochastic component draws through.
 RNG_MODULE_SUFFIX = "repro/sim/rng.py"
-
-#: Hot-path classes that must keep ``__slots__`` (explicitly or via
-#: ``@dataclass(slots=True)``) — each earned its slots in a measured perf PR
-#: and silently losing them would not fail any functional test.
-SLOTS_CLASSES: Tuple[str, ...] = (
-    "Event",
-    "TransmissionTiming",
-    "TransmissionCost",
-    "Packet",
-    "DataDescriptor",
-)
 
 #: The crash-safe append-only store module: every write reachable there must
 #: be dominated by the store lock (L501).
@@ -66,9 +49,6 @@ STORE_LOCK_CLASSES: Tuple[str, ...] = ("_StoreLock",)
 
 #: Store handle classes a multiprocessing worker must not capture (L502).
 STORE_CLASSES: Tuple[str, ...] = ("RunStore",)
-
-#: Where the oracle-parity rules look for differential tests (P602).
-PROTOCOLS_TESTS_ROOT = "tests/protocols"
 
 #: Modules holding worker entry points and supervisor retry paths — the
 #: fault-tolerance layer where a swallowed exception silently loses a job
@@ -84,31 +64,12 @@ class LintConfig:
     """Resolved configuration of one lint run."""
 
     project_root: Path
-    paths: Tuple[str, ...] = ("src",)
+    paths: Tuple[str, ...] = DEFAULT_PATHS
+    #: Rule-id prefixes to run (empty = every rule) and to skip.
     select: Tuple[str, ...] = ()
     ignore: Tuple[str, ...] = ()
-    exclude: Tuple[str, ...] = ()
-    baseline: Optional[str] = None
-    sim_layers: Tuple[str, ...] = SIM_LAYERS
-    rng_module_suffix: str = RNG_MODULE_SUFFIX
-    slots_classes: Tuple[str, ...] = SLOTS_CLASSES
-    harness_path: str = "tests/protocols/harness.py"
-    src_root: str = "src"
-    tests_root: str = "tests"
-    store_module_suffix: str = STORE_MODULE_SUFFIX
-    store_lock_names: Tuple[str, ...] = STORE_LOCK_NAMES
-    store_lock_classes: Tuple[str, ...] = STORE_LOCK_CLASSES
-    store_classes: Tuple[str, ...] = STORE_CLASSES
-    protocols_tests_root: str = PROTOCOLS_TESTS_ROOT
-    worker_module_suffixes: Tuple[str, ...] = WORKER_MODULE_SUFFIXES
     #: Attach the resolved call graph to the report (``--graph-debug``).
     graph_debug: bool = False
-
-    def baseline_path(self) -> Optional[Path]:
-        if not self.baseline:
-            return None
-        path = Path(self.baseline)
-        return path if path.is_absolute() else self.project_root / path
 
 
 def find_project_root(start: Path) -> Path:
@@ -120,113 +81,3 @@ def find_project_root(start: Path) -> Path:
         if (candidate / "pyproject.toml").is_file():
             return candidate
     return candidates[0]
-
-
-def _parse_with_tomllib(text: str) -> Optional[Dict[str, object]]:
-    try:
-        import tomllib
-    except ModuleNotFoundError:  # Python 3.10
-        return None
-    data = tomllib.loads(text)
-    tool = data.get("tool", {})
-    block = tool.get("repro-lint", {}) if isinstance(tool, dict) else {}
-    return block if isinstance(block, dict) else {}
-
-
-_SECTION = re.compile(r"^\s*\[(?P<name>[^\]]+)\]\s*$")
-_KEY_VALUE = re.compile(r"^\s*(?P<key>[A-Za-z0-9_-]+)\s*=\s*(?P<value>.+?)\s*$")
-
-
-def _parse_minimal(text: str) -> Dict[str, object]:
-    """Flat-table fallback for interpreters without ``tomllib``.
-
-    Understands only what the documented config shape needs: one
-    ``[tool.repro-lint]`` section of ``key = <string|bool|list-of-strings>``
-    lines.  TOML string/list literals happen to be Python literals, so
-    ``ast.literal_eval`` does the value parsing.
-    """
-    block: Dict[str, object] = {}
-    in_section = False
-    for raw_line in text.splitlines():
-        line = raw_line.split("#", 1)[0] if not raw_line.lstrip().startswith("#") else ""
-        if not line.strip():
-            continue
-        section = _SECTION.match(line)
-        if section:
-            in_section = section.group("name").strip() == "tool.repro-lint"
-            continue
-        if not in_section:
-            continue
-        pair = _KEY_VALUE.match(line)
-        if not pair:
-            continue
-        value_text = pair.group("value")
-        if value_text in ("true", "false"):
-            value_text = value_text.capitalize()
-        try:
-            block[pair.group("key")] = _ast.literal_eval(value_text)
-        except (ValueError, SyntaxError):
-            continue
-    return block
-
-
-def load_pyproject_block(project_root: Path) -> Dict[str, object]:
-    """The raw ``[tool.repro-lint]`` table of the project, or ``{}``."""
-    pyproject = project_root / "pyproject.toml"
-    if not pyproject.is_file():
-        return {}
-    text = pyproject.read_text(encoding="utf-8")
-    parsed = _parse_with_tomllib(text)
-    if parsed is None:
-        parsed = _parse_minimal(text)
-    return parsed
-
-
-def _string_tuple(value: object) -> Tuple[str, ...]:
-    if isinstance(value, str):
-        return (value,) if value else ()
-    if isinstance(value, (list, tuple)):
-        return tuple(str(item) for item in value)
-    return ()
-
-
-def load_config(
-    project_root: Path,
-    paths: Sequence[str] = (),
-    select: Sequence[str] = (),
-    ignore: Sequence[str] = (),
-    baseline: Optional[str] = None,
-) -> LintConfig:
-    """Defaults <- pyproject ``[tool.repro-lint]`` <- explicit arguments."""
-    config = LintConfig(project_root=project_root.resolve())
-    block = load_pyproject_block(config.project_root)
-    updates: Dict[str, object] = {}
-    if "paths" in block:
-        updates["paths"] = _string_tuple(block["paths"]) or config.paths
-    if "select" in block:
-        updates["select"] = _string_tuple(block["select"])
-    if "ignore" in block:
-        updates["ignore"] = _string_tuple(block["ignore"])
-    if "exclude" in block:
-        updates["exclude"] = _string_tuple(block["exclude"])
-    if "baseline" in block and block["baseline"]:
-        updates["baseline"] = str(block["baseline"])
-    if "slots-classes" in block:
-        updates["slots_classes"] = _string_tuple(block["slots-classes"])
-    if "harness-path" in block:
-        updates["harness_path"] = str(block["harness-path"])
-    if updates:
-        config = replace(config, **updates)
-    # Explicit (CLI) arguments override the file.
-    overrides: Dict[str, object] = {}
-    if paths:
-        overrides["paths"] = tuple(paths)
-    if select:
-        overrides["select"] = tuple(select)
-    if ignore:
-        overrides["ignore"] = tuple(ignore)
-    if baseline is not None:
-        overrides["baseline"] = baseline
-    if overrides:
-        config = replace(config, **overrides)
-    return config

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.callgraph import MODULE_SCOPE, CallGraph, CallSite
+from repro.lint.config import RNG_MODULE_SUFFIX
 
 # Entropy spellings are shared with the per-file D101/D102 rules so the
 # taint layer can never drift out of sync with them.
@@ -84,14 +85,13 @@ def direct_entropy_uses(
 ) -> Dict[str, List[EntropyUse]]:
     """Functions that call stdlib entropy in their own body.
 
-    The one legal entropy module (``config.rng_module_suffix`` — the
+    The one legal entropy module (``RNG_MODULE_SUFFIX`` — the
     :class:`RandomStreams` registry) is exempt: drawing there *is* the
     deterministic path.
     """
-    suffix = project.config.rng_module_suffix
     uses: Dict[str, List[EntropyUse]] = {}
     for fid, info in graph.functions.items():
-        if info.relpath.endswith(suffix):
+        if info.relpath.endswith(RNG_MODULE_SUFFIX):
             continue
         imports = graph.module_imports.get(info.module, {})
         for site in graph.calls_from(fid):

@@ -2,34 +2,46 @@
 
 One run is::
 
-    config  = load_config(project_root, paths=["src"])
+    config  = LintConfig(project_root, paths=("src",))
     report  = run_lint(config)
     report.exit_code  # 0 clean, 1 findings, 2 usage error
 
 Each collected file is parsed exactly once; the AST, raw lines and the
 resolved-import/symbol pass (:mod:`repro.lint.symbols`) are shared by every
-rule through :class:`SourceFile`.  Project rules additionally see lazily
-parsed out-of-scope files (the oracle harness, the tests tree) through
-:meth:`Project.parse_external` / :meth:`Project.tests_files`.
+rule through :class:`SourceFile`.  :data:`RULES` is the rule catalog.
 """
 
 from __future__ import annotations
 
 import ast
-import fnmatch
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Type
 
-from repro.lint.baseline import load_baseline
+from repro.lint.callgraph import CallGraph, build_callgraph
 from repro.lint.config import LintConfig
 from repro.lint.framework import (
     Finding,
     Rule,
-    RuleRegistry,
     Severity,
-    default_registry,
+    UnknownRuleError,
+    select_rules,
 )
+from repro.lint.rules_determinism import (
+    DirectEntropyRule,
+    IdentityOrderingRule,
+    UnsortedSetIterationRule,
+    WallClockRule,
+)
+from repro.lint.rules_engine import (
+    SyntaxErrorRule,
+    UnreadableFileRule,
+    UselessSuppressionRule,
+    useless_directives,
+)
+from repro.lint.rules_locks import NoStoreCaptureAcrossForkRule, StoreWritesLockedRule
+from repro.lint.rules_robustness import SupervisedFailuresSurfaceRule
+from repro.lint.rules_taint import RawRandomArgumentRule, TransitiveEntropyRule
 from repro.lint.suppress import (
     SuppressionIndex,
     apply_suppressions,
@@ -38,6 +50,22 @@ from repro.lint.suppress import (
 )
 from repro.lint.symbols import SymbolTable, build_symbol_table
 
+#: Every rule ``repro lint`` knows, one class per id.
+RULES: Tuple[Type[Rule], ...] = (
+    DirectEntropyRule,
+    WallClockRule,
+    UnsortedSetIterationRule,
+    IdentityOrderingRule,
+    TransitiveEntropyRule,
+    RawRandomArgumentRule,
+    StoreWritesLockedRule,
+    NoStoreCaptureAcrossForkRule,
+    SupervisedFailuresSurfaceRule,
+    SyntaxErrorRule,
+    UnreadableFileRule,
+    UselessSuppressionRule,
+)
+
 
 @dataclass
 class SourceFile:
@@ -45,19 +73,12 @@ class SourceFile:
 
     path: Path
     relpath: str
-    text: str
-    lines: Tuple[str, ...]
     tree: Optional[ast.Module]
     symbols: SymbolTable
     suppressions: SuppressionIndex
     layer: Optional[str]
     #: Why the file could not be read at all (E002), if it couldn't.
     read_error: Optional[str] = None
-
-    def line_text(self, lineno: int) -> str:
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1].strip()
-        return ""
 
 
 def _classify_layer(relpath: str) -> Optional[str]:
@@ -94,15 +115,12 @@ def parse_source(path: Path, relpath: str) -> SourceFile:
         return SourceFile(
             path=path,
             relpath=relpath,
-            text="",
-            lines=(),
             tree=None,
             symbols=SymbolTable(),
             suppressions=SuppressionIndex(),
             layer=_classify_layer(relpath),
             read_error=reason,
         )
-    lines = tuple(text.splitlines())
     try:
         tree: Optional[ast.Module] = ast.parse(text, filename=str(path))
     except SyntaxError:
@@ -111,11 +129,9 @@ def parse_source(path: Path, relpath: str) -> SourceFile:
     return SourceFile(
         path=path,
         relpath=relpath,
-        text=text,
-        lines=lines,
         tree=tree,
         symbols=symbols,
-        suppressions=scan_suppressions(lines),
+        suppressions=scan_suppressions(text.splitlines()),
         layer=_classify_layer(relpath),
     )
 
@@ -126,11 +142,9 @@ class Project:
     def __init__(self, config: LintConfig, files: List[SourceFile]) -> None:
         self.config = config
         self.files = files
-        self._external: Dict[str, Optional[SourceFile]] = {}
-        self._tests_files: Optional[List[SourceFile]] = None
-        self._callgraph = None
+        self._callgraph: Optional[CallGraph] = None
 
-    def callgraph(self):
+    def callgraph(self) -> CallGraph:
         """The resolved project call graph, built once per run.
 
         Every graph rule in a run shares this construction; building is
@@ -138,8 +152,6 @@ class Project:
         for it.
         """
         if self._callgraph is None:
-            from repro.lint.callgraph import build_callgraph
-
             self._callgraph = build_callgraph(self)
         return self._callgraph
 
@@ -147,62 +159,12 @@ class Project:
     def graph_built(self) -> bool:
         return self._callgraph is not None
 
-    @property
-    def root(self) -> Path:
-        return self.config.project_root
-
-    def relpath(self, path: Path) -> str:
-        try:
-            return path.resolve().relative_to(self.root).as_posix()
-        except ValueError:
-            return path.as_posix()
-
     def find(self, relpath: str) -> Optional[SourceFile]:
         """The in-scope file at *relpath*, if it was collected."""
         for source in self.files:
             if source.relpath == relpath:
                 return source
         return None
-
-    def parse_external(self, relpath: str) -> Optional[SourceFile]:
-        """Parse a file by project-relative path even when out of scope.
-
-        In-scope files are returned from the already-parsed set; external
-        ones are parsed once and memoised.  Returns ``None`` when the file
-        does not exist.
-        """
-        in_scope = self.find(relpath)
-        if in_scope is not None:
-            return in_scope
-        if relpath not in self._external:
-            path = self.root / relpath
-            self._external[relpath] = (
-                parse_source(path, relpath) if path.is_file() else None
-            )
-        return self._external[relpath]
-
-    def module_file(self, module: str) -> Optional[SourceFile]:
-        """The source file of dotted module *module* under the src root."""
-        base = Path(self.config.src_root) / Path(*module.split("."))
-        for candidate in (base.with_suffix(".py"), base / "__init__.py"):
-            source = self.parse_external(candidate.as_posix())
-            if source is not None:
-                return source
-        return None
-
-    def tests_files(self) -> List[SourceFile]:
-        """Every parsed file under the tests root (lazily, memoised)."""
-        if self._tests_files is None:
-            tests_root = self.root / self.config.tests_root
-            collected: List[SourceFile] = []
-            if tests_root.is_dir():
-                for path in sorted(tests_root.rglob("*.py")):
-                    relpath = self.relpath(path)
-                    source = self.find(relpath) or self.parse_external(relpath)
-                    if source is not None:
-                        collected.append(source)
-            self._tests_files = collected
-        return self._tests_files
 
 
 def collect_files(config: LintConfig) -> Tuple[List[Tuple[Path, str]], List[str]]:
@@ -232,8 +194,6 @@ def collect_files(config: LintConfig) -> Tuple[List[Tuple[Path, str]], List[str]
                 relpath = candidate.resolve().relative_to(root).as_posix()
             except ValueError:
                 relpath = candidate.as_posix()
-            if any(fnmatch.fnmatch(relpath, pattern) for pattern in config.exclude):
-                continue
             seen.setdefault(relpath, candidate)
     return [(seen[relpath], relpath) for relpath in sorted(seen)], errors
 
@@ -246,7 +206,6 @@ class LintReport:
     files_checked: int
     findings: List[Finding] = field(default_factory=list)
     suppressed: List[Finding] = field(default_factory=list)
-    baselined: List[Finding] = field(default_factory=list)
     errors: List[str] = field(default_factory=list)
     rules_run: Tuple[str, ...] = ()
     #: Whether the project call graph was constructed this run (phase two).
@@ -263,17 +222,19 @@ class LintReport:
         return 0
 
 
-def run_lint(
-    config: LintConfig,
-    registry: Optional[RuleRegistry] = None,
-) -> LintReport:
+def run_lint(config: LintConfig) -> LintReport:
     """Execute one lint run under *config* and return the report."""
-    registry = registry or default_registry()
+    try:
+        rules = [
+            rule_class()
+            for rule_class in select_rules(RULES, config.select, config.ignore)
+        ]
+    except UnknownRuleError as exc:
+        return LintReport(config=config, files_checked=0, errors=[str(exc)])
     pairs, errors = collect_files(config)
     files = [parse_source(path, relpath) for path, relpath in pairs]
     project = Project(config, files)
 
-    rules: List[Rule] = registry.instantiate(config.select, config.ignore)
     selected_ids = {rule_instance.id for rule_instance in rules}
     findings: List[Finding] = []
     for source in files:
@@ -298,13 +259,12 @@ def run_lint(
                     line=1,
                     col=0,
                     message="file does not parse (syntax error)",
-                    line_text=source.line_text(1),
                 )
             )
 
-    # Phase one: per-file rules.  Phase two: project/graph rules, sharing
-    # one memoised call-graph construction (built on first consumer; not at
-    # all when no selected rule needs it).
+    # Phase one: per-file rules.  Phase two: graph rules, sharing one
+    # memoised call-graph construction (built on first consumer; not at all
+    # when no selected rule needs it).
     file_rules = [r for r in rules if not r.needs_graph]
     graph_rules = [r for r in rules if r.needs_graph]
     for rule_instance in file_rules:
@@ -317,8 +277,6 @@ def run_lint(
     kept, suppressed, used = apply_suppressions_tracked(findings, indexes)
 
     if "W001" in selected_ids:
-        from repro.lint.rules_engine import useless_directives
-
         stale = sorted(
             useless_directives(files, used, selected_ids),
             key=lambda f: (f.path, f.line, f.col, f.message),
@@ -329,18 +287,6 @@ def run_lint(
         )
         suppressed.extend(stale_suppressed)
 
-    baselined: List[Finding] = []
-    baseline_path = config.baseline_path()
-    if baseline_path is not None:
-        known = load_baseline(baseline_path)
-        fresh = []
-        for finding in kept:
-            if finding.fingerprint in known:
-                baselined.append(finding)
-            else:
-                fresh.append(finding)
-        kept = fresh
-
     graph_dump: Optional[Dict[str, object]] = None
     if config.graph_debug:
         graph_dump = project.callgraph().to_dict()
@@ -350,7 +296,6 @@ def run_lint(
         files_checked=len(files),
         findings=kept,
         suppressed=suppressed,
-        baselined=baselined,
         errors=errors,
         rules_run=tuple(r.id for r in rules),
         graph_built=project.graph_built,

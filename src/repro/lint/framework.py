@@ -1,35 +1,32 @@
 """Rule framework of the invariant linter.
 
-Rules are pluggable the same way scenario components are
-(:mod:`repro.build.registry`): each rule class registers itself under a
-stable id via the :func:`rule` decorator, and the engine instantiates every
-selected registration per run::
+Every rule is a class that declares its own identity and implements one
+check; :data:`repro.lint.engine.RULES` lists them all::
 
-    from repro.lint.framework import FileRule, rule
-
-    @rule("D999", name="no-foo", description="forbid foo() in sim layers")
     class NoFooRule(FileRule):
+        id = "D999"
+        name = "no-foo"
+        description = "forbid foo() in sim layers"
+
         def check_file(self, source, project):
             ...
             yield self.finding(source, node, "call to foo()")
 
-Two base classes fix the calling convention:
+Three base classes fix the calling convention:
 
 * :class:`FileRule` — visited once per parsed source file; sees the shared
   per-file symbol pass (:class:`repro.lint.symbols.SymbolTable`) through
   ``source.symbols``.
-* :class:`ProjectRule` — visited once per run with the whole
-  :class:`~repro.lint.engine.Project`; used by cross-module policy rules
-  that have to correlate files (e.g. "every schema constant is referenced
-  from a test").
+* :class:`GraphRule` — visited once per run with the whole
+  :class:`~repro.lint.engine.Project` and its resolved call graph.
+* :class:`EngineRule` — an id the engine itself emits (E001/E002/W001).
 """
 
 from __future__ import annotations
 
 import enum
-import hashlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Optional, Type
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Type
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     import ast
@@ -59,8 +56,6 @@ class Finding:
         line: 1-based line of the violation (0 for whole-file findings).
         col: 0-based column.
         message: Human-readable description of the violation.
-        line_text: The stripped source line, recorded so baseline
-            fingerprints survive pure line-number drift.
     """
 
     rule: str
@@ -69,17 +64,6 @@ class Finding:
     line: int
     col: int
     message: str
-    line_text: str = ""
-
-    @property
-    def fingerprint(self) -> str:
-        """Content-addressed identity used by baseline files.
-
-        Deliberately excludes the line *number*: inserting an unrelated line
-        above a grandfathered finding must not turn it into a "new" one.
-        """
-        material = "\0".join((self.rule, self.path, self.line_text, self.message))
-        return hashlib.sha256(material.encode("utf-8")).hexdigest()[:16]
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -89,7 +73,6 @@ class Finding:
             "line": self.line,
             "col": self.col,
             "message": self.message,
-            "fingerprint": self.fingerprint,
         }
 
     def render(self) -> str:
@@ -97,11 +80,7 @@ class Finding:
 
 
 class Rule:
-    """Base class of every lint rule; concrete rules subclass a flavour below.
-
-    The registry stamps ``id``/``name``/``description``/``severity`` onto the
-    class at registration time, so rule bodies only implement the check.
-    """
+    """Base class of every lint rule; concrete rules subclass a flavour below."""
 
     id: str = ""
     name: str = ""
@@ -122,16 +101,13 @@ class Rule:
         node: Optional["ast.AST"],
         message: str,
     ) -> Finding:
-        line = getattr(node, "lineno", 0) if node is not None else 0
-        col = getattr(node, "col_offset", 0) if node is not None else 0
         return Finding(
             rule=self.id,
             severity=self.severity,
             path=source.relpath,
-            line=line,
-            col=col,
+            line=getattr(node, "lineno", 0) if node is not None else 0,
+            col=getattr(node, "col_offset", 0) if node is not None else 0,
             message=message,
-            line_text=source.line_text(line),
         )
 
 
@@ -146,11 +122,7 @@ class FileRule(Rule):
         raise NotImplementedError
 
 
-class ProjectRule(Rule):
-    """A rule that correlates the whole project (cross-module policies)."""
-
-
-class GraphRule(ProjectRule):
+class GraphRule(Rule):
     """A project rule driven by the resolved call graph (phase two).
 
     The engine runs these after every file rule, handing over the memoised
@@ -170,167 +142,51 @@ class GraphRule(ProjectRule):
 
 
 class EngineRule(Rule):
-    """Registration stub for findings the engine itself emits (E/W ids).
+    """Catalog entry for findings the engine itself emits (E/W ids).
 
     Crash robustness (E001/E002) and suppression hygiene (W001) are engine
-    behaviour, not AST visits — but registering them keeps every emittable
-    id visible in ``--list-rules`` and addressable by ``--select``/
-    ``--ignore``; the engine consults the selected set before emitting.
+    behaviour, not AST visits — but listing them as rules keeps every
+    emittable id visible in ``--list-rules`` and addressable by
+    ``--select``/``--ignore``; the engine consults the selected set before
+    emitting.
     """
 
     def check(self, project: "Project") -> Iterator[Finding]:
         return iter(())
 
 
-@dataclass(frozen=True)
-class RuleRegistration:
-    """One registered rule: its id, gate level and implementing class."""
-
-    id: str
-    name: str
-    description: str
-    severity: Severity
-    rule_class: Type[Rule]
+class UnknownRuleError(ValueError):
+    """A ``select``/``ignore`` prefix that matches no rule id."""
 
 
-class DuplicateRuleError(ValueError):
-    """Two rules registered under the same id."""
+def select_rules(
+    rules: Sequence[Type[Rule]],
+    select: Iterable[str] = (),
+    ignore: Iterable[str] = (),
+) -> List[Type[Rule]]:
+    """The *rules* matching the select/ignore prefixes, in id order.
 
-
-class RuleRegistry:
-    """Maps rule ids to registrations; mirrors ``build.ComponentRegistry``.
-
-    The built-in families register themselves into the module-level default
-    registry on import; tests construct private registries to exercise
-    throwaway rules without leaking global state.
+    ``select``/``ignore`` entries are id *prefixes* (``"D"`` selects the
+    whole determinism family, ``"D103"`` one rule); empty ``select`` means
+    every rule.  A prefix that matches no rule raises
+    :class:`UnknownRuleError`: a typo or a retired id must not quietly
+    shrink the gate to nothing.
     """
-
-    def __init__(self) -> None:
-        self._rules: Dict[str, RuleRegistration] = {}
-
-    def add(
-        self,
-        rule_id: str,
-        rule_class: Type[Rule],
-        name: str = "",
-        description: str = "",
-        severity: Severity = Severity.ERROR,
-        replace: bool = False,
-    ) -> RuleRegistration:
-        rule_id = rule_id.strip().upper()
-        if not replace and rule_id in self._rules:
-            raise DuplicateRuleError(
-                f"rule id {rule_id!r} is already registered "
-                f"({self._rules[rule_id].rule_class.__name__})"
-            )
-        registration = RuleRegistration(
-            id=rule_id,
-            name=name or rule_class.__name__,
-            description=description,
-            severity=severity,
-            rule_class=rule_class,
+    select = tuple(s.strip().upper() for s in select if s.strip())
+    ignore = tuple(s.strip().upper() for s in ignore if s.strip())
+    ids = sorted(rule_class.id for rule_class in rules)
+    unknown = [p for p in (*select, *ignore) if not any(i.startswith(p) for i in ids)]
+    if unknown:
+        raise UnknownRuleError(
+            f"rule prefix(es) {', '.join(unknown)} match no rule; "
+            f"known: {', '.join(ids)}"
         )
-        self._rules[rule_id] = registration
-        # Stamp the identity onto the class so instances self-describe.
-        rule_class.id = rule_id
-        rule_class.name = registration.name
-        rule_class.description = description
-        rule_class.severity = severity
-        return registration
-
-    def rule(
-        self,
-        rule_id: str,
-        name: str = "",
-        description: str = "",
-        severity: Severity = Severity.ERROR,
-        replace: bool = False,
-    ) -> Callable[[Type[Rule]], Type[Rule]]:
-        """Decorator form of :meth:`add` (the normal registration spelling)."""
-
-        def decorator(rule_class: Type[Rule]) -> Type[Rule]:
-            self.add(
-                rule_id,
-                rule_class,
-                name=name,
-                description=description,
-                severity=severity,
-                replace=replace,
-            )
-            return rule_class
-
-        return decorator
-
-    def available(self) -> List[str]:
-        return sorted(self._rules)
-
-    def lookup(self, rule_id: str) -> RuleRegistration:
-        rule_id = rule_id.strip().upper()
-        if rule_id not in self._rules:
-            raise KeyError(f"unknown lint rule {rule_id!r}; known: {', '.join(self.available())}")
-        return self._rules[rule_id]
-
-    def select(
-        self,
-        select: Iterable[str] = (),
-        ignore: Iterable[str] = (),
-    ) -> List[RuleRegistration]:
-        """Registrations matching the select/ignore prefixes.
-
-        ``select``/``ignore`` entries are id *prefixes* (``"D"`` selects the
-        whole determinism family, ``"D103"`` one rule); empty ``select``
-        means every registered rule.
-        """
-        chosen = []
-        select = tuple(s.strip().upper() for s in select if s.strip())
-        ignore = tuple(s.strip().upper() for s in ignore if s.strip())
-        for rule_id in self.available():
-            if select and not any(rule_id.startswith(prefix) for prefix in select):
-                continue
-            if any(rule_id.startswith(prefix) for prefix in ignore):
-                continue
-            chosen.append(self._rules[rule_id])
-        return chosen
-
-    def instantiate(
-        self,
-        select: Iterable[str] = (),
-        ignore: Iterable[str] = (),
-    ) -> List[Rule]:
-        return [registration.rule_class() for registration in self.select(select, ignore)]
-
-
-#: Process-wide registry the built-in rule families register into.  Created
-#: eagerly so decorator-time registration and :func:`default_registry` agree
-#: regardless of which module a caller imports first.
-_DEFAULT_REGISTRY = RuleRegistry()
-
-
-def default_registry() -> RuleRegistry:
-    """The registry with every built-in rule family loaded."""
-    # Importing is idempotent (sys.modules), so this is safe to call often.
-    from repro.lint import (  # noqa: F401
-        rules_determinism,
-        rules_engine,
-        rules_locks,
-        rules_parity,
-        rules_policy,
-        rules_robustness,
-        rules_slots,
-        rules_taint,
-    )
-
-    return _DEFAULT_REGISTRY
-
-
-def rule(
-    rule_id: str,
-    name: str = "",
-    description: str = "",
-    severity: Severity = Severity.ERROR,
-    replace: bool = False,
-) -> Callable[[Type[Rule]], Type[Rule]]:
-    """Register a rule into the default registry (decorator)."""
-    return _DEFAULT_REGISTRY.rule(
-        rule_id, name=name, description=description, severity=severity, replace=replace
+    return sorted(
+        (
+            rule_class
+            for rule_class in rules
+            if (not select or rule_class.id.startswith(select))
+            and not rule_class.id.startswith(ignore)
+        ),
+        key=lambda rule_class: rule_class.id,
     )

@@ -7,9 +7,9 @@ from typing import Dict, List
 
 from repro.lint.engine import LintReport
 
-#: Bump when the ``--json`` payload layout changes incompatibly (enforced
-#: test reference via the C-rules, like every schema constant).
-LINT_REPORT_SCHEMA_VERSION = 1
+#: Bump when the ``--json`` payload layout changes incompatibly (a test
+#: pins the key set, like every schema constant).
+LINT_REPORT_SCHEMA_VERSION = 2
 
 
 def report_to_dict(report: LintReport) -> Dict[str, object]:
@@ -22,7 +22,6 @@ def report_to_dict(report: LintReport) -> Dict[str, object]:
         "counts": {
             "findings": len(report.findings),
             "suppressed": len(report.suppressed),
-            "baselined": len(report.baselined),
         },
         "errors": list(report.errors),
         "exit_code": report.exit_code,
@@ -47,13 +46,8 @@ def render_text(report: LintReport) -> List[str]:
     summary = (
         f"{len(report.findings)} finding(s) in {report.files_checked} file(s)"
     )
-    extras = []
     if report.suppressed:
-        extras.append(f"{len(report.suppressed)} suppressed inline")
-    if report.baselined:
-        extras.append(f"{len(report.baselined)} grandfathered by baseline")
-    if extras:
-        summary += f" ({', '.join(extras)})"
+        summary += f" ({len(report.suppressed)} suppressed inline)"
     lines.append(summary)
     if report.graph_dump is not None:
         lines.extend(render_graph_debug(report.graph_dump))

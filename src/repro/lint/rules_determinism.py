@@ -17,11 +17,14 @@ module allowed to touch stdlib ``random``.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Set, Tuple
 
-from repro.lint.engine import Project, SourceFile
-from repro.lint.framework import FileRule, Finding, rule
+from repro.lint.config import RNG_MODULE_SUFFIX, SIM_LAYERS
+from repro.lint.framework import FileRule, Finding
 from repro.lint.symbols import walk_runtime
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    from repro.lint.engine import Project, SourceFile
 
 #: Modules whose very import into a sim layer is a finding: every byte of
 #: entropy must flow through the named-stream registry instead.
@@ -53,18 +56,17 @@ _ORDER_IMPOSING = ("sorted", "min", "max", "len", "any", "all", "set", "frozense
 _ORDER_SENSITIVE_CONSUMERS = ("sum", "list", "tuple", "math.fsum", "enumerate")
 
 
-def _in_scope(source: SourceFile, project: Project) -> bool:
-    config = project.config
-    if source.layer not in config.sim_layers:
+def _in_scope(source: SourceFile) -> bool:
+    if source.layer not in SIM_LAYERS:
         return False
-    return not source.relpath.endswith(config.rng_module_suffix)
+    return not source.relpath.endswith(RNG_MODULE_SUFFIX)
 
 
 class _SimLayerRule(FileRule):
     """Shared scope filter for the D-family."""
 
     def check_file(self, source: SourceFile, project: Project) -> Iterator[Finding]:
-        if source.tree is None or not _in_scope(source, project):
+        if source.tree is None or not _in_scope(source):
             return
         yield from self.check_sim_file(source, project)
 
@@ -72,15 +74,14 @@ class _SimLayerRule(FileRule):
         raise NotImplementedError
 
 
-@rule(
-    "D101",
-    name="direct-entropy",
-    description=(
+class DirectEntropyRule(_SimLayerRule):
+    id = "D101"
+    name = "direct-entropy"
+    description = (
         "sim layers must draw randomness through sim/rng.py RandomStreams, "
         "never stdlib random/secrets/uuid/os.urandom directly"
-    ),
-)
-class DirectEntropyRule(_SimLayerRule):
+    )
+
     def check_sim_file(self, source: SourceFile, project: Project) -> Iterator[Finding]:
         for node in walk_runtime(source.tree):
             if isinstance(node, ast.Import):
@@ -113,15 +114,14 @@ class DirectEntropyRule(_SimLayerRule):
                     )
 
 
-@rule(
-    "D102",
-    name="wall-clock",
-    description=(
+class WallClockRule(_SimLayerRule):
+    id = "D102"
+    name = "wall-clock"
+    description = (
         "sim layers must not read the wall clock (time.time, datetime.now, "
         "perf_counter); simulated time is Simulator.now"
-    ),
-)
-class WallClockRule(_SimLayerRule):
+    )
+
     def check_sim_file(self, source: SourceFile, project: Project) -> Iterator[Finding]:
         call_funcs: Set[int] = set()
         for node in walk_runtime(source.tree):
@@ -189,16 +189,15 @@ def _local_set_names(func: ast.AST, source: SourceFile) -> Set[str]:
     return assigned_set - assigned_other
 
 
-@rule(
-    "D103",
-    name="unsorted-set-iteration",
-    description=(
+class UnsortedSetIterationRule(_SimLayerRule):
+    id = "D103"
+    name = "unsorted-set-iteration"
+    description = (
         "iterating a set in a sim layer is hash-ordered (PYTHONHASHSEED-"
         "dependent for str keys); sort it before it can feed scheduling or "
         "float accumulation"
-    ),
-)
-class UnsortedSetIterationRule(_SimLayerRule):
+    )
+
     def check_sim_file(self, source: SourceFile, project: Project) -> Iterator[Finding]:
         funcs: List[ast.AST] = [
             node
@@ -258,15 +257,14 @@ def _is_id_or_hash(node: ast.expr) -> bool:
     return False
 
 
-@rule(
-    "D104",
-    name="identity-ordering",
-    description=(
+class IdentityOrderingRule(_SimLayerRule):
+    id = "D104"
+    name = "identity-ordering"
+    description = (
         "id()/hash() vary across processes and interpreter runs; never use "
         "them as a sort key or in ordering comparisons in sim layers"
-    ),
-)
-class IdentityOrderingRule(_SimLayerRule):
+    )
+
     def check_sim_file(self, source: SourceFile, project: Project) -> Iterator[Finding]:
         for node in walk_runtime(source.tree):
             if isinstance(node, ast.Call):

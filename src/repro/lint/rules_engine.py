@@ -1,8 +1,8 @@
-"""Registrations for findings the engine itself emits.
+"""Catalog entries for findings the engine itself emits.
 
 These three ids have no AST visitor — the engine produces them while
 collecting files (E001/E002) and after applying suppressions (W001) — but
-they register like any other rule so ``--list-rules`` shows them and
+they are rules like any other so ``--list-rules`` shows them and
 ``--select``/``--ignore`` control them.  The emission logic lives in
 :func:`repro.lint.engine.run_lint`; :func:`useless_directives` below is the
 W001 computation it calls.
@@ -10,44 +10,41 @@ W001 computation it calls.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, Set, Tuple
 
-from repro.lint.framework import EngineRule, Finding, Severity, rule
+from repro.lint.framework import EngineRule, Finding, Severity
 from repro.lint.suppress import Directive
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.lint.engine import SourceFile
 
 
-@rule(
-    "E001",
-    name="file-parses",
-    description="every linted file must parse (syntax error = one finding, "
-    "not a traceback)",
-)
 class SyntaxErrorRule(EngineRule):
-    pass
+    id = "E001"
+    name = "file-parses"
+    description = (
+        "every linted file must parse (syntax error = one finding, not a "
+        "traceback)"
+    )
 
 
-@rule(
-    "E002",
-    name="file-readable",
-    description="every linted file must be readable UTF-8 (decode/IO "
-    "failure = one finding, not a traceback)",
-)
 class UnreadableFileRule(EngineRule):
-    pass
+    id = "E002"
+    name = "file-readable"
+    description = (
+        "every linted file must be readable UTF-8 (decode/IO failure = one "
+        "finding, not a traceback)"
+    )
 
 
-@rule(
-    "W001",
-    name="useless-suppression",
-    description="a `# repro-lint: disable=RULE` comment must still "
-    "suppress at least one finding for that rule",
-    severity=Severity.WARNING,
-)
 class UselessSuppressionRule(EngineRule):
-    pass
+    id = "W001"
+    name = "useless-suppression"
+    description = (
+        "a `# repro-lint: disable=RULE` comment must still suppress at least "
+        "one finding for that rule"
+    )
+    severity = Severity.WARNING
 
 
 def useless_directives(
@@ -58,12 +55,12 @@ def useless_directives(
     """W001 findings: directive ids that silenced nothing this run.
 
     A directive id is only judged when its rule actually ran (``--select
-    D`` must not flag a parked ``disable=S201`` comment); ``all``
+    D`` must not flag a parked ``disable=L501`` comment); ``all``
     directives are judged whenever any rule ran.  Runs after suppression
     application, on the real finding set — no fixpoint: a W001 finding is
     itself suppressible, but suppressing one never revives another.
     """
-    registration = UselessSuppressionRule()
+    rule = UselessSuppressionRule()
     for source in files:
         path_used = used.get(source.relpath, set())
         for directive in source.suppressions.directives:
@@ -78,8 +75,8 @@ def useless_directives(
                 label = "all rules" if rule_id == "ALL" else rule_id
                 scope = "anywhere in the file" if directive.file_wide else "on this line"
                 yield Finding(
-                    rule=registration.id,
-                    severity=registration.severity,
+                    rule=rule.id,
+                    severity=rule.severity,
                     path=source.relpath,
                     line=directive.lineno,
                     col=0,
@@ -88,10 +85,5 @@ def useless_directives(
                         f"{scope} — remove the stale "
                         f"`# repro-lint: {directive.kind}={rule_id}` directive"
                     ),
-                    line_text=source.line_text(directive.lineno),
                 )
 
-
-def emitted_ids() -> List[str]:
-    """The engine-driven rule ids (used by the engine's selection gate)."""
-    return ["E001", "E002", "W001"]

@@ -22,12 +22,21 @@ fork real processes.  These rules hold it statically:
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.lint.callgraph import CallGraph, CallSite, FunctionInfo, chain_text
+from repro.lint.config import (
+    SRC_ROOT,
+    STORE_CLASSES,
+    STORE_LOCK_CLASSES,
+    STORE_LOCK_NAMES,
+    STORE_MODULE_SUFFIX,
+)
 from repro.lint.dataflow import lock_dominated, resolve_call_qualname, site_locked
-from repro.lint.engine import Project
-from repro.lint.framework import Finding, GraphRule, rule
+from repro.lint.framework import Finding, GraphRule
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    from repro.lint.engine import Project
 
 #: Method-call suffixes that mutate files/directories when the receiver is
 #: a handle or path (the store module's receivers always are).
@@ -93,24 +102,21 @@ def _is_write_site(site: CallSite, dotted: str) -> bool:
     )
 
 
-@rule(
-    "L501",
-    name="store-writes-locked",
-    description=(
+class StoreWritesLockedRule(GraphRule):
+    id = "L501"
+    name = "store-writes-locked"
+    description = (
         "every write in the results store must be dominated by the store "
         "lock (lexically or via every resolved caller)"
-    ),
-)
-class StoreWritesLockedRule(GraphRule):
+    )
+
     def check_graph(self, project: Project, graph: CallGraph) -> Iterator[Finding]:
-        config = project.config
-        lock_names = config.store_lock_names
-        dominated = lock_dominated(graph, lock_names)
+        dominated = lock_dominated(graph, STORE_LOCK_NAMES)
         for fid in sorted(graph.functions):
             info = graph.functions[fid]
-            if not info.relpath.endswith(config.store_module_suffix):
+            if not info.relpath.endswith(STORE_MODULE_SUFFIX):
                 continue
-            if info.class_name in config.store_lock_classes:
+            if info.class_name in STORE_LOCK_CLASSES:
                 continue  # acquiring the lock cannot require holding it
             source = project.find(info.relpath)
             if source is None:  # pragma: no cover - store is in lint scope
@@ -120,30 +126,28 @@ class StoreWritesLockedRule(GraphRule):
                 dotted = resolve_call_qualname(imports, site.target_text)
                 if not _is_write_site(site, dotted):
                     continue
-                if site_locked(site, lock_names) or dominated.get(fid, False):
+                if site_locked(site, STORE_LOCK_NAMES) or dominated.get(fid, False):
                     continue
                 yield self.finding(
                     source,
                     site.node,
                     f"{site.target_text}() in {info.qualname} can run "
-                    f"without the store lock ({' / '.join(lock_names)}): not "
+                    f"without the store lock ({' / '.join(STORE_LOCK_NAMES)}): not "
                     "inside a lock `with` block, and at least one call path "
                     "into this function enters unlocked",
                 )
 
 
-@rule(
-    "L502",
-    name="no-store-capture-across-fork",
-    description=(
+class NoStoreCaptureAcrossForkRule(GraphRule):
+    id = "L502"
+    name = "no-store-capture-across-fork"
+    description = (
         "multiprocessing workers under src/ must be module-level functions "
         "that cannot reach an open store handle"
-    ),
-)
-class NoStoreCaptureAcrossForkRule(GraphRule):
+    )
+
     def check_graph(self, project: Project, graph: CallGraph) -> Iterator[Finding]:
-        config = project.config
-        src_prefix = config.src_root.rstrip("/") + "/"
+        src_prefix = SRC_ROOT + "/"
         for fid in sorted(graph.functions):
             info = graph.functions[fid]
             if not info.relpath.startswith(src_prefix):
@@ -162,7 +166,7 @@ class NoStoreCaptureAcrossForkRule(GraphRule):
                 worker = _worker_argument(site.node)
                 if worker is None:
                     continue
-                problem = self._judge_worker(project, graph, info, worker)
+                problem = self._judge_worker(graph, info, worker)
                 if problem is not None:
                     yield self.finding(
                         source,
@@ -174,13 +178,11 @@ class NoStoreCaptureAcrossForkRule(GraphRule):
 
     def _judge_worker(
         self,
-        project: Project,
         graph: CallGraph,
         caller: FunctionInfo,
         worker: ast.expr,
     ) -> Optional[str]:
         """``None`` when the worker is provably fork-safe, else the problem."""
-        config = project.config
         if isinstance(worker, ast.Lambda):
             return "is a lambda (closes over the dispatching scope)"
         chain = chain_text(worker)
@@ -191,7 +193,7 @@ class NoStoreCaptureAcrossForkRule(GraphRule):
             decl = graph.classes.get((caller.module, caller.class_name or ""))
             attr_types = decl.attr_types if decl is not None else {}
             holds_store = any(
-                name in config.store_classes for _, name in attr_types.values()
+                name in STORE_CLASSES for _, name in attr_types.values()
             )
             if holds_store:
                 return (
@@ -209,8 +211,7 @@ class NoStoreCaptureAcrossForkRule(GraphRule):
             fid
             for fid in graph.reachable([target])
             for klass in (graph.functions[fid].class_name,)
-            if klass in config.store_classes
-            or klass in config.store_lock_classes
+            if klass in STORE_CLASSES or klass in STORE_LOCK_CLASSES
         }
         if store_methods:
             sample = graph.functions[sorted(store_methods)[0]]

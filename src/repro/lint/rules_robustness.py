@@ -5,11 +5,10 @@ worker/supervisor layer must end up as a :class:`~repro.results.JobFailure`
 (or be re-raised), never silently dropped.  That invariant is prose plus
 tests; per the ROADMAP policy it also gets a mechanized rule:
 
-* **R701** — in the worker/supervisor modules
-  (``config.worker_module_suffixes``), a bare ``except:`` or an ``except
-  BaseException`` handler must either re-raise or feed the failure-recording
-  machinery (reference ``JobFailure``/``JobAttempt`` or a
-  ``*_failure``-named helper).  Catching ``BaseException`` in a worker
+* **R701** — in the worker/supervisor modules (``WORKER_MODULE_SUFFIXES``),
+  a bare ``except:`` or an ``except BaseException`` handler must either
+  re-raise or feed the failure-recording machinery (reference
+  ``JobFailure``/``JobAttempt`` or a ``*_failure``-named helper).  Catching ``BaseException`` in a worker
   swallows ``KeyboardInterrupt``/``SystemExit`` and — worse — turns a
   crashed attempt into a silently missing record: the supervisor counts the
   job as in-flight forever or the sweep "succeeds" with a hole in it.
@@ -21,10 +20,13 @@ tests; per the ROADMAP policy it also gets a mechanized rule:
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from repro.lint.engine import Project, SourceFile
-from repro.lint.framework import FileRule, Finding, rule
+from repro.lint.config import WORKER_MODULE_SUFFIXES
+from repro.lint.framework import FileRule, Finding
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    from repro.lint.engine import Project, SourceFile
 
 #: Names in a handler body that count as producing a structured failure.
 _FAILURE_NAMES = ("JobFailure", "JobAttempt")
@@ -68,22 +70,18 @@ def _surfaces_failure(handler: ast.ExceptHandler) -> bool:
     return False
 
 
-@rule(
-    "R701",
-    name="supervised-failures-surface",
-    description=(
+class SupervisedFailuresSurfaceRule(FileRule):
+    id = "R701"
+    name = "supervised-failures-surface"
+    description = (
         "worker/supervisor modules must not swallow failures with bare "
         "except/BaseException handlers that produce no JobFailure"
-    ),
-)
-class SupervisedFailuresSurfaceRule(FileRule):
+    )
+
     def check_file(self, source: SourceFile, project: Project) -> Iterator[Finding]:
         if source.tree is None:
             return
-        if not any(
-            source.relpath.endswith(suffix)
-            for suffix in project.config.worker_module_suffixes
-        ):
+        if not any(source.relpath.endswith(s) for s in WORKER_MODULE_SUFFIXES):
             return
         for node in ast.walk(source.tree):
             if not isinstance(node, ast.ExceptHandler):

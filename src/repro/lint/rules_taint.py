@@ -20,38 +20,39 @@ every T401 finding comes with a concrete, checkable chain.
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.lint.callgraph import CallGraph
+from repro.lint.config import RNG_MODULE_SUFFIX, SIM_LAYERS, SRC_ROOT
 from repro.lint.dataflow import (
     direct_entropy_uses,
     local_raw_random_names,
     propagate_entropy_taint,
     raw_random_arguments,
 )
-from repro.lint.engine import Project, SourceFile
-from repro.lint.framework import FileRule, Finding, GraphRule, rule
+from repro.lint.framework import FileRule, Finding, GraphRule
 from repro.lint.symbols import walk_runtime
 
+if TYPE_CHECKING:  # pragma: no cover - types only
+    from repro.lint.engine import Project, SourceFile
 
-@rule(
-    "T401",
-    name="no-transitive-entropy",
-    description=(
+
+class TransitiveEntropyRule(GraphRule):
+    id = "T401"
+    name = "no-transitive-entropy"
+    description = (
         "sim-layer functions must not reach stdlib entropy through any call "
         "chain; all draws go through RandomStreams"
-    ),
-)
-class TransitiveEntropyRule(GraphRule):
+    )
+
     def check_graph(self, project: Project, graph: CallGraph) -> Iterator[Finding]:
-        config = project.config
         direct = direct_entropy_uses(project, graph)
         chains = propagate_entropy_taint(graph, direct)
         for fid in sorted(chains):
             info = graph.functions[fid]
-            if info.layer not in config.sim_layers:
+            if info.layer not in SIM_LAYERS:
                 continue
-            if info.relpath.endswith(config.rng_module_suffix):
+            if info.relpath.endswith(RNG_MODULE_SUFFIX):
                 continue
             if fid in direct:
                 # Entropy used in the function's own body: that file imports
@@ -70,22 +71,19 @@ class TransitiveEntropyRule(GraphRule):
             )
 
 
-@rule(
-    "T402",
-    name="no-raw-random-argument",
-    description=(
+class RawRandomArgumentRule(FileRule):
+    id = "T402"
+    name = "no-raw-random-argument"
+    description = (
         "src/ code must not pass a raw random.Random into a function; seed "
         "through RandomStreams (named streams / spawn_seed)"
-    ),
-)
-class RawRandomArgumentRule(FileRule):
+    )
+
     def check_file(self, source: SourceFile, project: Project) -> Iterator[Finding]:
-        config = project.config
-        src_prefix = config.src_root.rstrip("/") + "/"
         if (
             source.tree is None
-            or not source.relpath.startswith(src_prefix)
-            or source.relpath.endswith(config.rng_module_suffix)
+            or not source.relpath.startswith(SRC_ROOT + "/")
+            or source.relpath.endswith(RNG_MODULE_SUFFIX)
         ):
             return
         imports = source.symbols.imports

@@ -17,27 +17,12 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
-
-
-@dataclass
-class ClassInfo:
-    """One class definition: what the S-rules need to know about it."""
-
-    name: str
-    node: ast.ClassDef
-    has_slots_assignment: bool
-    dataclass_slots: bool
-    bases: Tuple[str, ...]
-
-    @property
-    def slotted(self) -> bool:
-        return self.has_slots_assignment or self.dataclass_slots
+from typing import Dict, List, Optional, Set
 
 
 @dataclass
 class SymbolTable:
-    """Resolved imports and top-level symbols of one module."""
+    """Resolved imports of one module."""
 
     #: local name -> dotted origin, runtime imports only.
     imports: Dict[str, str] = field(default_factory=dict)
@@ -45,14 +30,6 @@ class SymbolTable:
     type_checking_imports: Dict[str, str] = field(default_factory=dict)
     #: top-level module names imported at runtime ("random", "os.path", ...).
     imported_modules: Set[str] = field(default_factory=set)
-    #: every class defined in the file (any nesting level).
-    classes: List[ClassInfo] = field(default_factory=list)
-    #: names assigned/def'd/imported at module level (module attributes).
-    module_attributes: Set[str] = field(default_factory=set)
-    #: every Name node id that appears in a Load context somewhere.
-    referenced_names: Set[str] = field(default_factory=set)
-    #: every attribute name accessed anywhere (``x.foo`` records "foo").
-    referenced_attributes: Set[str] = field(default_factory=set)
 
     def qualname(self, node: ast.AST) -> Optional[str]:
         """Dotted origin of a Name/Attribute chain, or ``None``.
@@ -72,21 +49,6 @@ class SymbolTable:
         parts.append(root)
         return ".".join(reversed(parts))
 
-    def references(self, name: str) -> bool:
-        """Whether *name* occurs as a Name load, attribute access or import.
-
-        Importing a symbol counts: ``from repro.x import FOO_SCHEMA_VERSION``
-        is a reference even when the module never loads the name again
-        (e.g. re-exports, ``__all__``-driven uses).
-        """
-        if name in self.referenced_names or name in self.referenced_attributes:
-            return True
-        if name in self.imports or name in self.type_checking_imports:
-            return True
-        return any(
-            origin.rpartition(".")[2] == name for origin in self.imports.values()
-        )
-
 
 def _is_type_checking_test(test: ast.expr) -> bool:
     """Whether an ``if`` test is the ``TYPE_CHECKING`` idiom."""
@@ -97,38 +59,10 @@ def _is_type_checking_test(test: ast.expr) -> bool:
     return False
 
 
-def _decorator_dataclass_slots(decorator: ast.expr) -> bool:
-    """Whether a decorator is ``@dataclass(..., slots=True)``."""
-    if not isinstance(decorator, ast.Call):
-        return False
-    func = decorator.func
-    name = func.id if isinstance(func, ast.Name) else (
-        func.attr if isinstance(func, ast.Attribute) else None
-    )
-    if name != "dataclass":
-        return False
-    for keyword in decorator.keywords:
-        if keyword.arg == "slots":
-            return isinstance(keyword.value, ast.Constant) and keyword.value.value is True
-    return False
-
-
-def _base_name(base: ast.expr) -> str:
-    parts: List[str] = []
-    node = base
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-    return ".".join(reversed(parts))
-
-
 class _SymbolVisitor(ast.NodeVisitor):
     def __init__(self, table: SymbolTable) -> None:
         self.table = table
         self._type_checking_depth = 0
-        self._scope_depth = 0  # 0 = module level
 
     # ------------------------------------------------------------- imports
 
@@ -137,7 +71,6 @@ class _SymbolVisitor(ast.NodeVisitor):
             local = alias.asname or alias.name.split(".")[0]
             origin = alias.name if alias.asname else alias.name.split(".")[0]
             self._bind(local, origin, top_module=alias.name.split(".")[0])
-        self._record_module_binding(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         module = node.module or ""
@@ -147,7 +80,6 @@ class _SymbolVisitor(ast.NodeVisitor):
             local = alias.asname or alias.name
             origin = f"{module}.{alias.name}" if module else alias.name
             self._bind(local, origin, top_module=module.split(".")[0] if module else None)
-        self._record_module_binding(node)
 
     def _bind(self, local: str, origin: str, top_module: Optional[str]) -> None:
         if self._type_checking_depth:
@@ -156,17 +88,6 @@ class _SymbolVisitor(ast.NodeVisitor):
         self.table.imports[local] = origin
         if top_module:
             self.table.imported_modules.add(top_module)
-
-    def _record_module_binding(self, node: ast.stmt) -> None:
-        if self._scope_depth == 0 and not self._type_checking_depth:
-            for alias in node.names:  # type: ignore[attr-defined]
-                if alias.name == "*":
-                    continue
-                self.table.module_attributes.add(
-                    alias.asname or alias.name.split(".")[0]
-                )
-
-    # ------------------------------------------------------ module symbols
 
     def visit_If(self, node: ast.If) -> None:
         if _is_type_checking_test(node.test):
@@ -177,71 +98,6 @@ class _SymbolVisitor(ast.NodeVisitor):
             for stmt in node.orelse:
                 self.visit(stmt)
             return
-        self.generic_visit(node)
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        if self._scope_depth == 0:
-            self.table.module_attributes.add(node.name)
-        has_slots = any(
-            isinstance(stmt, (ast.Assign, ast.AnnAssign))
-            and any(
-                isinstance(target, ast.Name) and target.id == "__slots__"
-                for target in (
-                    stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-                )
-            )
-            for stmt in node.body
-        )
-        self.table.classes.append(
-            ClassInfo(
-                name=node.name,
-                node=node,
-                has_slots_assignment=has_slots,
-                dataclass_slots=any(
-                    _decorator_dataclass_slots(d) for d in node.decorator_list
-                ),
-                bases=tuple(_base_name(b) for b in node.bases),
-            )
-        )
-        for decorator in node.decorator_list:
-            self.visit(decorator)
-        self._scope_depth += 1
-        for stmt in node.body:
-            self.visit(stmt)
-        self._scope_depth -= 1
-
-    def _visit_function(self, node) -> None:
-        if self._scope_depth == 0:
-            self.table.module_attributes.add(node.name)
-        for decorator in node.decorator_list:
-            self.visit(decorator)
-        self._scope_depth += 1
-        self.generic_visit(node)
-        self._scope_depth -= 1
-
-    visit_FunctionDef = _visit_function
-    visit_AsyncFunctionDef = _visit_function
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        if self._scope_depth == 0:
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    self.table.module_attributes.add(target.id)
-        self.generic_visit(node)
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        if self._scope_depth == 0 and isinstance(node.target, ast.Name):
-            self.table.module_attributes.add(node.target.id)
-        self.generic_visit(node)
-
-    # --------------------------------------------------------- references
-
-    def visit_Name(self, node: ast.Name) -> None:
-        if isinstance(node.ctx, ast.Load):
-            self.table.referenced_names.add(node.id)
-
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        self.table.referenced_attributes.add(node.attr)
         self.generic_visit(node)
 
 

@@ -29,16 +29,12 @@ class SnippetProject:
         paths: Sequence[str] = ("src",),
         select: Sequence[str] = (),
         ignore: Sequence[str] = (),
-        baseline: Optional[str] = None,
-        **config_overrides,
     ) -> LintReport:
         config = LintConfig(
             project_root=self.root,
             paths=tuple(paths),
             select=tuple(select),
             ignore=tuple(ignore),
-            baseline=baseline,
-            **config_overrides,
         )
         return run_lint(config)
 

@@ -1,89 +1,50 @@
-"""Rule registry and framework semantics."""
+"""Rule catalog, prefix selection and finding semantics."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.lint import (
-    DuplicateRuleError,
-    FileRule,
-    Finding,
-    RuleRegistry,
-    Severity,
-    default_registry,
-)
+from repro.lint import RULES, FileRule, Finding, Severity, UnknownRuleError, select_rules
 
 
-class _NoopRule(FileRule):
-    def check_file(self, source, project):
-        return iter(())
+def _fake_rule(rule_id):
+    return type(f"Rule{rule_id}", (FileRule,), {"id": rule_id})
 
 
-class _OtherRule(FileRule):
-    def check_file(self, source, project):
-        return iter(())
+FAKE_RULES = tuple(_fake_rule(rule_id) for rule_id in ("S201", "D102", "D101"))
 
 
-class TestRuleRegistry:
-    def test_decorator_registers_and_stamps_identity(self):
-        registry = RuleRegistry()
+def selected(select=(), ignore=()):
+    return [rule_class.id for rule_class in select_rules(FAKE_RULES, select, ignore)]
 
-        @registry.rule("X101", name="noop", description="does nothing")
-        class Stamped(FileRule):
-            def check_file(self, source, project):
-                return iter(())
 
-        assert registry.available() == ["X101"]
-        assert Stamped.id == "X101"
-        assert Stamped.name == "noop"
-        assert Stamped.severity is Severity.ERROR
-        registration = registry.lookup("x101")  # lookup is case-insensitive
-        assert registration.rule_class is Stamped
+class TestCatalog:
+    def test_every_rule_declares_its_identity(self):
+        ids = [rule_class.id for rule_class in RULES]
+        assert len(ids) == len(set(ids)) == 12
+        for rule_class in RULES:
+            assert rule_class.name and rule_class.description, rule_class.id
+            assert isinstance(rule_class.severity, Severity)
 
-    def test_duplicate_id_rejected_unless_replace(self):
-        registry = RuleRegistry()
-        registry.add("X101", _NoopRule)
-        with pytest.raises(DuplicateRuleError):
-            registry.add("X101", _OtherRule)
-        registry.add("X101", _OtherRule, replace=True)
-        assert registry.lookup("X101").rule_class is _OtherRule
 
-    def test_unknown_rule_lookup(self):
-        with pytest.raises(KeyError):
-            RuleRegistry().lookup("Z999")
-
+class TestSelection:
     def test_select_and_ignore_are_prefix_based(self):
-        registry = RuleRegistry()
-        registry.add("D101", _NoopRule)
-        registry.add("D102", _NoopRule)
-        registry.add("S201", _NoopRule)
-        assert [r.id for r in registry.select()] == ["D101", "D102", "S201"]
-        assert [r.id for r in registry.select(select=["D"])] == ["D101", "D102"]
-        assert [r.id for r in registry.select(select=["D102", "S"])] == ["D102", "S201"]
-        assert [r.id for r in registry.select(ignore=["D10"])] == ["S201"]
-        assert [r.id for r in registry.select(select=["D"], ignore=["D102"])] == ["D101"]
+        assert selected() == ["D101", "D102", "S201"]
+        assert selected(select=["D"]) == ["D101", "D102"]
+        assert selected(select=["d102", "S"]) == ["D102", "S201"]
+        assert selected(ignore=["D10"]) == ["S201"]
+        assert selected(select=["D"], ignore=["D102"]) == ["D101"]
 
-    def test_default_registry_has_all_builtin_families(self):
-        available = default_registry().available()
-        assert {"C301", "C302", "D101", "D102", "D103", "D104", "S201"} <= set(available)
+    @pytest.mark.parametrize(
+        "select, ignore", [(["Z9"], []), (["D", "C301"], []), ([], ["P6"])]
+    )
+    def test_prefix_matching_no_rule_is_an_error(self, select, ignore):
+        with pytest.raises(UnknownRuleError) as excinfo:
+            selected(select=select, ignore=ignore)
+        assert "known: D101, D102, S201" in str(excinfo.value)
 
 
 class TestFinding:
-    def test_fingerprint_ignores_line_number_but_not_text(self):
-        base = dict(
-            rule="D101",
-            severity=Severity.ERROR,
-            path="src/repro/core/x.py",
-            col=0,
-            message="m",
-            line_text="import random",
-        )
-        moved = Finding(line=10, **base)
-        original = Finding(line=3, **base)
-        assert moved.fingerprint == original.fingerprint
-        edited = Finding(line=3, **{**base, "line_text": "import random  # new"})
-        assert edited.fingerprint != original.fingerprint
-
     def test_render_is_path_line_col_rule(self):
         finding = Finding(
             rule="D101",

@@ -103,10 +103,10 @@ class TestW001UselessSuppression:
         assert "anywhere in the file" in report.findings[0].message
 
     def test_directive_for_unrun_rule_not_judged(self, project):
-        # `--select D` must not flag a parked disable=S201 comment: S201
+        # `--select D` must not flag a parked disable=L501 comment: L501
         # never ran, so the run has no evidence the directive is stale.
         report = project.lint_snippet(
-            "x = 1  # repro-lint: disable=S201\n",
+            "x = 1  # repro-lint: disable=L501\n",
             select=("D", "W001"),
         )
         assert rule_ids(report) == []

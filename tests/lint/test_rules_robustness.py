@@ -140,7 +140,7 @@ class TestR701Allows:
         )
         assert rule_ids(report) == []
 
-    def test_suffix_config_is_honoured(self, project):
+    def test_suffix_config_is_honoured(self, project, monkeypatch):
         project.write(
             "src/repro/other/pool.py",
             """
@@ -153,9 +153,11 @@ class TestR701Allows:
         )
         clean = project.lint(select=("R",))
         assert rule_ids(clean) == []
-        widened = project.lint(
-            select=("R",), worker_module_suffixes=("repro/other/pool.py",)
+        monkeypatch.setattr(
+            "repro.lint.rules_robustness.WORKER_MODULE_SUFFIXES",
+            ("repro/other/pool.py",),
         )
+        widened = project.lint(select=("R",))
         assert rule_ids(widened) == ["R701"]
 
 

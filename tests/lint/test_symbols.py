@@ -72,45 +72,3 @@ class TestImportResolution:
         ]
         assert imported == ["math"]
 
-
-class TestClassInfo:
-    def test_slots_detection(self):
-        table = table_for(
-            """
-            from dataclasses import dataclass
-
-            class Explicit:
-                __slots__ = ("a", "b")
-
-            @dataclass(frozen=True, slots=True)
-            class ViaDataclass:
-                a: int
-
-            @dataclass(frozen=True)
-            class Bare:
-                a: int
-            """
-        )
-        by_name = {info.name: info for info in table.classes}
-        assert by_name["Explicit"].slotted
-        assert by_name["ViaDataclass"].slotted
-        assert not by_name["Bare"].slotted
-
-    def test_module_attributes_and_references(self):
-        table = table_for(
-            """
-            CONSTANT = 1
-            def func():
-                return CONSTANT
-
-            class Klass:
-                inner = 2
-            obj = Klass()
-            obj.attr_use
-            """
-        )
-        assert {"CONSTANT", "func", "Klass", "obj"} <= table.module_attributes
-        assert "inner" not in table.module_attributes  # class-level, not module
-        assert table.references("CONSTANT")
-        assert table.references("attr_use")  # attribute accesses count
-        assert not table.references("never_mentioned")

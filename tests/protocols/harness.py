@@ -29,13 +29,23 @@ positions, and byte-identical ``RunRecord.canonical_json()``.
   :class:`~repro.routing.bellman_ford.NaiveDistributedBellmanFord` (the
   retained per-message dict-of-dicts exchange) instead of the numpy
   min-plus :class:`~repro.routing.bellman_ford.DistributedBellmanFord`.
+
+Every switch goes through :func:`patch_switch`, which checks it on entry,
+before the body runs: the switch must still be an attribute its owner
+defines itself (a renamed or deleted switch would silently compare the
+fast path against itself), and a class swapped for its naive twin must
+expose the same public callables with equal signatures
+(:func:`check_twin`).  ``test_oracle_contract.py`` runs both checks
+against bad fixtures and asserts that ``oracle_mode()`` flips every
+ALL_CAPS ``bool`` toggle a sim-layer class defines.
 """
 
 from __future__ import annotations
 
 import contextlib
+import inspect
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.core import node_base as node_base_module
 from repro.core.cache import NaiveDataCache
@@ -47,29 +57,87 @@ from repro.routing import manager as routing_manager_module
 from repro.routing.bellman_ford import NaiveDistributedBellmanFord
 
 
+def _construct_fresh(cls, name, region=None):
+    return cls(name, region)
+
+
+#: ``(owner, attribute, oracle value)`` for every fast path ``oracle_mode()``
+#: disables; the owner is the class or module that defines the attribute.
+ORACLE_SWITCHES: Tuple[Tuple[Any, str, Any], ...] = (
+    (Network, "ADV_FAST_PATH", False),
+    (Network, "UNICAST_LEVEL_CACHE", False),
+    (node_base_module, "DataCache", NaiveDataCache),
+    (DataDescriptor, "intern", classmethod(_construct_fresh)),
+    (routing_manager_module, "DistributedBellmanFord", NaiveDistributedBellmanFord),
+)
+
+
+def check_twin(fast: type, naive: type) -> None:
+    """Raise ``TypeError`` unless both classes expose the same public surface.
+
+    The surface is every public callable (inherited ones included) with its
+    :func:`inspect.signature`.  A method only one side has, or one the two
+    sides declare differently, would make oracle-mode runs fail or diverge
+    for a reason that has nothing to do with the fast path's semantics.
+    """
+
+    def surface(cls: type) -> Dict[str, inspect.Signature]:
+        return {
+            name: inspect.signature(getattr(cls, name))
+            for name in dir(cls)
+            if not name.startswith("_") and callable(getattr(cls, name))
+        }
+
+    fast_surface, naive_surface = surface(fast), surface(naive)
+    problems = []
+    for name in sorted(fast_surface.keys() | naive_surface.keys()):
+        if name not in naive_surface:
+            problems.append(f"{naive.__name__} is missing {name}()")
+        elif name not in fast_surface:
+            problems.append(f"{naive.__name__}.{name}() has no {fast.__name__} twin")
+        elif fast_surface[name] != naive_surface[name]:
+            problems.append(
+                f"{naive.__name__}.{name}{naive_surface[name]} differs from "
+                f"{fast.__name__}.{name}{fast_surface[name]}"
+            )
+    if problems:
+        raise TypeError(
+            f"oracle twin {naive.__name__} does not match {fast.__name__}: "
+            + "; ".join(problems)
+        )
+
+
+def patch_switch(owner: Any, attr: str, value: Any) -> Any:
+    """Set ``owner.attr = value`` and return the fast-path value it replaced.
+
+    Raises ``AttributeError`` naming ``owner.attr`` when *owner* does not
+    define *attr* itself, and :func:`check_twin`'s ``TypeError`` when a
+    class is swapped for a twin with a different surface; in both cases
+    nothing is patched.
+    """
+    if attr not in vars(owner):
+        raise AttributeError(
+            f"oracle switch {owner.__name__}.{attr} does not exist; was the "
+            "fast path renamed? oracle_mode() would compare it against itself"
+        )
+    fast = vars(owner)[attr]
+    if isinstance(fast, type) and isinstance(value, type):
+        check_twin(fast, value)
+    setattr(owner, attr, value)
+    return fast
+
+
 @contextlib.contextmanager
 def oracle_mode():
     """Run the body with every protocol-layer fast path disabled."""
-    saved_adv = Network.ADV_FAST_PATH
-    saved_levels = Network.UNICAST_LEVEL_CACHE
-    saved_cache = node_base_module.DataCache
-    saved_intern = DataDescriptor.__dict__["intern"]
-    saved_dbf = routing_manager_module.DistributedBellmanFord
-    Network.ADV_FAST_PATH = False
-    Network.UNICAST_LEVEL_CACHE = False
-    node_base_module.DataCache = NaiveDataCache
-    DataDescriptor.intern = classmethod(
-        lambda cls, name, region=None: cls(name, region)
-    )
-    routing_manager_module.DistributedBellmanFord = NaiveDistributedBellmanFord
+    saved = []
     try:
+        for owner, attr, value in ORACLE_SWITCHES:
+            saved.append((owner, attr, patch_switch(owner, attr, value)))
         yield
     finally:
-        Network.ADV_FAST_PATH = saved_adv
-        Network.UNICAST_LEVEL_CACHE = saved_levels
-        node_base_module.DataCache = saved_cache
-        DataDescriptor.intern = saved_intern
-        routing_manager_module.DistributedBellmanFord = saved_dbf
+        for owner, attr, fast in reversed(saved):
+            setattr(owner, attr, fast)
 
 
 @dataclass(frozen=True)
