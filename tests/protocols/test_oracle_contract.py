@@ -24,8 +24,10 @@ from typing import Iterable, List, Tuple
 
 import pytest
 
+from repro.core.cache import NaiveDataCache
 from repro.core.network import Network
 from repro.lint.config import SIM_LAYERS
+from tests.protocols import harness
 from tests.protocols.harness import ORACLE_SWITCHES, check_twin, oracle_mode, patch_switch
 
 _TOGGLE = re.compile(r"^[A-Z][A-Z0-9_]*$")
@@ -91,6 +93,17 @@ class TestRealTree:
         for fast, naive in swaps:
             check_twin(fast, naive)
 
+    @pytest.mark.parametrize(
+        "owner, attr, value",
+        ORACLE_SWITCHES,
+        ids=[f"{owner.__name__}.{attr}" for owner, attr, _ in ORACLE_SWITCHES],
+    )
+    def test_switch_is_swapped_then_restored(self, owner, attr, value):
+        fast = vars(owner)[attr]
+        with oracle_mode():
+            assert vars(owner)[attr] is value
+        assert vars(owner)[attr] is fast
+
 
 class TestRenamedSwitch:
     def test_missing_attribute_names_owner_and_attr(self):
@@ -111,8 +124,34 @@ class TestRenamedSwitch:
         with pytest.raises(AttributeError, match=r"Network\.ADV_FAST_PATH"):
             patch_switch(Network, "ADV_FAST_PATH", False)
 
+    def test_module_attribute_gone(self):
+        owner = types.ModuleType("node_base")
+        with pytest.raises(AttributeError, match=r"node_base\.DataCache"):
+            patch_switch(owner, "DataCache", NaiveDataCache)
+
+    def test_failed_entry_restores_earlier_switches(self, monkeypatch):
+        class Network:
+            ADV_FAST_PATH = True
+
+        switches = ((Network, "ADV_FAST_PATH", False), (Network, "RENAMED", False))
+        monkeypatch.setattr(harness, "ORACLE_SWITCHES", switches)
+        with pytest.raises(AttributeError, match=r"Network\.RENAMED"):
+            with oracle_mode():
+                pass
+        assert Network.ADV_FAST_PATH is True
+
 
 class TestTwinDrift:
+    def test_matching_twin_passes(self):
+        class NaiveCache(_Cache):
+            def add(self, item, region=None):
+                return self._scan(item)
+
+            def _scan(self, item):  # private helpers are not surface
+                return item
+
+        check_twin(_Cache, NaiveCache)
+
     def test_missing_method(self):
         class NaiveCache:
             def add(self, item, region=None):
@@ -130,6 +169,14 @@ class TestTwinDrift:
                 return name
 
         with pytest.raises(TypeError, match=r"NaiveCache\.add\(self, item\) differs"):
+            check_twin(_Cache, NaiveCache)
+
+    def test_every_problem_is_reported(self):
+        class NaiveCache:
+            def add(self, item):
+                return item
+
+        with pytest.raises(TypeError, match=r"add\(self, item\) differs .*; \w+ is missing get"):
             check_twin(_Cache, NaiveCache)
 
     def test_naive_only_method(self):

@@ -38,27 +38,53 @@ def test_hot_path_class_is_slotted(cls):
     assert unslotted(cls) == []
 
 
-class TestBadFixtures:
-    def test_plain_class(self):
-        class Plain:
-            def __init__(self, time):
-                self.time = time
+class _Slotted:
+    __slots__ = ("time",)
 
-        assert unslotted(Plain) == ["Plain"]
 
-    def test_frozen_dataclass_without_slots(self):
-        @dataclass(frozen=True)
-        class Frozen:
-            time: float
+class _SlottedChild(_Slotted):
+    __slots__ = ()
 
-        assert unslotted(Frozen) == ["Frozen"]
 
-    def test_unslotted_base(self):
-        class Base:
-            pass
+class _UnslottedChild(_Slotted):
+    pass
 
-        @dataclass(frozen=True, slots=True)
-        class Child(Base):
-            time: float
 
-        assert unslotted(Child) == ["Base"]
+class _Plain:
+    def __init__(self, time):
+        self.time = time
+
+
+@dataclass(frozen=True, slots=True)
+class _DataclassSlots:
+    time: float
+
+
+@dataclass(frozen=True)
+class _FrozenWithoutSlots:
+    time: float
+
+
+@dataclass(frozen=True, slots=True)
+class _OnUnslottedBase(_Plain):
+    time: float
+
+
+# Each fixture with what ``unslotted`` must name: nothing for the slotted
+# ones, the class that brings the ``__dict__`` back for the rest.
+FIXTURES = [
+    (_Slotted, []),
+    (_SlottedChild, []),
+    (_DataclassSlots, []),
+    (_Plain, ["_Plain"]),
+    (_FrozenWithoutSlots, ["_FrozenWithoutSlots"]),
+    (_OnUnslottedBase, ["_Plain"]),
+    (_UnslottedChild, ["_UnslottedChild"]),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, expected", FIXTURES, ids=[cls.__name__.lstrip("_") for cls, _ in FIXTURES]
+)
+def test_fixture(cls, expected):
+    assert unslotted(cls) == expected

@@ -13,6 +13,8 @@ import re
 from pathlib import Path
 from typing import Iterable, List, Set
 
+import pytest
+
 import repro
 
 _SCHEMA_CONSTANT = re.compile(r"^[A-Z][A-Z0-9_]*_SCHEMA_VERSION$")
@@ -44,10 +46,16 @@ def unreferenced(names: Iterable[str], files: Iterable[Path]) -> List[str]:
     )
 
 
-def test_every_schema_constant_is_referenced_by_a_test():
-    names = schema_constants()
-    assert {"RESULTS_SCHEMA_VERSION", "LINT_REPORT_SCHEMA_VERSION"} <= names
-    assert unreferenced(names, other_test_files()) == []
+SCHEMA_CONSTANTS = sorted(schema_constants())
+
+
+def test_scan_finds_the_result_and_report_layouts():
+    assert {"RESULTS_SCHEMA_VERSION", "LINT_REPORT_SCHEMA_VERSION"} <= set(SCHEMA_CONSTANTS)
+
+
+@pytest.mark.parametrize("name", SCHEMA_CONSTANTS)
+def test_schema_constant_is_referenced_by_a_test(name):
+    assert unreferenced({name}, other_test_files()) == []
 
 
 def test_unreferenced_constant_is_reported():
@@ -56,7 +64,30 @@ def test_unreferenced_constant_is_reported():
     ]
 
 
-def test_whole_word_match_only(tmp_path):
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("from repro.results.record import REPORT_SCHEMA_VERSION\n", []),
+        ("assert record.REPORT_SCHEMA_VERSION == 2\n", []),
+        ("assert LINT_REPORT_SCHEMA_VERSION == 2\n", ["REPORT_SCHEMA_VERSION"]),
+        ("x = 1\n", ["REPORT_SCHEMA_VERSION"]),
+    ],
+    ids=["import", "attribute", "longer-name", "absent"],
+)
+def test_reference_is_a_whole_word(tmp_path, text, expected):
     test_file = tmp_path / "test_x.py"
-    test_file.write_text("assert LINT_REPORT_SCHEMA_VERSION == 2\n")
-    assert unreferenced({"REPORT_SCHEMA_VERSION"}, [test_file]) == ["REPORT_SCHEMA_VERSION"]
+    test_file.write_text(text)
+    assert unreferenced({"REPORT_SCHEMA_VERSION"}, [test_file]) == expected
+
+
+@pytest.mark.parametrize(
+    "name, is_schema",
+    [
+        ("RESULTS_SCHEMA_VERSION", True),
+        ("SOME_OTHER_CONSTANT", False),
+        ("_PRIVATE_SCHEMA_VERSION", False),
+        ("SCHEMA_VERSION_KEY", False),
+    ],
+)
+def test_only_public_schema_version_names_count(name, is_schema):
+    assert bool(_SCHEMA_CONSTANT.match(name)) is is_schema
