@@ -12,19 +12,51 @@ slower per record than the ten small ones; with the sidecar the two walls
 must agree within 2x (the ISSUE's acceptance bar for "O(1) amortized").
 """
 
+import hashlib
 import tempfile
 from pathlib import Path
 from time import perf_counter
 
 from benchmarks.conftest import emit, run_once
-from repro.perf.bench import store_append_record
-from repro.results import RunStore
+from repro.metrics.summary import DistributionSummary, MetricsSummary
+from repro.results import RunRecord, RunStore
 
 #: Acceptance bar: 10k appends into one store vs 1k x 10 fresh stores.
 MAX_AMORTIZED_RATIO = 2.0
 
 BIG = 10_000
 SMALL = 1_000
+
+
+def store_append_record(index: int) -> RunRecord:
+    """Deterministic synthetic record #*index*.
+
+    Fingerprints repeat every 1024 appends so the sidecar index accumulates
+    multi-location entries the way a re-run sweep's store would.
+    """
+    fingerprint = hashlib.sha256(
+        f"store-append/{index % 1024}".encode("utf-8")
+    ).hexdigest()
+    summary = MetricsSummary(
+        items_generated=1,
+        expected_deliveries=8,
+        deliveries_completed=8,
+        total_energy_uj=90.0,
+        energy_breakdown_uj={"rx": 40.0, "tx": 50.0},
+        packets_sent={"ADV": 9},
+        delay=DistributionSummary(8, 5.0, 1.0, 9.0, 2.0, 5.0),
+    )
+    return RunRecord(
+        key=f"store-append/{index:06d}",
+        protocol="spms",
+        scenario="store-append",
+        spec_fingerprint=fingerprint,
+        seed=index,
+        num_nodes=9,
+        transmission_radius_m=20.0,
+        summary=summary,
+        axes={"append_index": index},
+    )
 
 
 def _time_appends(root, records):

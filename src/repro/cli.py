@@ -20,9 +20,6 @@ code:
   flag).
 * ``list``      — list registered components (protocols, workloads,
   placements, mobility/failure/contention models) or scenario matrices.
-* ``bench``     — run a named kernel benchmark serially in-process and append
-  a schema-versioned throughput record (events/sec, wall time, canonical
-  digest, git metadata) to ``BENCH_kernel.json``.
 * ``lint``      — run the AST-based determinism/invariant linter
   (``repro lint src tests``); non-zero exit on findings, so CI can gate on
   it.
@@ -42,16 +39,14 @@ Examples::
     python -m repro sweep fig06 --workers 4 --run-dir runs/fig06 --resume
     python -m repro sweep fig06 --workers 2 --job-timeout 30 --max-retries 1
     python -m repro sweep --list
-    python -m repro bench fig06
-    python -m repro bench --quick --output /tmp/bench-smoke.json
     python -m repro figure fig6
     python -m repro figure fig3
     python -m repro table1
 
-Exit codes: 0 success; 1 drift or lint findings; 2 usage or input errors;
-3 partial failure — a sweep that quarantined or was interrupted mid-run, or
-``repro report --strict`` on a run directory with a quarantined job that no
-later run has recorded.
+Exit codes: 0 success; 1 lint findings; 2 usage or input errors, including a
+run directory this build cannot read; 3 partial failure — a sweep that
+quarantined or was interrupted mid-run, or ``repro report --strict`` on a run
+directory with a quarantined job that no later run has recorded.
 """
 
 from __future__ import annotations
@@ -91,16 +86,6 @@ from repro.experiments.scenarios import (
     all_to_all_scenario,
     cluster_scenario,
 )
-from repro.perf import (
-    BenchValidationError,
-    append_bench_record,
-    available_benchmarks,
-    compare_bench_record,
-    get_benchmark,
-    load_bench_records,
-    run_benchmark,
-)
-from repro.perf.bench import QUICK_BENCHMARK, format_bench_record
 from repro.results import HEADLINE_METRICS, RunRecord, RunStore, RunStoreError
 
 #: Exit code of a run that finished but could not complete every job: a
@@ -293,37 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
              "'0:raise,2:hang,4:kill' (hang/kill need --workers >= 2)",
     )
 
-    bench = subparsers.add_parser(
-        "bench", help="run a named kernel benchmark and record its throughput"
-    )
-    bench.add_argument(
-        "name", nargs="?", default=None,
-        help="registered benchmark name (see --list); default: fig06",
-    )
-    bench.add_argument(
-        "--quick", action="store_true",
-        help=f"run the {QUICK_BENCHMARK!r} smoke benchmark (CI uses this)",
-    )
-    bench.add_argument("--list", action="store_true", help="list registered benchmarks")
-    bench.add_argument(
-        "--output", default="BENCH_kernel.json",
-        help="bench trajectory file to append the record to "
-             "(default: BENCH_kernel.json)",
-    )
-    bench.add_argument(
-        "--no-append", action="store_true",
-        help="print the record without writing --output",
-    )
-    bench.add_argument(
-        "--compare", action="store_true",
-        help="check the canonical digest against the latest --output record "
-             "of the same benchmark (error exit on drift; CI uses this)",
-    )
-    bench.add_argument(
-        "--json", action="store_true", dest="as_json",
-        help="print the full bench record as JSON",
-    )
-
     lint = subparsers.add_parser(
         "lint", help="run the AST-based determinism/invariant linter"
     )
@@ -374,16 +328,19 @@ def _cmd_run(args: argparse.Namespace, out: Callable[[str], None]) -> int:
     if args.keep_raw and not args.run_dir:
         out("--keep-raw needs --run-dir (there is no store for the raw blob)")
         return 2
-    if args.spec is not None:
-        return _run_single_spec(args, out)
-    if args.keep_raw:
+    if args.keep_raw and args.spec is None:
         out("--keep-raw only applies to single --spec runs "
             "(batch workers reduce metrics in-process and ship summaries only)")
         return 2
-    return _run_spec_batch(args, out)
+    store = RunStore(args.run_dir).open() if args.run_dir else None
+    if args.spec is not None:
+        return _run_single_spec(args, store, out)
+    return _run_spec_batch(args, store, out)
 
 
-def _run_single_spec(args: argparse.Namespace, out: Callable[[str], None]) -> int:
+def _run_single_spec(
+    args: argparse.Namespace, store: Optional[RunStore], out: Callable[[str], None]
+) -> int:
     if args.spec == "-":
         text = sys.stdin.read()
     else:
@@ -407,9 +364,9 @@ def _run_single_spec(args: argparse.Namespace, out: Callable[[str], None]) -> in
         out(f"scenario failed to build: {exc}")
         return 2
     record = runner.run_record()
-    if args.run_dir:
+    if store is not None:
         raw = runner.raw_metrics() if args.keep_raw else None
-        record = RunStore(args.run_dir).append(record, raw=raw)
+        record = store.append(record, raw=raw)
     if args.as_json:
         flat = {
             **record.as_dict(),
@@ -488,7 +445,9 @@ def _resolve_spec_components(spec: ScenarioSpec) -> None:
         registry.lookup(MOBILITY, spec.mobility.model)
 
 
-def _run_spec_batch(args: argparse.Namespace, out: Callable[[str], None]) -> int:
+def _run_spec_batch(
+    args: argparse.Namespace, store: Optional[RunStore], out: Callable[[str], None]
+) -> int:
     fleet = _load_spec_fleet(args, out)
     if fleet is None:
         return 2
@@ -513,7 +472,6 @@ def _run_spec_batch(args: argparse.Namespace, out: Callable[[str], None]) -> int
         )
         for index, (name, spec) in enumerate(fleet)
     ]
-    store = RunStore(args.run_dir) if args.run_dir else None
     out(f"batch: {len(jobs)} spec(s), workers={args.workers}"
         + (f", run-dir={args.run_dir}" if args.run_dir else ""))
     records: List[RunRecord] = []
@@ -570,12 +528,8 @@ def _cmd_report(args: argparse.Namespace, out: Callable[[str], None]) -> int:
     if not Path(args.run_dir).is_dir():
         out(f"run directory not found: {args.run_dir}")
         return 2
-    try:
-        records = store.query()
-        failures = store.failures()
-    except RunStoreError as exc:
-        out(f"unreadable run directory: {exc}")
-        return 2
+    records = store.query()
+    failures = store.failures()
     # A quarantined job that a later run (``--resume``) recorded is resolved;
     # checked against every record, not only the --protocol selection.
     recorded = {record.key for record in records}
@@ -720,13 +674,13 @@ def _cmd_sweep(args: argparse.Namespace, out: Callable[[str], None]) -> int:
     if args.metric not in METRIC_NAMES:
         out(f"unknown metric {args.metric!r}; choose from: {', '.join(METRIC_NAMES)}")
         return 2
+    store = RunStore(args.run_dir).open() if args.run_dir else None
     jobs = matrix.expand()
     out(
         f"sweep {matrix.name}: {len(jobs)} jobs "
         f"({matrix.parameter} x {sorted(set(j.protocol for j in jobs))}), "
         f"workers={args.workers}, seed_policy={matrix.seed_policy}"
     )
-    store = RunStore(args.run_dir) if args.run_dir else None
 
     if chaos is not None:
         out(f"chaos: injecting {chaos.describe()}")
@@ -785,53 +739,6 @@ def _cmd_sweep(args: argparse.Namespace, out: Callable[[str], None]) -> int:
         )
     if report.quarantined or report.interrupted:
         return EXIT_PARTIAL_FAILURE
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace, out: Callable[[str], None]) -> int:
-    if args.list:
-        out("registered benchmarks:")
-        for name in available_benchmarks():
-            out(f"  {name:<16} {get_benchmark(name).description}")
-        return 0
-    if args.quick and args.name is not None:
-        out("pick either a benchmark name or --quick, not both")
-        return 2
-    name = QUICK_BENCHMARK if args.quick else (args.name or "fig06")
-    try:
-        scenario = get_benchmark(name)
-    except KeyError as exc:
-        out(str(exc.args[0]))
-        return 2
-    out(f"bench {scenario.name}: {scenario.description or scenario.matrix}")
-    record = run_benchmark(scenario)
-    if args.as_json:
-        out(json.dumps(record, sort_keys=True, indent=1))
-    else:
-        for line in format_bench_record(record):
-            out(line)
-    if args.compare:
-        try:
-            previous = load_bench_records(args.output)
-        except BenchValidationError as exc:
-            out(f"cannot compare against {args.output}: {exc}")
-            return 2
-        matched, compare_lines = compare_bench_record(record, previous)
-        for line in compare_lines:
-            out(line)
-        if matched is False:
-            # A drifted record is not appended: the trajectory stays a chain
-            # of byte-identical baselines a future --compare can trust.
-            out("digest drift: record NOT appended")
-            return 1
-    if args.no_append:
-        return 0
-    try:
-        records = append_bench_record(args.output, record)
-    except BenchValidationError as exc:
-        out(f"cannot append to {args.output}: {exc}")
-        return 2
-    out(f"record {len(records)} appended to {args.output}")
     return 0
 
 
@@ -917,26 +824,30 @@ def _cmd_table1(out: Callable[[str], None]) -> int:
 def main(argv: Optional[Sequence[str]] = None, out: Callable[[str], None] = print) -> int:
     """CLI entry point.  Returns a process exit code."""
     args = build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args, out)
-    if args.command == "report":
-        return _cmd_report(args, out)
-    if args.command == "list":
-        return _cmd_list(args, out)
-    if args.command == "compare":
-        return _cmd_compare(args, out)
-    if args.command == "sweep":
-        return _cmd_sweep(args, out)
-    if args.command == "bench":
-        return _cmd_bench(args, out)
-    if args.command == "lint":
-        return _cmd_lint(args, out)
-    if args.command == "figure":
-        return _cmd_figure(args, out)
-    if args.command == "list-figures":
-        return _cmd_list_figures(out)
-    if args.command == "table1":
-        return _cmd_table1(out)
+    try:
+        if args.command == "run":
+            return _cmd_run(args, out)
+        if args.command == "report":
+            return _cmd_report(args, out)
+        if args.command == "list":
+            return _cmd_list(args, out)
+        if args.command == "compare":
+            return _cmd_compare(args, out)
+        if args.command == "sweep":
+            return _cmd_sweep(args, out)
+        if args.command == "lint":
+            return _cmd_lint(args, out)
+        if args.command == "figure":
+            return _cmd_figure(args, out)
+        if args.command == "list-figures":
+            return _cmd_list_figures(out)
+        if args.command == "table1":
+            return _cmd_table1(out)
+    except RunStoreError as exc:
+        # A run directory written by another schema, or corrupted: an input
+        # error, reported without a traceback.
+        out(f"unreadable run directory: {exc}")
+        return 2
     return 2  # pragma: no cover - argparse enforces the choices
 
 

@@ -10,8 +10,8 @@ minutes of simulation per figure in pure Python, so the default
 :func:`bench_scale` uses the same topology sweep with fewer packets per node
 and slightly smaller node counts; :func:`paper_scale` reproduces the paper's
 sizes.  The drivers under ``benchmarks/`` run the bench scale, and
-``repro bench`` records its throughput and canonical digests in
-``BENCH_kernel.json``.
+``tests/experiments/test_kernel_equivalence.py`` pins the canonical digest of
+every bench-scale job the headline claims read.
 """
 
 from __future__ import annotations

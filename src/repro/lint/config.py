@@ -18,7 +18,7 @@ DEFAULT_PATHS: Tuple[str, ...] = ("src", "tests", "benchmarks")
 SRC_ROOT = "src"
 
 #: Layers of ``src/repro`` whose code runs *inside* a simulation and is
-#: therefore covered by the determinism (D) rules.  ``experiments``/``perf``/
+#: therefore covered by the determinism (D) rules.  ``experiments``,
 #: ``results`` and the CLI orchestrate around the simulation (wall-clock
 #: timing there is measurement, not simulated behaviour) and are exempt.
 SIM_LAYERS: Tuple[str, ...] = (

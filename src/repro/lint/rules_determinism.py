@@ -9,9 +9,9 @@ accumulation.  These rules make each hazard a static finding.
 
 Scope: files whose ``repro`` package layer is one of
 :data:`repro.lint.config.SIM_LAYERS`.  The orchestration layers
-(``experiments``, ``perf``, ``results``, the CLI) time and label real-world
-runs on purpose and are exempt, as is ``sim/rng.py`` itself — the single
-module allowed to touch stdlib ``random``.
+(``experiments``, ``results``, the CLI) time and label real-world runs on
+purpose and are exempt, as is ``sim/rng.py`` itself — the single module
+allowed to touch stdlib ``random``.
 """
 
 from __future__ import annotations

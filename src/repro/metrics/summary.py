@@ -79,17 +79,21 @@ class DistributionSummary:
             return self
         count = self.count + other.count
         mean = (self.mean * self.count + other.mean * other.count) / count
-        second_moment = (
-            self.count * (self.stddev**2 + self.mean**2)
-            + other.count * (other.stddev**2 + other.mean**2)
-        ) / count
-        variance = max(0.0, second_moment - mean**2)
+        # Pairwise update of the squared-deviation sums (Chan et al.): the
+        # E[x^2] - E[x]^2 form cancels catastrophically, turning a zero spread
+        # of large values into a spurious ~1e-6 deviation.
+        delta = other.mean - self.mean
+        squared_deviations = (
+            self.count * self.stddev**2
+            + other.count * other.stddev**2
+            + delta * delta * self.count * other.count / count
+        )
         return DistributionSummary(
             count=count,
             mean=mean,
             minimum=min(self.minimum, other.minimum),
             maximum=max(self.maximum, other.maximum),
-            stddev=math.sqrt(variance),
+            stddev=math.sqrt(squared_deviations / count),
             median=(self.median * self.count + other.median * other.count) / count,
         )
 

@@ -30,7 +30,6 @@ from repro.results.record import (
     HEADLINE_METRICS,
     RECORD_SCHEMA_KEY,
     RESULTS_SCHEMA_VERSION,
-    SUPPORTED_RESULTS_SCHEMA_VERSIONS,
     RecordValidationError,
     RunRecord,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "MetricsSummary",
     "RECORD_SCHEMA_KEY",
     "RESULTS_SCHEMA_VERSION",
-    "SUPPORTED_RESULTS_SCHEMA_VERSIONS",
     "RecordValidationError",
     "RunRecord",
     "RunStore",

@@ -30,21 +30,18 @@ from repro.metrics.summary import MetricsSummary
 #:   ``manifest.json`` and keyed raw blobs by spec fingerprint.
 #: * 2 — store layout rework: append-only ``index.jsonl`` sidecar index,
 #:   advisory append locking, torn-tail quarantine, raw blobs keyed by the
-#:   record key.  The record *field set* is unchanged, so v1 records load
-#:   transparently (see :data:`SUPPORTED_RESULTS_SCHEMA_VERSIONS`).
+#:   record key.  The record *field set* is unchanged.
+#:
+#: Only this version is read back: a v1 record or run directory is rejected
+#: with an error naming its version.
 RESULTS_SCHEMA_VERSION = 2
 
-#: Serialized versions :meth:`RunRecord.from_dict` accepts.  v1 is readable
-#: because v2 changed only the surrounding store layout, not the record
-#: fields — migrated legacy shards keep loading.
-SUPPORTED_RESULTS_SCHEMA_VERSIONS = (1, 2)
-
 #: Version stamped into :meth:`RunRecord.canonical_dict`.  The canonical
-#: rendering is the byte-identity contract — ``repro bench --compare``
-#: digests and the differential-test pins are stated over it — so it only
-#: bumps when the *deterministic result content* changes.  The v1 -> v2
-#: serialization bump changed no result content, so the canonical form (and
-#: every pinned digest) stays at 1.
+#: rendering is the byte-identity contract — the fixed-point digests in
+#: ``tests/experiments/test_kernel_equivalence.py`` and the differential-test
+#: pins are stated over it — so it only bumps when the *deterministic result
+#: content* changes.  The v1 -> v2 serialization bump changed no result
+#: content, so the canonical form (and every pinned digest) stays at 1.
 CANONICAL_SCHEMA_VERSION = 1
 
 #: Key carrying the schema version in serialized records.
@@ -205,11 +202,10 @@ class RunRecord:
             )
         payload = dict(data)
         version = payload.pop(RECORD_SCHEMA_KEY, None)
-        if version not in SUPPORTED_RESULTS_SCHEMA_VERSIONS:
+        if version != RESULTS_SCHEMA_VERSION:
             raise RecordValidationError(
                 f"unsupported run-record schema version {version!r}; "
-                f"this build reads versions "
-                f"{sorted(SUPPORTED_RESULTS_SCHEMA_VERSIONS)}"
+                f"this build reads version {RESULTS_SCHEMA_VERSION}"
             )
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = sorted(set(payload) - known)

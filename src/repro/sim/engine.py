@@ -105,20 +105,12 @@ class Simulator:
 
     # ------------------------------------------------------------------- run
 
-    def run(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-        stop_when: Optional[Callable[[], bool]] = None,
-    ) -> float:
+    def run(self, until: Optional[float] = None) -> float:
         """Run the event loop.
 
         Args:
             until: Stop once the clock would pass this time (events exactly at
                 ``until`` still fire).
-            max_events: Safety limit on the number of events to process.
-            stop_when: Predicate evaluated after every event; the loop stops
-                as soon as it returns true.
 
         Returns:
             The simulation time when the loop stopped.
@@ -128,87 +120,38 @@ class Simulator:
         self._running = True
         self._stopped = False
         queue = self._queue
+        # One fused heap traversal per event via pop_due, and the processed
+        # counter flushed once; tracing costs one check per event when off.
+        pop_due = queue.pop_due
+        trace = self.trace_log.record if self.trace_enabled else None
+        processed = 0
         try:
-            if max_events is None and stop_when is None and not self.trace_enabled:
-                # Fast path (the overwhelmingly common configuration): one
-                # fused heap traversal per event via pop_due, no per-event
-                # feature checks, and the processed counter flushed once.
-                pop_due = queue.pop_due
-                processed = 0
-                try:
-                    while not self._stopped:
-                        event = pop_due(until)
-                        if event is None:
-                            # bool(queue) is O(1): live events remain, so the
-                            # earliest one fires beyond the horizon.
-                            if until is not None and queue:
-                                self._now = until
-                            break
-                        time = event.time
-                        if time < self._now:
-                            raise SimulationError(
-                                f"event calendar corrupted: event at {time} "
-                                f"earlier than now={self._now}"
-                            )
-                        self._now = time
-                        # pop_due only returns live events and nothing runs
-                        # between pop and fire, so invoke the action directly.
-                        event.action()
-                        processed += 1
-                finally:
-                    self._events_processed += processed
-                return self._now
-            processed_this_run = 0
-            while True:
-                if self._stopped:
-                    break
-                if max_events is not None and processed_this_run >= max_events:
-                    break
-                event = queue.pop_due(until)
+            while not self._stopped:
+                event = pop_due(until)
                 if event is None:
+                    # bool(queue) is O(1): live events remain, so the
+                    # earliest one fires beyond the horizon.
                     if until is not None and queue:
                         self._now = until
                     break
-                if event.time < self._now:
+                time = event.time
+                if time < self._now:
                     raise SimulationError(
-                        f"event calendar corrupted: event at {event.time} "
+                        f"event calendar corrupted: event at {time} "
                         f"earlier than now={self._now}"
                     )
-                self._now = event.time
-                event.fire()
-                self._events_processed += 1
-                processed_this_run += 1
-                if self.trace_enabled:
-                    self.trace_log.record(
-                        self._now, "event", event.name or "anonymous", event.payload
-                    )
-                if stop_when is not None and stop_when():
-                    break
+                self._now = time
+                # pop_due only returns live events and nothing runs between
+                # pop and fire, so invoke the action directly.
+                event.action()
+                processed += 1
+                if trace is not None:
+                    trace(time, "event", event.name or "anonymous", event.payload)
         finally:
+            self._events_processed += processed
             self._running = False
         return self._now
-
-    def step(self) -> bool:
-        """Process exactly one event.  Returns False when the calendar is empty."""
-        event = self._queue.pop()
-        if event is None:
-            return False
-        self._now = event.time
-        event.fire()
-        self._events_processed += 1
-        if self.trace_enabled:
-            self.trace_log.record(
-                self._now, "event", event.name or "anonymous", event.payload
-            )
-        return True
 
     def stop(self) -> None:
         """Request the running loop to stop after the current event."""
         self._stopped = True
-
-    def reset(self) -> None:
-        """Clear the calendar and rewind the clock (random streams keep state)."""
-        self._queue.clear()
-        self._now = 0.0
-        self._events_processed = 0
-        self._stopped = False

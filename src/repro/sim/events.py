@@ -76,11 +76,6 @@ class Event:
                 queue._live -= 1
                 self._queue = None
 
-    def fire(self) -> None:
-        """Invoke the event's action (does nothing if cancelled)."""
-        if not self.cancelled:
-            self.action()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         label = self.name or getattr(self.action, "__name__", "<callable>")

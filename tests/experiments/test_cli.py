@@ -484,6 +484,54 @@ class TestReportCommand:
         assert any("no records" in line for line in lines)
 
 
+class TestUnreadableRunDir:
+    """A run dir under another record schema is an input error (exit 2).
+
+    ``sweep`` and ``run`` check it before simulating anything; ``report``
+    names the schema instead of claiming the directory is empty.
+    """
+
+    @pytest.fixture(params=(1, 99))
+    def run_dir(self, request, tmp_path, monkeypatch):
+        from repro.experiments.runner import ExperimentRunner
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated a job for an unreadable run dir")
+
+        monkeypatch.setattr(ExperimentRunner, "run_record", no_simulation)
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "manifest.json").write_text(
+            json.dumps({"schema_version": request.param, "records_per_shard": 512})
+        )
+        return run_dir
+
+    @staticmethod
+    def _assert_rejected(lines, run_dir):
+        version = json.loads((run_dir / "manifest.json").read_text())["schema_version"]
+        (message,) = [line for line in lines if "unreadable run directory" in line]
+        assert f"record schema {version};" in message
+        assert not (run_dir / "shards").exists()
+
+    def test_sweep(self, capture, run_dir):
+        lines, out = capture
+        code = main(["sweep", "fig06", "--quiet", "--run-dir", str(run_dir)], out=out)
+        assert code == 2
+        self._assert_rejected(lines, run_dir)
+
+    def test_run(self, capture, run_dir):
+        lines, out = capture
+        spec_path = Path(__file__).resolve().parents[2] / "examples" / "spec_smoke.json"
+        code = main(["run", "--spec", str(spec_path), "--run-dir", str(run_dir)], out=out)
+        assert code == 2
+        self._assert_rejected(lines, run_dir)
+
+    def test_report(self, capture, run_dir):
+        lines, out = capture
+        assert main(["report", str(run_dir)], out=out) == 2
+        self._assert_rejected(lines, run_dir)
+
+
 class TestSweepFaultFlags:
     @pytest.fixture
     def tiny_scale(self, monkeypatch):

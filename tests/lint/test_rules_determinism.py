@@ -126,7 +126,7 @@ class TestD102WallClock:
             def measure():
                 return time.perf_counter()
             """,
-            relpath="src/repro/perf/timing.py",
+            relpath="src/repro/experiments/timing.py",
             select=["D102"],
         )
         assert report.findings == []

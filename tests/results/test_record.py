@@ -11,7 +11,6 @@ from repro.results import (
     CANONICAL_SCHEMA_VERSION,
     RECORD_SCHEMA_KEY,
     RESULTS_SCHEMA_VERSION,
-    SUPPORTED_RESULTS_SCHEMA_VERSIONS,
     HEADLINE_METRICS,
     RecordValidationError,
     RunRecord,
@@ -119,17 +118,6 @@ class TestRoundTrip:
         assert RESULTS_SCHEMA_VERSION == 2
         assert make_record().to_dict()[RECORD_SCHEMA_KEY] == RESULTS_SCHEMA_VERSION
 
-    def test_v1_records_still_load(self):
-        # v2 changed only the store layout around records, so v1 payloads
-        # (legacy shards, old cache entries) load transparently — and
-        # re-serialize at the current version.
-        assert SUPPORTED_RESULTS_SCHEMA_VERSIONS == (1, 2)
-        payload = make_record().to_dict()
-        payload[RECORD_SCHEMA_KEY] = 1
-        upgraded = RunRecord.from_dict(payload)
-        assert upgraded == make_record()
-        assert upgraded.to_dict()[RECORD_SCHEMA_KEY] == RESULTS_SCHEMA_VERSION
-
 
 class TestValidation:
     def test_unknown_key_rejected(self):
@@ -150,7 +138,9 @@ class TestValidation:
         with pytest.raises(RecordValidationError, match="p50"):
             RunRecord.from_dict(payload)
 
-    @pytest.mark.parametrize("version", (0, 3, 99, "1", "2", None))
+    @pytest.mark.parametrize(
+        "version", (0, pytest.param(1, id="v1"), 3, 99, "1", "2", None)
+    )
     def test_bad_schema_version_rejected(self, version):
         payload = make_record().to_dict()
         payload[RECORD_SCHEMA_KEY] = version
@@ -192,8 +182,8 @@ class TestCanonicalForm:
 
     def test_canonical_rendering_is_pinned_to_the_contract_version(self):
         # The canonical form is the byte-identity contract every pinned
-        # digest (BENCH_kernel.json, repro bench --compare) is stated over;
-        # it stays at version 1 because the v1 -> v2 serialization bump
+        # digest (the fixed point in test_kernel_equivalence.py) is stated
+        # over; it stays at version 1 because the v1 -> v2 serialization bump
         # changed no deterministic result content.  Bumping this constant
         # moves every digest — only do it when results themselves change.
         assert CANONICAL_SCHEMA_VERSION == 1

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.results import RESULTS_SCHEMA_VERSION, RunStore, RunStoreError
-from repro.results.store import INDEX_KEY, INDEX_NAME, MANIFEST_NAME
+from repro.results.store import INDEX_NAME, MANIFEST_NAME
 
 from tests.results.test_record import make_record
 
@@ -48,11 +48,13 @@ class TestIndexWrites:
         assert entries[0] == {"fingerprint": fp(0), "shard": 0, "offset": 0}
         assert entries[4]["shard"] == 2 and entries[4]["offset"] == 0
 
-    def test_manifest_no_longer_embeds_the_index(self, store):
+    def test_manifest_holds_only_schema_and_sharding(self, store):
         fill(store, 3)
         manifest = json.loads((store.root / MANIFEST_NAME).read_text())
-        assert INDEX_KEY not in manifest
-        assert manifest["schema_version"] == RESULTS_SCHEMA_VERSION
+        assert manifest == {
+            "schema_version": RESULTS_SCHEMA_VERSION,
+            "records_per_shard": 2,
+        }
 
     def test_appends_never_rewrite_the_manifest(self, store):
         fill(store, 1)
@@ -119,88 +121,83 @@ class TestIndexedReads:
         assert value == record.energy_per_item_uj
 
 
-class TestLegacyStores:
-    """Stores written under schema v1 stay readable and migrate on write."""
+class TestDeletedSidecar:
+    """Without index.jsonl, reads scan the shards and a write rebuilds it."""
 
-    def _strip_to_v1(self, root, keep_index=True):
-        """Rewrite a freshly-written store into the v1 on-disk layout."""
-        store = RunStore(root, records_per_shard=2)
-        fill(store, 3)
-        entries = read_sidecar(root)
-        manifest = json.loads((root / MANIFEST_NAME).read_text())
-        manifest["schema_version"] = 1
-        if keep_index:
-            index = {}
-            for entry in entries:
-                index.setdefault(entry["fingerprint"], []).append(
-                    [entry["shard"], entry["offset"]]
-                )
-            manifest[INDEX_KEY] = index
-        (root / MANIFEST_NAME).write_text(json.dumps(manifest))
+    def _delete_sidecar(self, root, keep_manifest=True):
+        fill(RunStore(root, records_per_shard=2), 3)
         (root / INDEX_NAME).unlink()
+        if not keep_manifest:
+            (root / MANIFEST_NAME).unlink()
         return root
 
-    def test_manifest_index_store_reads_without_migration(self, tmp_path):
-        root = self._strip_to_v1(tmp_path / "legacy", keep_index=True)
-        store = RunStore(root, records_per_shard=2)
-        (got,) = store.records_by_fingerprint(fp(1))
-        assert got.axes == {"num_nodes": 1}
-        # Reading is read-only: no sidecar appears, the manifest stays v1.
-        assert not (root / INDEX_NAME).exists()
-        assert json.loads((root / MANIFEST_NAME).read_text())["schema_version"] == 1
-
-    def test_preindex_store_reads_fall_back_to_scanning(self, tmp_path):
-        root = self._strip_to_v1(tmp_path / "legacy", keep_index=False)
+    def test_reads_fall_back_to_scanning(self, tmp_path):
+        root = self._delete_sidecar(tmp_path / "run")
         store = RunStore(root, records_per_shard=2)
         (got,) = store.records_by_fingerprint(fp(1))
         assert got.axes == {"num_nodes": 1}
         assert len(store.query(spec_fingerprint=fp(0))) == 1
+        # Reading is read-only: no sidecar appears.
         assert not (root / INDEX_NAME).exists()
 
-    @pytest.mark.parametrize("keep_index", (True, False))
-    def test_first_write_migrates_to_the_sidecar(self, tmp_path, keep_index):
-        root = self._strip_to_v1(tmp_path / "legacy", keep_index=keep_index)
+    def test_first_write_rebuilds_the_full_index(self, tmp_path):
+        root = self._delete_sidecar(tmp_path / "run")
         store = RunStore(root, records_per_shard=2)
         store.append(make_record(key="later", spec_fingerprint=fp(9)))
-        # The one-shot migration rebuilt the *complete* index — the three
-        # legacy records included — moved it out of the manifest, and
-        # brought the manifest to the current schema.
+        # One scan re-indexed the three earlier records before the append.
         entries = read_sidecar(root)
         assert [e["fingerprint"] for e in entries] == [*(fp(i) for i in range(3)), fp(9)]
-        manifest = json.loads((root / MANIFEST_NAME).read_text())
-        assert INDEX_KEY not in manifest
-        assert manifest["schema_version"] == RESULTS_SCHEMA_VERSION
         for i in (0, 1, 2, 9):
             (got,) = store.records_by_fingerprint(fp(i))
             assert got.spec_fingerprint == fp(i)
 
-    def test_manifestless_directory_with_shards_migrates(self, tmp_path):
-        root = tmp_path / "run"
-        store = RunStore(root, records_per_shard=2)
-        fill(store, 2)
-        (root / MANIFEST_NAME).unlink()
-        (root / INDEX_NAME).unlink()
+    def test_manifestless_directory_with_shards_rebuilds(self, tmp_path):
+        root = self._delete_sidecar(tmp_path / "run", keep_manifest=False)
         reopened = RunStore(root, records_per_shard=2)
         reopened.append(make_record(key="later", spec_fingerprint=fp(9)))
-        assert len(list(reopened.records())) == 3
+        assert len(list(reopened.records())) == 4
         entries = read_sidecar(root)
-        assert [e["fingerprint"] for e in entries] == [fp(0), fp(1), fp(9)]
+        assert [e["fingerprint"] for e in entries] == [*(fp(i) for i in range(3)), fp(9)]
         assert json.loads((root / MANIFEST_NAME).read_text())[
             "schema_version"
         ] == RESULTS_SCHEMA_VERSION
 
-    def test_v1_record_lines_keep_loading(self, tmp_path):
+
+class TestRetiredSchema:
+    """Schema-1 run directories and record lines are rejected, not migrated."""
+
+    def test_v1_manifest_is_rejected_before_any_read_or_write(self, tmp_path):
+        root = tmp_path / "run"
+        fill(RunStore(root, records_per_shard=2), 2)
+        manifest = json.loads((root / MANIFEST_NAME).read_text())
+        manifest["schema_version"] = 1
+        (root / MANIFEST_NAME).write_text(json.dumps(manifest))
+        shards = {path: path.read_bytes() for path in RunStore(root).shard_paths()}
+        operations = {
+            "open": lambda store: store.open(),
+            "records": lambda store: list(store.records()),
+            "records_by_fingerprint": lambda store: store.records_by_fingerprint(fp(0)),
+            "len": len,
+            "failures": lambda store: store.failures(),
+            "append": lambda store: store.append(make_record(key="later")),
+        }
+        for operation in operations.values():
+            with pytest.raises(RunStoreError, match="record schema 1;"):
+                operation(RunStore(root, records_per_shard=2))
+        # Nothing was migrated or appended.
+        assert json.loads((root / MANIFEST_NAME).read_text())["schema_version"] == 1
+        assert {path: path.read_bytes() for path in RunStore(root).shard_paths()} == shards
+
+    def test_v1_record_line_is_rejected(self, tmp_path):
         root = tmp_path / "run"
         store = RunStore(root, records_per_shard=2)
         fill(store, 1)
-        # Rewrite the stored line as a v1 record (identical field set).
         path = store.shard_paths()[0]
         payload = json.loads(path.read_text())
         payload["schema_version"] = 1
         path.write_text(json.dumps(payload, sort_keys=True) + "\n")
         fresh = RunStore(root, records_per_shard=2)
-        (got,) = list(fresh.records())
-        assert got.spec_fingerprint == fp(0)
-        # ...and appending after it indexes both generations.
-        fresh.append(make_record(key="later", spec_fingerprint=fp(9)))
-        assert [e["fingerprint"] for e in read_sidecar(root)] == [fp(0), fp(9)]
+        with pytest.raises(RunStoreError, match="schema version 1;"):
+            list(fresh.records())
+        with pytest.raises(RunStoreError, match="schema version 1;"):
+            fresh.records_by_fingerprint(fp(0))

@@ -12,7 +12,7 @@ summaries) and is deliberately not compared.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.metrics.collector import MetricsCollector
@@ -79,8 +79,21 @@ def build_collector(data) -> MetricsCollector:
     return collector
 
 
+#: One identical delay in both halves: its merged spread must stay zero.
+_CONSTANT_DELAY = {
+    "items": [([(0, 244.42176158253824)], 0)],
+    "charges": [],
+    "sent": {},
+    "dropped": {},
+}
+
+
 class TestMergeEquivalence:
     @given(data_a=collector_data, data_b=collector_data)
+    @example(
+        data_a=_CONSTANT_DELAY,
+        data_b={**_CONSTANT_DELAY, "items": _CONSTANT_DELAY["items"] * 2},
+    )
     @settings(max_examples=80, deadline=None)
     def test_summarize_then_merge_matches_merge_then_summarize(self, data_a, data_b):
         a, b = build_collector(data_a), build_collector(data_b)

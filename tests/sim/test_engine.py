@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim.engine import SimulationError, Simulator
+from repro.sim.events import Event
 
 
 class TestScheduling:
@@ -67,22 +68,6 @@ class TestRunControl:
         sim.run()
         assert fired == ["early", "late"]
 
-    def test_run_max_events(self):
-        sim = Simulator()
-        fired = []
-        for i in range(5):
-            sim.schedule(float(i + 1), lambda i=i: fired.append(i))
-        sim.run(max_events=2)
-        assert fired == [0, 1]
-
-    def test_stop_when_predicate(self):
-        sim = Simulator()
-        fired = []
-        for i in range(5):
-            sim.schedule(float(i + 1), lambda i=i: fired.append(i))
-        sim.run(stop_when=lambda: len(fired) >= 3)
-        assert fired == [0, 1, 2]
-
     def test_stop_requested_from_handler(self):
         sim = Simulator()
         fired = []
@@ -91,15 +76,18 @@ class TestRunControl:
         sim.run()
         assert fired == [1]
 
-    def test_step_processes_one_event(self):
+    def test_handler_cancelling_a_same_time_event_skips_it(self):
+        # Cancellation is lazy and the loop fires whatever pop_due hands it,
+        # so an event cancelled by an earlier handler at the same instant
+        # must never be popped.
         sim = Simulator()
         fired = []
-        sim.schedule(1.0, lambda: fired.append(1))
-        sim.schedule(2.0, lambda: fired.append(2))
-        assert sim.step() is True
-        assert fired == [1]
-        assert sim.step() is True
-        assert sim.step() is False
+        sim.schedule(1.0, lambda: (fired.append("first"), sim.cancel(victim)))
+        victim = sim.schedule(1.0, lambda: fired.append("cancelled"))
+        sim.schedule(1.0, lambda: fired.append("after"))
+        sim.run()
+        assert fired == ["first", "after"]
+        assert sim.events_processed == 2
 
     def test_events_processed_counter(self):
         sim = Simulator()
@@ -109,14 +97,15 @@ class TestRunControl:
         assert sim.events_processed == 3
         assert sim.pending_events == 0
 
-    def test_reset_rewinds_clock_and_clears_queue(self):
+    def test_corrupted_calendar_raises(self):
         sim = Simulator()
-        sim.schedule(1.0, lambda: None)
-        sim.run()
         sim.schedule(5.0, lambda: None)
-        sim.reset()
-        assert sim.now == 0.0
-        assert sim.pending_events == 0
+        sim.run()
+        # Bypass schedule_at's guard to plant an event in the past.
+        sim._queue.push(Event(time=1.0, action=lambda: None))
+        with pytest.raises(SimulationError, match="calendar corrupted"):
+            sim.run()
+        assert sim.now == 5.0
 
     def test_nested_run_raises(self):
         sim = Simulator()
@@ -144,3 +133,32 @@ class TestTrace:
         sim.run()
         labels = [rec.label for rec in sim.trace_log]
         assert labels == ["tick"]
+
+    def test_traced_run_matches_untraced_run(self):
+        def drive(trace):
+            sim = Simulator(trace=trace)
+            fired = []
+
+            def tick(n):
+                fired.append((sim.now, n))
+                sim.schedule(1.5, lambda: tick(n + 1), name=f"tick{n + 1}", payload=n + 1)
+
+            sim.schedule(1.0, lambda: tick(0), name="tick0", payload=0)
+            sim.schedule(2.0, lambda: fired.append((sim.now, "once")))
+            stopped_at = sim.run(until=6.0)
+            return sim, fired, stopped_at
+
+        plain, plain_fired, plain_stop = drive(trace=False)
+        traced, traced_fired, traced_stop = drive(trace=True)
+        assert traced_fired == plain_fired
+        assert traced_stop == plain_stop == traced.now == plain.now == 6.0
+        assert traced.events_processed == plain.events_processed == len(plain_fired)
+        assert traced.pending_events == plain.pending_events == 1
+        assert len(plain.trace_log) == 0
+        assert [(rec.time, rec.category, rec.label, rec.detail) for rec in traced.trace_log] == [
+            (1.0, "event", "tick0", 0),
+            (2.0, "event", "anonymous", None),
+            (2.5, "event", "tick1", 1),
+            (4.0, "event", "tick2", 2),
+            (5.5, "event", "tick3", 3),
+        ]

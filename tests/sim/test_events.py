@@ -11,20 +11,6 @@ def _noop() -> None:
 
 
 class TestEvent:
-    def test_fire_invokes_action(self):
-        hits = []
-        event = Event(time=1.0, action=lambda: hits.append(1))
-        event.fire()
-        assert hits == [1]
-
-    def test_cancelled_event_does_not_fire(self):
-        hits = []
-        event = Event(time=1.0, action=lambda: hits.append(1))
-        event.cancel()
-        event.fire()
-        assert hits == []
-        assert event.cancelled
-
     def test_repr_mentions_state(self):
         event = Event(time=1.0, action=_noop, name="hello")
         assert "hello" in repr(event)
