@@ -1,15 +1,16 @@
-"""Store-append benchmark: the sidecar index keeps appends O(1) amortized.
+"""Store-append benchmark: appends stay O(1) amortized as the log grows.
 
 The pre-rework ``RunStore`` kept its fingerprint index inside
 ``manifest.json`` and rewrote the whole manifest on every append, so the
 cost of append #N was O(N) and a long sweep's store spent its time
-re-serializing an ever-growing index.  The reworked store appends one line
-to ``shards/records-*.jsonl`` and one line to the ``index.jsonl`` sidecar.
+re-serializing an ever-growing index.  Today an append writes one line to
+the run directory's one record log, ``records.jsonl``, and reads at most the
+log's last byte (to spot a torn tail); there is no sidecar index.
 
 This benchmark times one 10k-append store against ten fresh 1k-append
 stores.  Under the old O(N) manifest rewrite the single big store was ~10x
-slower per record than the ten small ones; with the sidecar the two walls
-must agree within 2x (the ISSUE's acceptance bar for "O(1) amortized").
+slower per record than the ten small ones; with constant-cost appends the
+two walls must agree within 2x (the acceptance bar for "O(1) amortized").
 """
 
 import hashlib
@@ -31,8 +32,8 @@ SMALL = 1_000
 def store_append_record(index: int) -> RunRecord:
     """Deterministic synthetic record #*index*.
 
-    Fingerprints repeat every 1024 appends so the sidecar index accumulates
-    multi-location entries the way a re-run sweep's store would.
+    Fingerprints repeat every 1024 appends so a fingerprint maps to several
+    log lines the way a re-run sweep's store would.
     """
     fingerprint = hashlib.sha256(
         f"store-append/{index % 1024}".encode("utf-8")
@@ -60,7 +61,7 @@ def store_append_record(index: int) -> RunRecord:
 
 
 def _time_appends(root, records):
-    store = RunStore(root, records_per_shard=512)
+    store = RunStore(root)
     started = perf_counter()
     for record in records:
         store.append(record)
@@ -92,5 +93,5 @@ def test_store_append_is_amortized_constant(benchmark):
     assert ratio <= MAX_AMORTIZED_RATIO, (
         f"append cost grows with store size: 10k-append store took {ratio:.2f}x "
         f"the wall of ten 1k-append stores ({big_wall:.3f}s vs {small_wall:.3f}s); "
-        "the sidecar index should keep appends O(1) amortized"
+        "an append writes one line and reads one byte, so it should be O(1) amortized"
     )

@@ -528,7 +528,7 @@ def _cmd_report(args: argparse.Namespace, out: Callable[[str], None]) -> int:
     if not Path(args.run_dir).is_dir():
         out(f"run directory not found: {args.run_dir}")
         return 2
-    records = store.query()
+    records = list(store.records())
     failures = store.failures()
     # A quarantined job that a later run (``--resume``) recorded is resolved;
     # checked against every record, not only the --protocol selection.
@@ -564,10 +564,10 @@ def _cmd_report(args: argparse.Namespace, out: Callable[[str], None]) -> int:
                 f"  {failure.key}: {failure.last_outcome} after "
                 f"{failure.attempt_count} attempt(s), since recorded"
             )
-    for partial in store.partial_paths():
+    if store.partial_path.is_file():
         out("")
         out(
-            f"note: {partial} holds quarantined partial lines from an "
+            f"note: {store.partial_path} holds quarantined partial lines from an "
             "interrupted writer; the records above are unaffected"
         )
     if args.strict and pending:

@@ -64,9 +64,9 @@ class ScenarioSpec:
         mobility: Step-mobility parameters, or ``None``.
         labels: Free-form, JSON-native provenance metadata (e.g. a fleet
             name, a ticket id, experiment tags).  Labels do not influence the
-            simulation, but they are part of the canonical serialization —
-            and therefore of the spec fingerprint — and are queryable
-            through :meth:`repro.results.RunStore.query`.
+            simulation, but they are part of the canonical serialization and
+            therefore enter the spec fingerprint: ``--resume`` treats a
+            relabelled spec as a new run.
         charge_initial_routing: Charge the energy of the very first routing
             table construction to SPMS (the paper only charges re-executions
             caused by mobility, so the default is False).

@@ -15,8 +15,8 @@ fork real processes.  These rules hold it statically:
   ``src/`` must be a plain module-level function that cannot reach a store
   method: a bound method or closure would capture an open store handle
   (buffered file positions, the advisory lock fd) across the fork
-  boundary, and a worker that appends would race the parent's index
-  mirror.
+  boundary.  Records are appended by the parent alone, as the workers'
+  results stream in.
 """
 
 from __future__ import annotations

@@ -8,9 +8,9 @@ Everything a run produces flows through one canonical, schema-versioned type:
 * :class:`MetricsSummary` / :class:`DistributionSummary` — the compact,
   *mergeable* metrics reduction workers compute in-process (defined in
   :mod:`repro.metrics.summary`, re-exported here).
-* :class:`RunStore` — a run directory of sharded JSONL record logs with
-  ``query(protocol=..., metric=...)``, a :func:`spec_fingerprint` index
-  (what ``--resume`` reads) and optional lazy raw-metrics blobs.
+* :class:`RunStore` — a run directory holding one append-only JSONL record
+  log, read in append order or by :func:`spec_fingerprint` (what
+  ``--resume`` reads), plus optional lazy raw-metrics blobs.
 * :class:`SweepResult` — records pivoted by a swept parameter into series,
   for figure tables and the headline claims.
 """

@@ -28,20 +28,24 @@ from repro.metrics.summary import MetricsSummary
 #:
 #: * 1 — initial canonical record; stores kept the fingerprint index inside
 #:   ``manifest.json`` and keyed raw blobs by spec fingerprint.
-#: * 2 — store layout rework: append-only ``index.jsonl`` sidecar index,
+#: * 2 — store layout rework: append-only sidecar fingerprint index,
 #:   advisory append locking, torn-tail quarantine, raw blobs keyed by the
 #:   record key.  The record *field set* is unchanged.
+#: * 3 — one append-only ``records.jsonl`` log per run directory: the record
+#:   shards and the sidecar fingerprint index are gone, and the manifest holds
+#:   the schema version alone.  The record *field set* is unchanged.
 #:
-#: Only this version is read back: a v1 record or run directory is rejected
-#: with an error naming its version.
-RESULTS_SCHEMA_VERSION = 2
+#: Only this version is read back: a v1 or v2 record or run directory is
+#: rejected with an error naming its version.
+RESULTS_SCHEMA_VERSION = 3
 
 #: Version stamped into :meth:`RunRecord.canonical_dict`.  The canonical
 #: rendering is the byte-identity contract — the fixed-point digests in
 #: ``tests/experiments/test_kernel_equivalence.py`` and the differential-test
 #: pins are stated over it — so it only bumps when the *deterministic result
-#: content* changes.  The v1 -> v2 serialization bump changed no result
-#: content, so the canonical form (and every pinned digest) stays at 1.
+#: content* changes.  Neither serialization bump (v1 -> v2 -> v3) changed
+#: any result content, so the canonical form (and every pinned digest)
+#: stays at 1.
 CANONICAL_SCHEMA_VERSION = 1
 
 #: Key carrying the schema version in serialized records.

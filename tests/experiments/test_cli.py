@@ -436,14 +436,14 @@ class TestReportCommand:
         from repro.results import RunStore
 
         store = RunStore(run_dir)
-        with store.shard_paths()[-1].open("a") as handle:
+        with store.records_path.open("a") as handle:
             handle.write('{"torn')  # newline-less tail from a killed writer
         store.recover()
         assert main(["report", str(run_dir)], out=out) == 0
         text = "\n".join(lines)
         assert "2 record(s)" in text
         assert "quarantined partial lines" in text
-        assert ".partial" in text
+        assert "records.jsonl.partial" in text
 
     def test_missing_run_dir_fails_cleanly(self, capture):
         lines, out = capture
@@ -491,7 +491,7 @@ class TestUnreadableRunDir:
     names the schema instead of claiming the directory is empty.
     """
 
-    @pytest.fixture(params=(1, 99))
+    @pytest.fixture(params=(1, 2, 99))
     def run_dir(self, request, tmp_path, monkeypatch):
         from repro.experiments.runner import ExperimentRunner
 
@@ -502,7 +502,7 @@ class TestUnreadableRunDir:
         run_dir = tmp_path / "run"
         run_dir.mkdir()
         (run_dir / "manifest.json").write_text(
-            json.dumps({"schema_version": request.param, "records_per_shard": 512})
+            json.dumps({"schema_version": request.param})
         )
         return run_dir
 
@@ -511,7 +511,7 @@ class TestUnreadableRunDir:
         version = json.loads((run_dir / "manifest.json").read_text())["schema_version"]
         (message,) = [line for line in lines if "unreadable run directory" in line]
         assert f"record schema {version};" in message
-        assert not (run_dir / "shards").exists()
+        assert sorted(p.name for p in run_dir.iterdir()) == ["manifest.json"]
 
     def test_sweep(self, capture, run_dir):
         lines, out = capture

@@ -147,6 +147,52 @@ class TestResume:
             for key in first:
                 assert first[key].canonical_json() == second[key].canonical_json()
 
+    @pytest.fixture
+    def killed_writer_store(self, small_matrix, tmp_path):
+        """Two jobs stored whole, plus the third job's record line as bytes."""
+        jobs = matrix_from_axes(
+            "resume-killed",
+            "num_nodes",
+            (9, 16, 25),
+            protocols=("spms",),
+            base_config=small_matrix.base_config,
+        ).expand()
+        root = tmp_path / "run"
+        execute_jobs(jobs[:2], store=RunStore(root))
+        third, _ = execute_jobs(jobs[2:])
+        line = third[jobs[2].key].to_json() + "\n"
+        return jobs, root, line
+
+    def test_resume_serves_a_record_whose_writer_was_killed(self, killed_writer_store):
+        # A writer killed right after its write leaves the whole line and
+        # nothing else: that record is stored, so resume serves it.
+        jobs, root, line = killed_writer_store
+        with (root / "records.jsonl").open("a") as handle:
+            handle.write(line)
+        _, report = execute_jobs(jobs, store=RunStore(root), resume=True)
+        assert (report.executed, report.cache_hits) == (0, 3)
+        assert len(RunStore(root)) == 3
+
+    def test_resume_reruns_a_torn_record_once(self, killed_writer_store):
+        jobs, root, line = killed_writer_store
+        torn = line[: len(line) // 2]
+        with (root / "records.jsonl").open("a") as handle:
+            handle.write(torn)
+        simulated = []
+
+        def progress(job, record, from_cache):
+            if not from_cache:
+                simulated.append(job.key)
+
+        _, report = execute_jobs(
+            jobs, store=RunStore(root), resume=True, progress=progress
+        )
+        assert simulated == [jobs[2].key]
+        assert (report.executed, report.cache_hits) == (1, 2)
+        stored = RunStore(root)
+        assert sorted(r.key for r in stored.records()) == sorted(j.key for j in jobs)
+        assert stored.partial_path.read_text() == torn + "\n"
+
     def test_resume_needs_a_store(self, small_matrix):
         with pytest.raises(ValueError, match="resume needs a store"):
             execute_jobs(small_matrix.expand(), resume=True)

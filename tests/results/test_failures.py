@@ -111,11 +111,10 @@ class TestStoreSidecar:
         assert not store.failures_path.exists()
 
     def test_sidecar_does_not_touch_record_layout(self, tmp_path):
-        # Failures are bookkeeping: no shards, no index, no manifest.
+        # Failures are bookkeeping: no record log, no manifest.
         store = RunStore(tmp_path / "run")
         store.append_failure(_failure())
-        assert store.shard_paths() == []
-        assert not store.index_path.exists()
+        assert sorted(p.name for p in store.root.iterdir()) == [".lock", "failures.jsonl"]
         assert len(store) == 0
 
     def test_torn_tail_skipped(self, tmp_path):

@@ -112,10 +112,10 @@ class TestRoundTrip:
         json.dumps(record.to_dict())
 
     def test_serialized_form_carries_the_schema_version(self):
-        # Schema v2: the store layout rework (sidecar index, key-addressed
-        # raw blobs).  Re-pin this — and the reject list below — on the next
-        # layout bump, per the ROADMAP schema policy.
-        assert RESULTS_SCHEMA_VERSION == 2
+        # Schema v3: one record log per run directory (no shards, no
+        # sidecar index).  Re-pin this — and the reject list below — on the
+        # next layout bump, per the ROADMAP schema policy.
+        assert RESULTS_SCHEMA_VERSION == 3
         assert make_record().to_dict()[RECORD_SCHEMA_KEY] == RESULTS_SCHEMA_VERSION
 
 
@@ -139,7 +139,8 @@ class TestValidation:
             RunRecord.from_dict(payload)
 
     @pytest.mark.parametrize(
-        "version", (0, pytest.param(1, id="v1"), 3, 99, "1", "2", None)
+        "version",
+        (0, pytest.param(1, id="v1"), pytest.param(2, id="v2"), 99, "1", "2", "3", None),
     )
     def test_bad_schema_version_rejected(self, version):
         payload = make_record().to_dict()

@@ -1,6 +1,8 @@
-"""Tests for the sharded-JSONL run store."""
+"""Tests for the run store's one-file record log."""
 
 import json
+import pathlib
+import re
 
 import pytest
 
@@ -11,7 +13,7 @@ from tests.results.test_record import make_record
 
 @pytest.fixture
 def store(tmp_path):
-    return RunStore(tmp_path / "run", records_per_shard=3)
+    return RunStore(tmp_path / "run")
 
 
 def fill(store, count, **overrides):
@@ -37,21 +39,11 @@ class TestAppendAndRead:
         assert read[0].to_dict() == written[0].to_dict()
         assert len(store) == 5
 
-    def test_appends_roll_over_into_shards(self, store):
-        fill(store, 7)  # records_per_shard=3 -> shards of 3, 3, 1
-        paths = store.shard_paths()
-        assert [p.name for p in paths] == [
-            "records-0000.jsonl", "records-0001.jsonl", "records-0002.jsonl",
-        ]
-        counts = [sum(1 for _ in p.open()) for p in paths]
-        assert counts == [3, 3, 1]
-
-    def test_reopening_continues_the_tail_shard(self, store):
+    def test_reopening_continues_the_log(self, store):
         fill(store, 4)
-        reopened = RunStore(store.root, records_per_shard=3)
+        reopened = RunStore(store.root)
         reopened.append(make_record(key="later"))
-        counts = [sum(1 for _ in p.open()) for p in reopened.shard_paths()]
-        assert counts == [3, 2]
+        assert len(store.records_path.read_text().splitlines()) == 5
         assert [r.key for r in reopened.records()][-1] == "later"
 
     def test_manifest_written_once_and_validated(self, store):
@@ -64,7 +56,7 @@ class TestAppendAndRead:
 
     def test_corrupt_line_is_a_loud_error(self, store):
         fill(store, 1)
-        path = store.shard_paths()[0]
+        path = store.records_path
         path.write_text(path.read_text() + "{not json\n")
         with pytest.raises(RunStoreError, match="corrupt record"):
             list(store.records())
@@ -74,33 +66,11 @@ class TestAppendAndRead:
         # newline-terminated) line still counts instead of raising from a
         # mere count.
         fill(store, 2)
-        path = store.shard_paths()[0]
+        path = store.records_path
         path.write_text(path.read_text() + "{not json\n")
         assert len(store) == 3
         with pytest.raises(RunStoreError):
             list(store.records())
-
-
-class TestQuery:
-    def test_filter_by_protocol_and_axes(self, store):
-        fill(store, 3)
-        store.append(make_record(key="t/spin", protocol="spin", axes={"num_nodes": 1}))
-        assert len(store.query(protocol="spms")) == 3
-        assert [r.key for r in store.query(protocol="spin")] == ["t/spin"]
-        by_axis = store.query(num_nodes=1)
-        assert sorted(r.key for r in by_axis) == ["t/num_nodes=1/spms", "t/spin"]
-        assert store.query(protocol="flooding") == []
-
-    def test_metric_query_returns_value_pairs(self, store):
-        fill(store, 2)
-        pairs = store.query(metric="energy_per_item_uj")
-        assert len(pairs) == 2
-        for record, value in pairs:
-            assert value == record.energy_per_item_uj
-
-    def test_metric_query_skips_records_lacking_the_metric(self, store):
-        fill(store, 2)
-        assert store.query(metric="no_such_metric") == []
 
 
 class TestRawBlobs:
@@ -135,3 +105,36 @@ class TestRawBlobs:
         assert first.raw_ref != second.raw_ref
         assert store.load_raw(first) == {"delays_ms": [1.0]}
         assert store.load_raw(second) == {"delays_ms": [2.0]}
+
+    def test_missing_blob_is_an_error(self, store):
+        # A record that names a blob must not read as one that kept none.
+        stored = store.append(make_record(), raw={"delays_ms": [1.0]})
+        blob = store.root / stored.raw_ref
+        blob.unlink()
+        with pytest.raises(RunStoreError, match=re.escape(str(blob))):
+            store.load_raw(stored)
+
+    def test_corrupt_blob_is_an_error(self, store):
+        stored = store.append(make_record(), raw={"delays_ms": [1.0]})
+        blob = store.root / stored.raw_ref
+        blob.write_text('{"delays_ms": [1.')
+        with pytest.raises(RunStoreError, match=re.escape(str(blob))):
+            store.load_raw(stored)
+
+    def test_torn_rewrite_keeps_the_stored_blob(self, store, monkeypatch):
+        # A --keep-raw re-run of the same key rewrites its blob.  A writer
+        # killed mid-rewrite must leave the blob the stored record already
+        # references whole, not half of the new one.
+        stored = store.append(make_record(), raw={"delays_ms": [1.0]})
+
+        def killed_mid_write(path, text, *args, **kwargs):
+            with open(path, "w") as handle:
+                handle.write(text[: len(text) // 2])
+            raise OSError("writer killed mid-write")
+
+        monkeypatch.setattr(pathlib.Path, "write_text", killed_mid_write)
+        with pytest.raises(OSError, match="killed"):
+            store.append(make_record(), raw={"delays_ms": [2.0, 3.0]})
+        monkeypatch.undo()
+        assert store.load_raw(stored) == {"delays_ms": [1.0]}
+        assert [r.key for r in store.records()] == [stored.key]

@@ -1,19 +1,18 @@
 """Concurrent-writer stress: N processes append to one store at once.
 
-Every append takes the store's advisory file lock and re-validates the
-cached tail state under it, so simultaneous writers — fleet CLI runs
-sharing a ``--run-dir``, executor parents, a future sweep coordinator —
-must never lose records, duplicate index entries or corrupt shards.
+Every append takes the store's advisory file lock, so simultaneous writers —
+fleet CLI runs sharing a ``--run-dir``, executor parents — must never lose
+records, interleave the bytes of two lines or leave a torn line behind.
 """
 
 import multiprocessing
 
 import pytest
 
-from repro.results import RunStore
+from repro.results import RunRecord, RunStore
 
 from tests.results.test_record import make_record
-from tests.results.test_store_index import fp, read_sidecar
+from tests.results.test_store_index import fp, log_lines
 
 WRITERS = 4
 APPENDS = 25
@@ -21,7 +20,7 @@ APPENDS = 25
 
 def _writer(root, writer_index, barrier):
     """One writer process: open the shared store and hammer appends."""
-    store = RunStore(root, records_per_shard=7)
+    store = RunStore(root)
     barrier.wait(timeout=60)
     for i in range(APPENDS):
         store.append(
@@ -53,7 +52,7 @@ def stressed_root(tmp_path_factory):
 
 class TestConcurrentWriters:
     def test_no_record_is_lost(self, stressed_root):
-        store = RunStore(stressed_root, records_per_shard=7)
+        store = RunStore(stressed_root)
         records = list(store.records())
         assert len(records) == WRITERS * APPENDS
         assert len(store) == WRITERS * APPENDS
@@ -62,26 +61,18 @@ class TestConcurrentWriters:
             f"w{w}/{i:04d}" for w in range(WRITERS) for i in range(APPENDS)
         }
 
-    def test_no_duplicate_index_entries(self, stressed_root):
-        entries = read_sidecar(stressed_root)
-        assert len(entries) == WRITERS * APPENDS
-        locations = {(e["shard"], e["offset"]) for e in entries}
-        assert len(locations) == len(entries)
+    def test_every_line_is_one_whole_record(self, stressed_root):
+        lines = log_lines(stressed_root)
+        assert len(lines) == WRITERS * APPENDS
+        for line in lines:
+            assert RunRecord.from_json(line.decode("utf-8")).to_json() + "\n" == (
+                line.decode("utf-8")
+            )
+        assert not RunStore(stressed_root).partial_path.exists()
 
     def test_records_by_fingerprint_is_complete(self, stressed_root):
-        store = RunStore(stressed_root, records_per_shard=7)
+        store = RunStore(stressed_root)
         for writer in range(WRITERS):
             matches = store.records_by_fingerprint(fp(writer))
             assert len(matches) == APPENDS
             assert {record.axes["i"] for record in matches} == set(range(APPENDS))
-
-    def test_shards_rolled_over_consistently(self, stressed_root):
-        store = RunStore(stressed_root, records_per_shard=7)
-        counts = [
-            sum(1 for _ in path.open()) for path in store.shard_paths()
-        ]
-        # Every shard but the tail is exactly full: writers agreed on the
-        # roll-over points even though their appends interleaved.
-        assert all(count == 7 for count in counts[:-1])
-        assert sum(counts) == WRITERS * APPENDS
-        assert not store.partial_paths()

@@ -1,14 +1,11 @@
-"""Crash-safety regressions: torn write tails and missing index tails.
+"""Crash-safety regressions: torn write tails.
 
-A killed writer can leave two kinds of damage behind:
+A record is stored by one write, so a killed writer can leave one kind of
+damage behind: a **torn tail** — the process died mid ``write``, leaving a
+newline-less partial line at the end of ``records.jsonl``.
 
-* a **torn shard tail** — the process died mid ``write``, leaving a
-  newline-less partial line at the end of the last shard;
-* a **missing index tail** — the record line landed but the process died
-  before appending the matching ``index.jsonl`` entry.
-
-Both are injected byte-for-byte here (deterministic pins), plus once with a
-real ``SIGKILL`` mid append loop as an invariant check.
+It is injected byte-for-byte here (deterministic pins), plus by real
+``SIGKILL`` signals mid append loop as an invariant check.
 """
 
 import os
@@ -19,52 +16,41 @@ import multiprocessing
 
 import pytest
 
-from repro.results import RunStore
-from repro.results.store import INDEX_NAME, PARTIAL_SUFFIX
+from repro.results import RunRecord, RunStore
 
 from tests.results.test_record import make_record
-from tests.results.test_store_index import fill, fp, read_sidecar
+from tests.results.test_store_index import fill, fp, log_lines
 
 
 @pytest.fixture
 def store(tmp_path):
-    return RunStore(tmp_path / "run", records_per_shard=4)
+    return RunStore(tmp_path / "run")
 
 
-def inject_torn_tail(store, text="{\"schema_version\": 2, \"key\": \"torn"):
+def inject_torn_tail(store, text="{\"schema_version\": 3, \"key\": \"torn"):
     """Append a newline-less partial line, as a kill mid-write would."""
-    tail = store.shard_paths()[-1]
-    with tail.open("a") as handle:
+    with store.records_path.open("a") as handle:
         handle.write(text)
     return text
-
-
-def inject_unindexed_record(store, record):
-    """Append a whole record line without its index entry (kill between
-    the shard append and the index append)."""
-    tail = store.shard_paths()[-1]
-    with tail.open("a") as handle:
-        handle.write(record.to_json() + "\n")
 
 
 class TestTornTail:
     def test_next_append_quarantines_the_partial_line(self, store):
         fill(store, 3)
         partial = inject_torn_tail(store)
-        reopened = RunStore(store.root, records_per_shard=4)
+        reopened = RunStore(store.root)
         reopened.append(make_record(key="after-crash", spec_fingerprint=fp(8)))
         # The torn bytes moved to the quarantine file -- the new record did
         # NOT get concatenated onto them (the historical corruption bug).
-        (quarantine,) = reopened.partial_paths()
-        assert quarantine.name.endswith(PARTIAL_SUFFIX)
-        assert quarantine.read_text() == partial + "\n"
+        assert reopened.partial_path.name == "records.jsonl.partial"
+        assert reopened.partial_path.read_text() == partial + "\n"
         keys = [r.key for r in reopened.records()]
         assert keys == [*(f"t/num_nodes={i}/spms" for i in range(3)), "after-crash"]
 
     def test_reads_skip_an_unrecovered_torn_tail(self, store):
         fill(store, 2)
         inject_torn_tail(store)
-        fresh = RunStore(store.root, records_per_shard=4)
+        fresh = RunStore(store.root)
         assert [r.axes["num_nodes"] for r in fresh.records()] == [0, 1]
 
     def test_len_works_with_and_without_quarantine(self, store):
@@ -73,7 +59,7 @@ class TestTornTail:
         # Before recovery: the torn (newline-less) tail simply is not a line.
         assert len(store) == 3
         store.recover()
-        assert store.partial_paths()
+        assert store.partial_path.exists()
         assert len(store) == 3
         assert len(list(store.records())) == 3
 
@@ -83,64 +69,22 @@ class TestTornTail:
         store.recover()
         inject_torn_tail(store, "second-partial")
         store.recover()
-        (quarantine,) = store.partial_paths()
-        assert quarantine.read_text() == "first-partial\nsecond-partial\n"
+        assert store.partial_path.read_text() == "first-partial\nsecond-partial\n"
         assert len(list(store.records())) == 1
 
     def test_explicit_recover_repairs_without_appending(self, store):
         fill(store, 2)
         inject_torn_tail(store)
-        recovered = RunStore(store.root, records_per_shard=4)
+        recovered = RunStore(store.root)
         recovered.recover()
-        assert recovered.partial_paths()
-        tail = recovered.shard_paths()[-1]
-        assert tail.read_bytes().endswith(b"\n")
-        assert len(read_sidecar(store.root)) == 2
-
-
-class TestMissingIndexTail:
-    def test_recovery_rebuilds_the_missing_entry(self, store):
-        fill(store, 3)
-        lost = make_record(key="lost", spec_fingerprint=fp(8))
-        inject_unindexed_record(store, lost)
-        assert len(read_sidecar(store.root)) == 3  # entry really is missing
-        reopened = RunStore(store.root, records_per_shard=4)
-        reopened.recover()
-        entries = read_sidecar(store.root)
-        assert [e["fingerprint"] for e in entries][-1] == fp(8)
-        (got,) = reopened.records_by_fingerprint(fp(8))
-        assert got.key == "lost"
-
-    def test_next_append_repairs_before_writing(self, store):
-        fill(store, 3)
-        inject_unindexed_record(store, make_record(key="lost", spec_fingerprint=fp(8)))
-        reopened = RunStore(store.root, records_per_shard=4)
-        reopened.append(make_record(key="after", spec_fingerprint=fp(9)))
-        entries = read_sidecar(store.root)
-        assert [e["fingerprint"] for e in entries] == [
-            *(fp(i) for i in range(3)), fp(8), fp(9),
-        ]
-        assert len({(e["shard"], e["offset"]) for e in entries}) == 5
-
-    def test_torn_index_tail_is_truncated_and_rebuilt(self, store):
-        fill(store, 3)
-        # Kill mid *index* write: the record line is whole, the index line is
-        # torn.  Recovery truncates the torn entry and re-derives it from the
-        # shard.
-        inject_unindexed_record(store, make_record(key="lost", spec_fingerprint=fp(8)))
-        with (store.root / INDEX_NAME).open("a") as handle:
-            handle.write('{"fingerprint": "' + fp(8)[:7])
-        reopened = RunStore(store.root, records_per_shard=4)
-        reopened.recover()
-        entries = read_sidecar(store.root)
-        assert [e["fingerprint"] for e in entries] == [*(fp(i) for i in range(3)), fp(8)]
-        (got,) = reopened.records_by_fingerprint(fp(8))
-        assert got.key == "lost"
+        assert recovered.partial_path.exists()
+        assert recovered.records_path.read_bytes().endswith(b"\n")
+        assert len(log_lines(store.root)) == 2
 
 
 def _append_until_killed(root, ready):
     """Child: append records as fast as possible until SIGKILLed."""
-    store = RunStore(root, records_per_shard=8)
+    store = RunStore(root)
     index = 0
     ready.set()
     while True:
@@ -151,24 +95,30 @@ def _append_until_killed(root, ready):
 
 
 class TestKillInjection:
+    KILLS = 3
+
     def test_sigkill_mid_append_leaves_a_recoverable_store(self, tmp_path):
         root = tmp_path / "run"
         context = multiprocessing.get_context("fork")
-        ready = context.Event()
-        victim = context.Process(target=_append_until_killed, args=(root, ready))
-        victim.start()
-        assert ready.wait(timeout=30)
-        time.sleep(0.2)  # let an arbitrary number of appends land
-        os.kill(victim.pid, signal.SIGKILL)
-        victim.join(timeout=30)
-        survivor = RunStore(root, records_per_shard=8)
-        survivor.recover()
-        records = list(survivor.records())  # no corrupt-record errors
-        assert records, "the victim should have appended something"
-        # Invariants after recovery: line counts, index entries and parsed
-        # records all agree, and the index addresses every record uniquely.
-        entries = read_sidecar(root)
-        assert len(records) == len(survivor) == len(entries)
-        assert len({(e["shard"], e["offset"]) for e in entries}) == len(entries)
-        survivor.append(make_record(key="after", spec_fingerprint=fp(9)))
-        assert len(survivor) == len(records) + 1
+        survivor = RunStore(root)
+        for kill in range(self.KILLS):
+            ready = context.Event()
+            victim = context.Process(target=_append_until_killed, args=(root, ready))
+            victim.start()
+            assert ready.wait(timeout=30)
+            time.sleep(0.2)  # let an arbitrary number of appends land
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=30)
+            assert not victim.is_alive()
+            # Another handle appends straight after the kill, quarantining
+            # whatever torn tail the victim left.
+            survivor.append(make_record(key=f"after/{kill}", spec_fingerprint=fp(9)))
+        # Every line of the log is one whole record, and the survivor's
+        # appends all landed after their kill.
+        lines = log_lines(root)
+        records = [RunRecord.from_json(line.decode("utf-8")) for line in lines]
+        assert len(records) == len(survivor) == len(list(survivor.records()))
+        assert [r.key for r in records if r.key.startswith("after/")] == [
+            f"after/{kill}" for kill in range(self.KILLS)
+        ]
+        assert len(survivor.records_by_fingerprint(fp(9))) == self.KILLS

@@ -1,18 +1,18 @@
-"""Tests for the RunStore fingerprint -> shard-offset sidecar index."""
+"""Tests for the RunStore fingerprint -> log-offset map behind ``--resume``."""
 
 import json
 
 import pytest
 
-from repro.results import RESULTS_SCHEMA_VERSION, RunStore, RunStoreError
-from repro.results.store import INDEX_NAME, MANIFEST_NAME
+from repro.results import RESULTS_SCHEMA_VERSION, RunRecord, RunStore, RunStoreError
+from repro.results.store import MANIFEST_NAME
 
 from tests.results.test_record import make_record
 
 
 @pytest.fixture
 def store(tmp_path):
-    return RunStore(tmp_path / "run", records_per_shard=2)
+    return RunStore(tmp_path / "run")
 
 
 def fp(i: int) -> str:
@@ -32,29 +32,26 @@ def fill(store, count):
     ]
 
 
-def read_sidecar(root):
-    return [
-        json.loads(line)
-        for line in (root / INDEX_NAME).read_text().splitlines()
-        if line
-    ]
+def log_lines(root):
+    """Every line of the run directory's record log, newline included."""
+    return (root / "records.jsonl").read_bytes().splitlines(keepends=True)
 
 
 class TestIndexWrites:
-    def test_sidecar_carries_one_entry_per_record(self, store):
-        fill(store, 5)  # records_per_shard=2 -> shards of 2, 2, 1
-        entries = read_sidecar(store.root)
-        assert [e["fingerprint"] for e in entries] == [fp(i) for i in range(5)]
-        assert entries[0] == {"fingerprint": fp(0), "shard": 0, "offset": 0}
-        assert entries[4]["shard"] == 2 and entries[4]["offset"] == 0
+    def test_run_dir_holds_one_log(self, store):
+        written = fill(store, 5)
+        assert sorted(p.name for p in store.root.iterdir()) == [
+            ".lock", MANIFEST_NAME, "records.jsonl",
+        ]
+        # The log lines are the records' own serialization, byte for byte.
+        assert log_lines(store.root) == [
+            (record.to_json() + "\n").encode("utf-8") for record in written
+        ]
 
-    def test_manifest_holds_only_schema_and_sharding(self, store):
+    def test_manifest_holds_only_the_schema(self, store):
         fill(store, 3)
         manifest = json.loads((store.root / MANIFEST_NAME).read_text())
-        assert manifest == {
-            "schema_version": RESULTS_SCHEMA_VERSION,
-            "records_per_shard": 2,
-        }
+        assert manifest == {"schema_version": RESULTS_SCHEMA_VERSION}
 
     def test_appends_never_rewrite_the_manifest(self, store):
         fill(store, 1)
@@ -64,140 +61,171 @@ class TestIndexWrites:
         assert manifest_path.stat().st_mtime_ns == before
 
     def test_duplicate_fingerprints_accumulate_locations(self, store):
-        record = make_record(spec_fingerprint=fp(1))
-        store.append(record)
-        store.append(record)
-        entries = read_sidecar(store.root)
-        assert len(entries) == 2
-        assert {e["fingerprint"] for e in entries} == {fp(1)}
-        assert len({(e["shard"], e["offset"]) for e in entries}) == 2
+        store.append(make_record(key="first", spec_fingerprint=fp(1)))
+        store.append(make_record(key="second", spec_fingerprint=fp(1)))
+        got = store.records_by_fingerprint(fp(1))
+        assert [r.key for r in got] == ["first", "second"]
 
     def test_reopened_store_keeps_indexing(self, store):
         fill(store, 3)
-        reopened = RunStore(store.root, records_per_shard=2)
+        reopened = RunStore(store.root)
         reopened.append(make_record(key="later", spec_fingerprint=fp(9)))
-        entries = read_sidecar(store.root)
-        assert [e["fingerprint"] for e in entries] == [*(fp(i) for i in range(3)), fp(9)]
+        for i in (0, 1, 2, 9):
+            (got,) = reopened.records_by_fingerprint(fp(i))
+            assert got.spec_fingerprint == fp(i)
+
+    def test_manifestless_log_gets_a_manifest(self, tmp_path):
+        root = tmp_path / "run"
+        fill(RunStore(root), 3)
+        (root / MANIFEST_NAME).unlink()
+        reopened = RunStore(root)
+        reopened.append(make_record(key="later", spec_fingerprint=fp(9)))
+        assert len(list(reopened.records())) == 4
+        assert json.loads((root / MANIFEST_NAME).read_text())[
+            "schema_version"
+        ] == RESULTS_SCHEMA_VERSION
 
 
 class TestIndexedReads:
     def test_records_by_fingerprint_matches_scan(self, store):
+        assert store.records_by_fingerprint(fp(0)) == []  # no log yet
         written = fill(store, 5)
         for i, record in enumerate(written):
             (got,) = store.records_by_fingerprint(fp(i))
             assert got.to_dict() == record.to_dict()
         assert store.records_by_fingerprint("no" * 32) == []
 
-    def test_indexed_read_does_not_scan_other_shards(self, store, tmp_path):
-        fill(store, 5)
-        # Corrupt every shard except the one fp(4) lives in; an indexed read
-        # must still succeed because only its own shard is opened.
-        for path in store.shard_paths()[:-1]:
-            path.write_text("{corrupt\n")
-        fresh = RunStore(store.root, records_per_shard=2)
-        (got,) = fresh.records_by_fingerprint(fp(4))
-        assert got.axes == {"num_nodes": 4}
-        with pytest.raises(RunStoreError):
+    def test_lookup_validates_only_matching_lines(self, store):
+        fill(store, 3)
+        # A line whose fingerprint reads fine but whose record does not
+        # validate fails the lookups that return it, and no other.
+        lines = log_lines(store.root)
+        payload = json.loads(lines[0])
+        payload["unknown_field"] = 1
+        lines[0] = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+        store.records_path.write_bytes(b"".join(lines))
+        fresh = RunStore(store.root)
+        (got,) = fresh.records_by_fingerprint(fp(2))
+        assert got.axes == {"num_nodes": 2}
+        with pytest.raises(RunStoreError, match="corrupt record .* offset 0:"):
+            fresh.records_by_fingerprint(fp(0))
+        with pytest.raises(RunStoreError, match="unknown_field"):
             list(fresh.records())
 
     def test_reader_sees_entries_appended_by_another_store_handle(self, store):
         fill(store, 2)
-        reader = RunStore(store.root, records_per_shard=2)
+        reader = RunStore(store.root)
         (got,) = reader.records_by_fingerprint(fp(1))
         assert got.axes == {"num_nodes": 1}
         # A second writer handle appends; the same reader must see it.
-        writer = RunStore(store.root, records_per_shard=2)
+        writer = RunStore(store.root)
         writer.append(make_record(key="later", spec_fingerprint=fp(7)))
         (late,) = reader.records_by_fingerprint(fp(7))
         assert late.key == "later"
 
-    def test_query_by_fingerprint_applies_remaining_filters(self, store):
-        fill(store, 4)
-        assert len(store.query(spec_fingerprint=fp(2))) == 1
-        assert store.query(spec_fingerprint=fp(2), protocol="spin") == []
-        pairs = store.query(spec_fingerprint=fp(2), metric="energy_per_item_uj")
-        assert len(pairs) == 1
-        record, value = pairs[0]
-        assert value == record.energy_per_item_uj
+
+class TestGuarantees:
+    def test_fresh_handle_reads_each_fingerprint_once(self, store, monkeypatch):
+        # Resume looks up every job of a sweep through one handle: the log
+        # is read once from the handle's watermark, never once per lookup,
+        # and a lookup parses only the lines it returns.
+        written = fill(store, 6)
+        store.append(make_record(key="again", spec_fingerprint=fp(3)))
+        fingerprint_reads, record_parses = [], []
+        line_fingerprint = RunStore._line_fingerprint
+        from_json = RunRecord.from_json.__func__
+
+        def counting_fingerprint(self, raw, offset):
+            fingerprint_reads.append(offset)
+            return line_fingerprint(self, raw, offset)
+
+        def counting_from_json(cls, text):
+            record_parses.append(text)
+            return from_json(cls, text)
+
+        monkeypatch.setattr(RunStore, "_line_fingerprint", counting_fingerprint)
+        monkeypatch.setattr(RunRecord, "from_json", classmethod(counting_from_json))
+        fresh = RunStore(store.root)
+        served = 0
+        for _ in range(2):
+            for record in written:
+                served += len(fresh.records_by_fingerprint(record.spec_fingerprint))
+        assert sorted(fingerprint_reads) == sorted(set(fingerprint_reads))
+        assert len(fingerprint_reads) == len(written) + 1
+        assert len(record_parses) == served == 2 * (len(written) + 1)
+
+    def test_append_reads_at_most_the_last_byte(self, store):
+        fill(store, 2)
+        lines = log_lines(store.root)
+        lines[0] = b"{corrupt\n"
+        store.records_path.write_bytes(b"".join(lines))
+        # Appending neither parses nor scans what is already stored...
+        RunStore(store.root).append(make_record(key="after", spec_fingerprint=fp(9)))
+        assert len(store) == 3
+        # ...so the corrupt first line is still there for reads to report.
+        with pytest.raises(RunStoreError, match="corrupt record"):
+            list(RunStore(store.root).records())
+
+    def test_reader_never_serves_torn_bytes(self, store):
+        fill(store, 2)
+        reader = RunStore(store.root)
+        assert len(reader.records_by_fingerprint(fp(1))) == 1  # log consumed
+        torn = make_record(key="torn", spec_fingerprint=fp(8)).to_json()
+        with store.records_path.open("a") as handle:
+            handle.write(torn[: len(torn) // 2])  # a writer killed mid-write
+        assert reader.records_by_fingerprint(fp(8)) == []
+        # Another handle quarantines the torn tail and appends in its place.
+        RunStore(store.root).append(make_record(key="after", spec_fingerprint=fp(9)))
+        (after,) = reader.records_by_fingerprint(fp(9))
+        assert after.key == "after"
+        assert reader.records_by_fingerprint(fp(8)) == []
+        assert [r.key for r in reader.records()] == [
+            "t/num_nodes=0/spms", "t/num_nodes=1/spms", "after",
+        ]
 
 
-class TestDeletedSidecar:
-    """Without index.jsonl, reads scan the shards and a write rebuilds it."""
-
-    def _delete_sidecar(self, root, keep_manifest=True):
-        fill(RunStore(root, records_per_shard=2), 3)
-        (root / INDEX_NAME).unlink()
-        if not keep_manifest:
-            (root / MANIFEST_NAME).unlink()
-        return root
-
-    def test_reads_fall_back_to_scanning(self, tmp_path):
-        root = self._delete_sidecar(tmp_path / "run")
-        store = RunStore(root, records_per_shard=2)
-        (got,) = store.records_by_fingerprint(fp(1))
-        assert got.axes == {"num_nodes": 1}
-        assert len(store.query(spec_fingerprint=fp(0))) == 1
-        # Reading is read-only: no sidecar appears.
-        assert not (root / INDEX_NAME).exists()
-
-    def test_first_write_rebuilds_the_full_index(self, tmp_path):
-        root = self._delete_sidecar(tmp_path / "run")
-        store = RunStore(root, records_per_shard=2)
-        store.append(make_record(key="later", spec_fingerprint=fp(9)))
-        # One scan re-indexed the three earlier records before the append.
-        entries = read_sidecar(root)
-        assert [e["fingerprint"] for e in entries] == [*(fp(i) for i in range(3)), fp(9)]
-        for i in (0, 1, 2, 9):
-            (got,) = store.records_by_fingerprint(fp(i))
-            assert got.spec_fingerprint == fp(i)
-
-    def test_manifestless_directory_with_shards_rebuilds(self, tmp_path):
-        root = self._delete_sidecar(tmp_path / "run", keep_manifest=False)
-        reopened = RunStore(root, records_per_shard=2)
-        reopened.append(make_record(key="later", spec_fingerprint=fp(9)))
-        assert len(list(reopened.records())) == 4
-        entries = read_sidecar(root)
-        assert [e["fingerprint"] for e in entries] == [*(fp(i) for i in range(3)), fp(9)]
-        assert json.loads((root / MANIFEST_NAME).read_text())[
-            "schema_version"
-        ] == RESULTS_SCHEMA_VERSION
+RETIRED_SCHEMAS = (pytest.param(1, id="v1"), pytest.param(2, id="v2"))
 
 
 class TestRetiredSchema:
-    """Schema-1 run directories and record lines are rejected, not migrated."""
+    """Run directories and record lines of older schemas are rejected."""
 
-    def test_v1_manifest_is_rejected_before_any_read_or_write(self, tmp_path):
+    @pytest.mark.parametrize("version", RETIRED_SCHEMAS)
+    def test_retired_manifest_is_rejected_before_any_read_or_write(
+        self, tmp_path, version
+    ):
         root = tmp_path / "run"
-        fill(RunStore(root, records_per_shard=2), 2)
-        manifest = json.loads((root / MANIFEST_NAME).read_text())
-        manifest["schema_version"] = 1
-        (root / MANIFEST_NAME).write_text(json.dumps(manifest))
-        shards = {path: path.read_bytes() for path in RunStore(root).shard_paths()}
+        fill(RunStore(root), 2)
+        (root / MANIFEST_NAME).write_text(json.dumps({"schema_version": version}))
+        log = log_lines(root)
         operations = {
             "open": lambda store: store.open(),
             "records": lambda store: list(store.records()),
             "records_by_fingerprint": lambda store: store.records_by_fingerprint(fp(0)),
             "len": len,
             "failures": lambda store: store.failures(),
+            "recover": lambda store: store.recover(),
             "append": lambda store: store.append(make_record(key="later")),
         }
         for operation in operations.values():
-            with pytest.raises(RunStoreError, match="record schema 1;"):
-                operation(RunStore(root, records_per_shard=2))
+            with pytest.raises(RunStoreError, match=f"record schema {version};"):
+                operation(RunStore(root))
         # Nothing was migrated or appended.
-        assert json.loads((root / MANIFEST_NAME).read_text())["schema_version"] == 1
-        assert {path: path.read_bytes() for path in RunStore(root).shard_paths()} == shards
+        assert json.loads((root / MANIFEST_NAME).read_text()) == {
+            "schema_version": version
+        }
+        assert log_lines(root) == log
 
-    def test_v1_record_line_is_rejected(self, tmp_path):
+    @pytest.mark.parametrize("version", RETIRED_SCHEMAS)
+    def test_retired_record_line_is_rejected(self, tmp_path, version):
         root = tmp_path / "run"
-        store = RunStore(root, records_per_shard=2)
+        store = RunStore(root)
         fill(store, 1)
-        path = store.shard_paths()[0]
-        payload = json.loads(path.read_text())
-        payload["schema_version"] = 1
-        path.write_text(json.dumps(payload, sort_keys=True) + "\n")
-        fresh = RunStore(root, records_per_shard=2)
-        with pytest.raises(RunStoreError, match="schema version 1;"):
+        payload = json.loads(store.records_path.read_text())
+        payload["schema_version"] = version
+        store.records_path.write_text(json.dumps(payload, sort_keys=True) + "\n")
+        fresh = RunStore(root)
+        with pytest.raises(RunStoreError, match=f"schema version {version};"):
             list(fresh.records())
-        with pytest.raises(RunStoreError, match="schema version 1;"):
+        with pytest.raises(RunStoreError, match=f"schema version {version};"):
             fresh.records_by_fingerprint(fp(0))
