@@ -287,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument(
         "--select", action="append", default=[], metavar="RULES",
-        help="comma-separated rule-id prefixes to run (e.g. D,L501); "
+        help="comma-separated rule-id prefixes to run (e.g. D,T402); "
              "default: every rule; a prefix matching no rule is an error",
     )
     lint.add_argument(
@@ -305,11 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--json", action="store_true", dest="as_json",
         help="print the machine-readable report instead of text",
-    )
-    lint.add_argument(
-        "--graph-debug", action="store_true",
-        help="attach the resolved project call graph to the report "
-             "(edges, lock contexts, unresolved calls with reasons)",
     )
 
     figure = subparsers.add_parser("figure", help="regenerate one of the paper's figures")
@@ -781,7 +776,6 @@ def _cmd_lint(args: argparse.Namespace, out: Callable[[str], None]) -> int:
             paths=tuple(args.paths) or DEFAULT_PATHS,
             select=_split_rule_args(args.select),
             ignore=_split_rule_args(args.ignore),
-            graph_debug=args.graph_debug,
         )
     )
     if args.as_json:

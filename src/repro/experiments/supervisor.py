@@ -113,10 +113,11 @@ def _attempt_job(job: SweepJob, attempt: int, chaos: Optional[ChaosSpec]) -> Run
 def _worker_main(conn, chaos: Optional[ChaosSpec]) -> None:
     """Worker loop: receive ``(job, attempt)``, send one result back.
 
-    Module-level (fork/spawn-safe, and L502 requires it: no store handle is
-    reachable from here).  The *only* payload shipped back per job is the
-    compact run record or the exception text — the supervisor never unpickles
-    collectors.
+    Module-level (fork/spawn-safe).  No store handle is reachable from here:
+    :class:`~repro.results.RunStore` refuses to pickle, and the test suite's
+    store-write guard fails any store write made under this loop.  The *only*
+    payload shipped back per job is the compact run record or the exception
+    text — the supervisor never unpickles collectors.
     """
     while True:
         try:

@@ -6,47 +6,38 @@ dynamically by the differential suites and digest pins — but a differential
 suite takes minutes to say what a static check can say in milliseconds.
 This package holds the checks that need static analysis: a small rule
 framework (:mod:`repro.lint.framework`) over one shared per-file
-AST/symbol pass (:mod:`repro.lint.symbols`), with two per-file families:
+AST/symbol pass (:mod:`repro.lint.symbols`).  Every rule is per-file:
 
 * **D-rules** (:mod:`repro.lint.rules_determinism`) — determinism hazards
   in the simulation layers: stdlib entropy, wall-clock reads, hash-ordered
   set iteration, ``id()``/``hash()`` ordering.
+* **T402** (:mod:`repro.lint.rules_taint`) — a raw ``random.Random``
+  passed between functions under ``src/``.
 * **R-rules** (:mod:`repro.lint.rules_robustness`) — worker/supervisor
   modules never swallow a failed attempt.
 
-On top of the per-file pass sits a project-wide analysis engine: a
-resolved call graph (:mod:`repro.lint.callgraph`) with taint/reachability
-and lock-dominance layers (:mod:`repro.lint.dataflow`), consumed by the
-graph-driven families run as a second phase:
-
-* **T-rules** (:mod:`repro.lint.rules_taint`) — cross-file entropy taint:
-  sim-layer functions reaching stdlib entropy through call chains, raw
-  ``random.Random`` values passed between functions.
-* **L-rules** (:mod:`repro.lint.rules_locks`) — store lock discipline:
-  writes in the results store dominated by the store lock, no store
-  handles captured across multiprocessing forks.
-
 The engine itself emits **E/W findings**
 (:mod:`repro.lint.rules_engine`): unparseable/unreadable files (E001/
-E002) and stale suppression comments (W001).
+E002) and stale or unknown-id suppression comments (W001).
 
-Invariants that only name a fixed list of classes or constants are checked
-at runtime instead: hot-path ``__slots__`` and schema-constant pins by
-tests, oracle switches and twin signatures by ``oracle_mode()`` on entry.
+Invariants a static check can only approximate are checked at runtime
+instead: hot-path ``__slots__`` and schema-constant pins by tests, oracle
+switches and twin signatures by ``oracle_mode()`` on entry, and — in every
+tier-1 test — entropy reached through a helper, store writes outside the
+store lock and store handles crossing into a child process, by the guards
+in ``tests/runtime_guards.py``.
 
-Entry points: ``repro lint`` on the command line (``--graph-debug`` to dump
-the graph), :func:`run_lint` from code.  Findings are silenced per line
-with ``# repro-lint: disable=RULE`` plus a justification.
+Entry points: ``repro lint`` on the command line, :func:`run_lint` from
+code.  Findings are silenced per line with ``# repro-lint: disable=RULE``
+plus a justification.
 """
 
-from repro.lint.callgraph import CallGraph, CallSite, FunctionInfo, build_callgraph
 from repro.lint.config import SIM_LAYERS, LintConfig, find_project_root
 from repro.lint.engine import RULES, LintReport, Project, SourceFile, parse_source, run_lint
 from repro.lint.framework import (
     EngineRule,
     FileRule,
     Finding,
-    GraphRule,
     Rule,
     Severity,
     UnknownRuleError,
@@ -60,13 +51,9 @@ from repro.lint.reporting import (
 )
 
 __all__ = [
-    "CallGraph",
-    "CallSite",
     "EngineRule",
     "FileRule",
     "Finding",
-    "FunctionInfo",
-    "GraphRule",
     "LINT_REPORT_SCHEMA_VERSION",
     "LintConfig",
     "LintReport",
@@ -77,7 +64,6 @@ __all__ = [
     "Severity",
     "SourceFile",
     "UnknownRuleError",
-    "build_callgraph",
     "find_project_root",
     "parse_source",
     "render_json",

@@ -2,7 +2,9 @@
 
 A run is configured by :class:`LintConfig` (project root, paths, rule
 selection); everything else the rules need to know about this repository's
-layout is a module constant below.
+layout is a module constant below.  The test suite's runtime guards
+(``tests/runtime_guards.py``) read :data:`SIM_LAYERS` too, so the static
+and the runtime checks share one definition of the simulation layers.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ DEFAULT_PATHS: Tuple[str, ...] = ("src", "tests", "benchmarks")
 SRC_ROOT = "src"
 
 #: Layers of ``src/repro`` whose code runs *inside* a simulation and is
-#: therefore covered by the determinism (D) rules.  ``experiments``,
-#: ``results`` and the CLI orchestrate around the simulation (wall-clock
-#: timing there is measurement, not simulated behaviour) and are exempt.
+#: therefore covered by the determinism (D) rules and by the test suite's
+#: entropy tripwire.  ``experiments``, ``results`` and the CLI orchestrate
+#: around the simulation (wall-clock timing there is measurement, not
+#: simulated behaviour) and are exempt.
 SIM_LAYERS: Tuple[str, ...] = (
     "sim",
     "core",
@@ -36,19 +39,6 @@ SIM_LAYERS: Tuple[str, ...] = (
 #: The one module allowed to touch the stdlib ``random`` machinery: the
 #: named-stream registry every stochastic component draws through.
 RNG_MODULE_SUFFIX = "repro/sim/rng.py"
-
-#: The crash-safe append-only store module: every write reachable there must
-#: be dominated by the store lock (L501).
-STORE_MODULE_SUFFIX = "repro/results/store.py"
-
-#: ``with`` expressions that count as holding the store lock, and the lock
-#: class itself (whose own methods are exempt — acquiring the lock cannot
-#: require already holding it).
-STORE_LOCK_NAMES: Tuple[str, ...] = ("self._lock", "_StoreLock")
-STORE_LOCK_CLASSES: Tuple[str, ...] = ("_StoreLock",)
-
-#: Store handle classes a multiprocessing worker must not capture (L502).
-STORE_CLASSES: Tuple[str, ...] = ("RunStore",)
 
 #: Modules holding worker entry points and supervisor retry paths — the
 #: fault-tolerance layer where a swallowed exception silently loses a job
@@ -68,8 +58,6 @@ class LintConfig:
     #: Rule-id prefixes to run (empty = every rule) and to skip.
     select: Tuple[str, ...] = ()
     ignore: Tuple[str, ...] = ()
-    #: Attach the resolved call graph to the report (``--graph-debug``).
-    graph_debug: bool = False
 
 
 def find_project_root(start: Path) -> Path:

@@ -8,7 +8,9 @@ One run is::
 
 Each collected file is parsed exactly once; the AST, raw lines and the
 resolved-import/symbol pass (:mod:`repro.lint.symbols`) are shared by every
-rule through :class:`SourceFile`.  :data:`RULES` is the rule catalog.
+rule through :class:`SourceFile`.  Every rule is per-file, so a run is that
+one parse pass plus the rules' walks over it.  :data:`RULES` is the rule
+catalog.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Type
 
-from repro.lint.callgraph import CallGraph, build_callgraph
 from repro.lint.config import LintConfig
 from repro.lint.framework import (
     Finding,
@@ -39,9 +40,8 @@ from repro.lint.rules_engine import (
     UselessSuppressionRule,
     useless_directives,
 )
-from repro.lint.rules_locks import NoStoreCaptureAcrossForkRule, StoreWritesLockedRule
 from repro.lint.rules_robustness import SupervisedFailuresSurfaceRule
-from repro.lint.rules_taint import RawRandomArgumentRule, TransitiveEntropyRule
+from repro.lint.rules_taint import RawRandomArgumentRule
 from repro.lint.suppress import (
     SuppressionIndex,
     apply_suppressions,
@@ -56,10 +56,7 @@ RULES: Tuple[Type[Rule], ...] = (
     WallClockRule,
     UnsortedSetIterationRule,
     IdentityOrderingRule,
-    TransitiveEntropyRule,
     RawRandomArgumentRule,
-    StoreWritesLockedRule,
-    NoStoreCaptureAcrossForkRule,
     SupervisedFailuresSurfaceRule,
     SyntaxErrorRule,
     UnreadableFileRule,
@@ -142,29 +139,6 @@ class Project:
     def __init__(self, config: LintConfig, files: List[SourceFile]) -> None:
         self.config = config
         self.files = files
-        self._callgraph: Optional[CallGraph] = None
-
-    def callgraph(self) -> CallGraph:
-        """The resolved project call graph, built once per run.
-
-        Every graph rule in a run shares this construction; building is
-        deferred until the first consumer so per-file-only runs never pay
-        for it.
-        """
-        if self._callgraph is None:
-            self._callgraph = build_callgraph(self)
-        return self._callgraph
-
-    @property
-    def graph_built(self) -> bool:
-        return self._callgraph is not None
-
-    def find(self, relpath: str) -> Optional[SourceFile]:
-        """The in-scope file at *relpath*, if it was collected."""
-        for source in self.files:
-            if source.relpath == relpath:
-                return source
-        return None
 
 
 def collect_files(config: LintConfig) -> Tuple[List[Tuple[Path, str]], List[str]]:
@@ -208,10 +182,6 @@ class LintReport:
     suppressed: List[Finding] = field(default_factory=list)
     errors: List[str] = field(default_factory=list)
     rules_run: Tuple[str, ...] = ()
-    #: Whether the project call graph was constructed this run (phase two).
-    graph_built: bool = False
-    #: ``--graph-debug`` dump of the resolved call graph, when requested.
-    graph_dump: Optional[Dict[str, object]] = None
 
     @property
     def exit_code(self) -> int:
@@ -262,14 +232,7 @@ def run_lint(config: LintConfig) -> LintReport:
                 )
             )
 
-    # Phase one: per-file rules.  Phase two: graph rules, sharing one
-    # memoised call-graph construction (built on first consumer; not at all
-    # when no selected rule needs it).
-    file_rules = [r for r in rules if not r.needs_graph]
-    graph_rules = [r for r in rules if r.needs_graph]
-    for rule_instance in file_rules:
-        findings.extend(rule_instance.check(project))
-    for rule_instance in graph_rules:
+    for rule_instance in rules:
         findings.extend(rule_instance.check(project))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
 
@@ -278,7 +241,9 @@ def run_lint(config: LintConfig) -> LintReport:
 
     if "W001" in selected_ids:
         stale = sorted(
-            useless_directives(files, used, selected_ids),
+            useless_directives(
+                files, used, selected_ids, {rule_class.id for rule_class in RULES}
+            ),
             key=lambda f: (f.path, f.line, f.col, f.message),
         )
         stale_kept, stale_suppressed = apply_suppressions(stale, indexes)
@@ -287,10 +252,6 @@ def run_lint(config: LintConfig) -> LintReport:
         )
         suppressed.extend(stale_suppressed)
 
-    graph_dump: Optional[Dict[str, object]] = None
-    if config.graph_debug:
-        graph_dump = project.callgraph().to_dict()
-
     return LintReport(
         config=config,
         files_checked=len(files),
@@ -298,6 +259,4 @@ def run_lint(config: LintConfig) -> LintReport:
         suppressed=suppressed,
         errors=errors,
         rules_run=tuple(r.id for r in rules),
-        graph_built=project.graph_built,
-        graph_dump=graph_dump,
     )

@@ -12,13 +12,11 @@ check; :data:`repro.lint.engine.RULES` lists them all::
             ...
             yield self.finding(source, node, "call to foo()")
 
-Three base classes fix the calling convention:
+Two base classes fix the calling convention:
 
 * :class:`FileRule` — visited once per parsed source file; sees the shared
   per-file symbol pass (:class:`repro.lint.symbols.SymbolTable`) through
   ``source.symbols``.
-* :class:`GraphRule` — visited once per run with the whole
-  :class:`~repro.lint.engine.Project` and its resolved call graph.
 * :class:`EngineRule` — an id the engine itself emits (E001/E002/W001).
 """
 
@@ -31,7 +29,6 @@ from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequ
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     import ast
 
-    from repro.lint.callgraph import CallGraph
     from repro.lint.engine import Project, SourceFile
 
 
@@ -86,10 +83,6 @@ class Rule:
     name: str = ""
     description: str = ""
     severity: Severity = Severity.ERROR
-    #: Whether the rule consumes the project call graph.  The engine only
-    #: builds the graph when at least one selected rule sets this, so
-    #: per-file runs (``--select D``) stay one-pass cheap.
-    needs_graph: bool = False
 
     def check(self, project: "Project") -> Iterator[Finding]:
         raise NotImplementedError
@@ -119,25 +112,6 @@ class FileRule(Rule):
             yield from self.check_file(source, project)
 
     def check_file(self, source: "SourceFile", project: "Project") -> Iterator[Finding]:
-        raise NotImplementedError
-
-
-class GraphRule(Rule):
-    """A project rule driven by the resolved call graph (phase two).
-
-    The engine runs these after every file rule, handing over the memoised
-    :class:`~repro.lint.callgraph.CallGraph`; all graph rules in a run share
-    one construction.
-    """
-
-    needs_graph = True
-
-    def check(self, project: "Project") -> Iterator[Finding]:
-        yield from self.check_graph(project, project.callgraph())
-
-    def check_graph(
-        self, project: "Project", graph: "CallGraph"
-    ) -> Iterator[Finding]:
         raise NotImplementedError
 
 

@@ -9,7 +9,7 @@ from repro.lint.engine import LintReport
 
 #: Bump when the ``--json`` payload layout changes incompatibly (a test
 #: pins the key set, like every schema constant).
-LINT_REPORT_SCHEMA_VERSION = 2
+LINT_REPORT_SCHEMA_VERSION = 3
 
 
 def report_to_dict(report: LintReport) -> Dict[str, object]:
@@ -25,10 +25,6 @@ def report_to_dict(report: LintReport) -> Dict[str, object]:
         },
         "errors": list(report.errors),
         "exit_code": report.exit_code,
-        "graph_built": report.graph_built,
-        # Only attached under --graph-debug; absent keys keep the payload
-        # layout stable for consumers that don't ask for the dump.
-        **({"callgraph": report.graph_dump} if report.graph_dump is not None else {}),
     }
 
 
@@ -49,24 +45,5 @@ def render_text(report: LintReport) -> List[str]:
     if report.suppressed:
         summary += f" ({len(report.suppressed)} suppressed inline)"
     lines.append(summary)
-    if report.graph_dump is not None:
-        lines.extend(render_graph_debug(report.graph_dump))
     return lines
 
-
-def render_graph_debug(dump: Dict[str, object]) -> List[str]:
-    """Text form of the ``--graph-debug`` dump: counts, edges, unresolved."""
-    counts = dump.get("counts", {})
-    lines = [
-        "callgraph: {functions} function(s), {resolved_edges} resolved "
-        "edge(s), {unresolved_calls} unresolved call(s)".format(**counts)
-    ]
-    for edge in dump.get("edges", []):
-        locks = f"  [locks: {', '.join(edge['locks'])}]" if edge["locks"] else ""
-        lines.append(f"  {edge['caller']}:{edge['line']} -> {edge['callee']}{locks}")
-    for call in dump.get("unresolved", []):
-        lines.append(
-            f"  {call['caller']}:{call['line']} ~> {call['target']} "
-            f"(unresolved: {call['reason']})"
-        )
-    return lines

@@ -41,8 +41,8 @@ class UselessSuppressionRule(EngineRule):
     id = "W001"
     name = "useless-suppression"
     description = (
-        "a `# repro-lint: disable=RULE` comment must still suppress at least "
-        "one finding for that rule"
+        "a `# repro-lint: disable=RULE` comment must name a known rule and "
+        "still suppress at least one finding for it"
     )
     severity = Severity.WARNING
 
@@ -51,29 +51,34 @@ def useless_directives(
     files: Iterable["SourceFile"],
     used: Dict[str, Set[Tuple[Directive, str]]],
     rules_run: Set[str],
+    known_ids: Set[str],
 ) -> Iterator[Finding]:
-    """W001 findings: directive ids that silenced nothing this run.
+    """W001 findings: directive ids that name no rule or silenced nothing.
 
-    A directive id is only judged when its rule actually ran (``--select
-    D`` must not flag a parked ``disable=L501`` comment); ``all``
-    directives are judged whenever any rule ran.  Runs after suppression
-    application, on the real finding set — no fixpoint: a W001 finding is
-    itself suppressible, but suppressing one never revives another.
+    An id that matches no rule in *known_ids* (a typo, a retired rule) is
+    always stale: it can never silence anything.  A known id is only judged
+    when its rule actually ran (``--select D`` must not flag a parked
+    ``disable=R701`` comment); ``all`` directives are judged whenever any
+    rule ran.  Runs after suppression application, on the real finding set
+    — no fixpoint: a W001 finding is itself suppressible, but suppressing
+    one never revives another.
     """
     rule = UselessSuppressionRule()
     for source in files:
         path_used = used.get(source.relpath, set())
         for directive in source.suppressions.directives:
+            scope = "anywhere in the file" if directive.file_wide else "on this line"
             for rule_id in sorted(directive.rules):
                 if rule_id == "ALL":
-                    if not rules_run:
+                    if not rules_run or any(d == directive for d, _ in path_used):
                         continue
-                    if any(d == directive for d, _ in path_used):
-                        continue
+                    reason = f"all rules produced no finding {scope}"
+                elif rule_id not in known_ids:
+                    reason = "unknown rule id"
                 elif rule_id not in rules_run or (directive, rule_id) in path_used:
                     continue
-                label = "all rules" if rule_id == "ALL" else rule_id
-                scope = "anywhere in the file" if directive.file_wide else "on this line"
+                else:
+                    reason = f"{rule_id} produced no finding {scope}"
                 yield Finding(
                     rule=rule.id,
                     severity=rule.severity,
@@ -81,9 +86,7 @@ def useless_directives(
                     line=directive.lineno,
                     col=0,
                     message=(
-                        f"useless suppression: {label} produced no finding "
-                        f"{scope} — remove the stale "
+                        f"useless suppression: {reason} — remove the stale "
                         f"`# repro-lint: {directive.kind}={rule_id}` directive"
                     ),
                 )
-

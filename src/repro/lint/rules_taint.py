@@ -1,74 +1,68 @@
-"""T-rules: cross-file entropy taint.
+"""T-rules: raw entropy plumbing between functions.
 
 The per-file D101/D102 rules catch a sim-layer module touching ``random``
-*directly*; these close the laundering holes that survive them:
+*directly*; this closes a laundering hole that survives them:
 
-* **T401** — a sim-layer function reaches stdlib entropy *transitively*,
-  through any chain of resolved calls into helper modules the D-rules do
-  not scope (``deliver -> _jitter -> random.random()``).  Flagged at the
-  sim-layer function, with the sample chain in the message.
 * **T402** — a call under ``src/`` passes a raw ``random.Random`` (or
   ``SystemRandom``) into another function, seeding a parameter no rule can
   see into.  Values drawn from :class:`~repro.sim.rng.RandomStreams` are
   constructed inside the one exempt module and never match either flagged
   shape, so the legal path stays silent.
 
-Taint only flows along resolved edges: an unresolved call never taints, so
-every T401 finding comes with a concrete, checkable chain.
+Entropy reached *through* a helper module (the former T401) is caught at
+runtime instead: the test suite's entropy tripwire
+(``tests/runtime_guards.py``) raises when a ``random``/``time`` function
+runs with a sim-layer frame on the stack.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, List, Set, Tuple
 
-from repro.lint.callgraph import CallGraph
-from repro.lint.config import RNG_MODULE_SUFFIX, SIM_LAYERS, SRC_ROOT
-from repro.lint.dataflow import (
-    direct_entropy_uses,
-    local_raw_random_names,
-    propagate_entropy_taint,
-    raw_random_arguments,
-)
-from repro.lint.framework import FileRule, Finding, GraphRule
-from repro.lint.symbols import walk_runtime
+from repro.lint.config import RNG_MODULE_SUFFIX, SRC_ROOT
+from repro.lint.framework import FileRule, Finding
+from repro.lint.symbols import SymbolTable, walk_runtime
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.lint.engine import Project, SourceFile
 
+#: Constructions of a raw, unregistered random number generator.
+_RAW_RANDOM = ("random.Random", "random.SystemRandom")
 
-class TransitiveEntropyRule(GraphRule):
-    id = "T401"
-    name = "no-transitive-entropy"
-    description = (
-        "sim-layer functions must not reach stdlib entropy through any call "
-        "chain; all draws go through RandomStreams"
-    )
 
-    def check_graph(self, project: Project, graph: CallGraph) -> Iterator[Finding]:
-        direct = direct_entropy_uses(project, graph)
-        chains = propagate_entropy_taint(graph, direct)
-        for fid in sorted(chains):
-            info = graph.functions[fid]
-            if info.layer not in SIM_LAYERS:
-                continue
-            if info.relpath.endswith(RNG_MODULE_SUFFIX):
-                continue
-            if fid in direct:
-                # Entropy used in the function's own body: that file imports
-                # an entropy module, which is the per-file D101's finding.
-                continue
-            source = project.find(info.relpath)
-            if source is None:  # pragma: no cover - layer implies in scope
-                continue
-            chain = chains[fid]
-            yield self.finding(
-                source,
-                info.node,
-                f"sim-layer function {info.qualname}() reaches stdlib "
-                f"entropy through {chain.render(graph)}; route the draw "
-                "through a RandomStreams named stream",
-            )
+def raw_random_arguments(
+    symbols: SymbolTable, call: ast.Call, local_random_names: Set[str]
+) -> List[Tuple[ast.expr, str]]:
+    """Arguments of *call* that carry a raw ``random.Random`` instance.
+
+    Catches the two provable shapes: a ``random.Random(...)`` /
+    ``random.SystemRandom(...)`` construction inline in argument position,
+    and a bare name the enclosing file assigned from one
+    (*local_random_names*).
+    """
+    flagged: List[Tuple[ast.expr, str]] = []
+    for arg in [*call.args, *[kw.value for kw in call.keywords]]:
+        if isinstance(arg, ast.Call):
+            dotted = symbols.qualname(arg.func)
+            if dotted in _RAW_RANDOM:
+                flagged.append((arg, dotted))
+        elif isinstance(arg, ast.Name) and arg.id in local_random_names:
+            flagged.append((arg, "random.Random"))
+    return flagged
+
+
+def local_raw_random_names(symbols: SymbolTable, tree: ast.AST) -> Set[str]:
+    """Names assigned a raw ``random.Random`` anywhere in *tree*."""
+    names: Set[str] = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Assign) or not isinstance(node.value, ast.Call):
+            continue
+        if symbols.qualname(node.value.func) in _RAW_RANDOM:
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    names.add(target.id)
+    return names
 
 
 class RawRandomArgumentRule(FileRule):
@@ -86,16 +80,15 @@ class RawRandomArgumentRule(FileRule):
             or source.relpath.endswith(RNG_MODULE_SUFFIX)
         ):
             return
-        imports = source.symbols.imports
         # File-level approximation: a name assigned a raw Random anywhere in
         # the file taints that name everywhere in it.  src/ holds no
         # same-name reuse across scopes worth distinguishing, and the
         # approximation only ever errs toward flagging entropy plumbing.
-        tainted_names = local_raw_random_names(imports, source.tree)
+        tainted_names = local_raw_random_names(source.symbols, source.tree)
         for node in walk_runtime(source.tree):
             if not isinstance(node, ast.Call):
                 continue
-            for arg, dotted in raw_random_arguments(imports, node, tainted_names):
+            for arg, dotted in raw_random_arguments(source.symbols, node, tainted_names):
                 target = source.symbols.qualname(node.func) or "a call"
                 if dotted == target or (dotted + ".").startswith(target + "."):
                     continue  # the construction itself, not an argument leak

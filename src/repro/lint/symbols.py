@@ -9,8 +9,8 @@ the file itself (``import random`` binds ``random`` -> ``random``;
 ``from datetime import datetime as dt`` binds ``dt`` ->
 ``datetime.datetime``), which lets rules ask "what does this attribute chain
 *mean*" (:meth:`SymbolTable.qualname`) instead of string-matching source
-text.  Imports under ``if TYPE_CHECKING:`` never execute, so they are
-recorded separately and do not count as runtime use of a module.
+text.  Imports under ``if TYPE_CHECKING:`` never execute, so they are not
+recorded and do not count as runtime use of a module.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ class SymbolTable:
 
     #: local name -> dotted origin, runtime imports only.
     imports: Dict[str, str] = field(default_factory=dict)
-    #: local names bound by imports inside ``if TYPE_CHECKING:`` blocks.
-    type_checking_imports: Dict[str, str] = field(default_factory=dict)
     #: top-level module names imported at runtime ("random", "os.path", ...).
     imported_modules: Set[str] = field(default_factory=set)
 
@@ -83,7 +81,6 @@ class _SymbolVisitor(ast.NodeVisitor):
 
     def _bind(self, local: str, origin: str, top_module: Optional[str]) -> None:
         if self._type_checking_depth:
-            self.table.type_checking_imports[local] = origin
             return
         self.table.imports[local] = origin
         if top_module:

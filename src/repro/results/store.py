@@ -41,7 +41,8 @@ matching lines by offset.
 fleet CLI runs sharing a ``--run-dir`` — can append to one store without
 interleaving lines.  Reads never take the lock: the log is append-only, and
 the only bytes an append ever truncates (a torn tail) are bytes no read
-consumes.
+consumes.  Each process opens its own handle: a :class:`RunStore` refuses
+to pickle, so it cannot be shipped to a worker.
 
 **Crash safety.**  Appends flush but do not fsync ("fsync-light"): a kill
 can lose the OS-buffered tail but never corrupts what was already durable.
@@ -149,6 +150,16 @@ class RunStore:
         self._offsets: Dict[str, List[int]] = {}
         self._indexed_bytes = 0
         self._schema_checked = False
+
+    def __reduce__(self) -> Tuple[object, ...]:
+        # Appends happen in the process that opened the handle (a sweep's
+        # parent); a handle shipped through a pipe or a spawn would let a
+        # worker write the run directory behind the parent's back.
+        raise TypeError(
+            f"a RunStore handle ({self.root}) must not cross into another "
+            "process; send the run directory instead and re-open it with "
+            "RunStore(root) in the parent, which does every append"
+        )
 
     # ------------------------------------------------------------- layout
 

@@ -1,6 +1,8 @@
-"""Shared fixtures for the test-suite."""
+"""Shared fixtures for the test-suite, and the always-on runtime guards."""
 
 from __future__ import annotations
+
+import sys
 
 import pytest
 
@@ -12,6 +14,19 @@ from repro.sim.engine import Simulator
 from repro.topology.field import SensorField
 from repro.topology.placement import grid_placement
 from repro.topology.zone import ZoneMap
+
+from tests import runtime_guards
+
+# Installed at import so no write escapes it; armed for the whole session by
+# the autouse fixture below.
+sys.addaudithook(runtime_guards.audit_store_write)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _runtime_guards():
+    """Entropy tripwire, store-lock and child-process store-write guards."""
+    with runtime_guards.armed():
+        yield
 
 
 @pytest.fixture

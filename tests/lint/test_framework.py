@@ -21,7 +21,7 @@ def selected(select=(), ignore=()):
 class TestCatalog:
     def test_every_rule_declares_its_identity(self):
         ids = [rule_class.id for rule_class in RULES]
-        assert len(ids) == len(set(ids)) == 12
+        assert len(ids) == len(set(ids)) == 9
         for rule_class in RULES:
             assert rule_class.name and rule_class.description, rule_class.id
             assert isinstance(rule_class.severity, Severity)

@@ -2,8 +2,8 @@
 suppressions (W001).
 
 The robustness contract: one broken file costs exactly one E-severity
-finding — never a traceback, and never a poisoned graph phase for the
-files that do parse.
+finding — never a traceback, and never a lost finding in the files that do
+parse.
 """
 
 from __future__ import annotations
@@ -17,33 +17,23 @@ class TestE001SyntaxError:
     def test_single_finding_not_a_traceback(self, project):
         project.write("src/repro/core/broken.py", "def broken(:\n")
         project.write("src/repro/core/ok.py", "x = 1\n")
-        report = project.lint()  # every rule, both phases
+        report = project.lint()  # every rule
         broken = [f for f in report.findings if f.path == "src/repro/core/broken.py"]
         assert [f.rule for f in broken] == ["E001"]
         assert broken[0].severity is Severity.ERROR
         assert "does not parse" in broken[0].message
         assert report.exit_code == 1
 
-    def test_graph_phase_survives_broken_file(self, project):
-        # The graph pass must skip the unparseable file and still resolve
-        # edges between the healthy ones.
+    def test_other_rules_survive_broken_file(self, project):
+        # The unparseable file costs its one E001; D101 still fires on the
+        # healthy sim-layer file next to it.
         project.write("src/repro/core/broken.py", "def broken(:\n")
-        project.write(
-            "src/repro/util/helpers.py",
-            "import random\n\n\ndef jitter():\n    return random.random()\n",
-        )
-        project.write(
-            "src/repro/core/sim.py",
-            """
-            from repro.util.helpers import jitter
-
-            def deliver():
-                return jitter()
-            """,
-        )
-        report = project.lint(select=("E001", "T401"))
-        assert sorted(rule_ids(report)) == ["E001", "T401"]
-        assert report.graph_built
+        project.write("src/repro/core/sim.py", "import random\n")
+        report = project.lint(select=("E001", "D101"))
+        assert [(f.rule, f.path) for f in report.findings] == [
+            ("E001", "src/repro/core/broken.py"),
+            ("D101", "src/repro/core/sim.py"),
+        ]
 
     def test_gated_by_selection(self, project):
         project.write("src/repro/core/broken.py", "def broken(:\n")
@@ -103,13 +93,26 @@ class TestW001UselessSuppression:
         assert "anywhere in the file" in report.findings[0].message
 
     def test_directive_for_unrun_rule_not_judged(self, project):
-        # `--select D` must not flag a parked disable=L501 comment: L501
+        # `--select D` must not flag a parked disable=R701 comment: R701
         # never ran, so the run has no evidence the directive is stale.
         report = project.lint_snippet(
-            "x = 1  # repro-lint: disable=L501\n",
+            "x = 1  # repro-lint: disable=R701\n",
             select=("D", "W001"),
         )
         assert rule_ids(report) == []
+
+    def test_unknown_rule_ids_flagged_even_when_unselected(self, project):
+        # A typo (letter O for zero) and a retired id can never silence
+        # anything, so no rule selection makes them safe to keep.
+        report = project.lint_snippet(
+            "x = 1  # repro-lint: disable=D1O1\ny = 2  # repro-lint: disable=S201\n",
+            select=("D", "W001"),
+        )
+        assert rule_ids(report) == ["W001", "W001"]
+        assert [f.line for f in report.findings] == [1, 2]
+        for finding, rule_id in zip(report.findings, ("D1O1", "S201")):
+            assert "unknown rule id" in finding.message
+            assert f"disable={rule_id}" in finding.message
 
     def test_directive_quoted_in_docstring_ignored(self, project):
         report = project.lint_snippet(

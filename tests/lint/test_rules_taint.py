@@ -1,108 +1,8 @@
-"""T-rules: transitive entropy taint (T401) and raw Random arguments (T402)."""
+"""T-rules: raw Random arguments (T402)."""
 
 from __future__ import annotations
 
 from tests.lint.conftest import rule_ids
-
-HELPER_WITH_ENTROPY = """
-    import random
-
-    def jitter():
-        return random.random()
-"""
-
-#: A sim-layer caller that launders entropy through the util helper; the
-#: helper's layer is outside the D-rules' scope, so only the graph sees it.
-SIM_CALLER = """
-    from repro.util.helpers import jitter
-
-    def deliver():
-        return jitter()
-"""
-
-
-class TestT401TransitiveEntropy:
-    def test_fires_on_laundered_entropy_chain(self, project):
-        project.write("src/repro/util/helpers.py", HELPER_WITH_ENTROPY)
-        project.write("src/repro/core/sim.py", SIM_CALLER)
-        report = project.lint(select=("T401",))
-        assert rule_ids(report) == ["T401"]
-        (finding,) = report.findings
-        assert finding.path == "src/repro/core/sim.py"
-        assert "deliver -> jitter -> random.random()" in finding.message
-        assert report.graph_built
-
-    def test_direct_use_left_to_d101(self, project):
-        # Entropy in the sim function's own body is the per-file D101's
-        # finding; T401 must not double-report it.
-        project.write(
-            "src/repro/core/sim.py",
-            """
-            import random
-
-            def deliver():
-                return random.random()
-            """,
-        )
-        report = project.lint(select=("T401",))
-        assert rule_ids(report) == []
-        report = project.lint(select=("T401", "D101"))
-        assert rule_ids(report) == ["D101"]
-
-    def test_silent_when_draw_goes_through_rng_module(self, project):
-        project.write(
-            "src/repro/sim/rng.py",
-            """
-            import random
-
-            class RandomStreams:
-                def __init__(self, seed=0):
-                    self._rng = random.Random(seed)
-
-                def stream(self, name):
-                    return self._rng
-            """,
-        )
-        project.write(
-            "src/repro/core/sim.py",
-            """
-            from repro.sim.rng import RandomStreams
-
-            def deliver(streams: RandomStreams):
-                return streams.stream("net")
-            """,
-        )
-        report = project.lint(select=("T401",))
-        assert rule_ids(report) == []
-
-    def test_silent_outside_sim_layers(self, project):
-        # The same laundering chain rooted in a non-sim layer is allowed:
-        # orchestration code may time and shuffle as it likes.
-        project.write("src/repro/util/helpers.py", HELPER_WITH_ENTROPY)
-        project.write(
-            "src/repro/experiments/sweep.py",
-            """
-            from repro.util.helpers import jitter
-
-            def schedule():
-                return jitter()
-            """,
-        )
-        report = project.lint(select=("T401",))
-        assert rule_ids(report) == []
-
-    def test_unresolved_calls_never_taint(self, project):
-        project.write("src/repro/util/helpers.py", HELPER_WITH_ENTROPY)
-        project.write(
-            "src/repro/core/sim.py",
-            """
-            def deliver(node, name):
-                hook = getattr(node, name)
-                return hook()
-            """,
-        )
-        report = project.lint(select=("T401",))
-        assert rule_ids(report) == []
 
 
 class TestT402RawRandomArgument:

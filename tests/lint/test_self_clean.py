@@ -23,10 +23,9 @@ class TestRepositoryIsClean:
 
     def test_default_paths_lint_clean_with_every_rule(self):
         # The default paths are what CI's `repro lint src tests benchmarks`
-        # covers; every rule runs, so both phases do.
+        # covers, with every rule.
         report = run_lint(LintConfig(project_root=REPO_ROOT))
         assert report.errors == []
         assert report.findings == [], "\n".join(f.render() for f in report.findings)
         assert report.exit_code == 0
         assert sorted(report.rules_run) == sorted(rule.id for rule in RULES)
-        assert report.graph_built

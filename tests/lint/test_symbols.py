@@ -51,7 +51,6 @@ class TestImportResolution:
         )
         assert "random" not in table.imports
         assert "random" not in table.imported_modules
-        assert table.type_checking_imports["random"] == "random"
 
     def test_walk_runtime_skips_type_checking_bodies(self):
         tree = ast.parse(
