@@ -5,7 +5,9 @@ interpreters started with ``PYTHONHASHSEED=0`` and ``1``; every canonical
 digest must match.  In-process pins cannot see an order that follows
 ``hash()`` of a str (set iteration, a hash-keyed sort) or state left behind
 by an earlier test: both move a digest between interpreters while every
-pin in one process still holds.
+pin in one process still holds.  Like ``TestFixedPoint``, each interpreter
+runs once and every spec is checked under its own test id, so a failure
+names the spec and the hash seed that moved.
 """
 
 import dataclasses
@@ -37,17 +39,23 @@ NINE = SimulationConfig(
 )
 TWENTY_FIVE = dataclasses.replace(NINE, num_nodes=25)
 
-SAMPLE = (
-    *(all_to_all_scenario(protocol, NINE) for protocol in ("flooding", "gossip", "spin", "spms")),
-    all_to_all_scenario("spms", NINE, failures=FailureConfig()),
-    all_to_all_scenario("spms", NINE, mobility=MobilityConfig()),
-    cluster_scenario("spms", TWENTY_FIVE, failures=FailureConfig()),
-    cluster_scenario("spin", TWENTY_FIVE),
-    all_to_all_scenario(
+#: Test id -> spec.  Spec names repeat (three are ``all-to-all/spms``).
+SAMPLE = {
+    **{
+        protocol: all_to_all_scenario(protocol, NINE)
+        for protocol in ("flooding", "gossip", "spin", "spms")
+    },
+    "spms-failures": all_to_all_scenario("spms", NINE, failures=FailureConfig()),
+    "spms-mobility": all_to_all_scenario("spms", NINE, mobility=MobilityConfig()),
+    "cluster-spms-failures": cluster_scenario("spms", TWENTY_FIVE, failures=FailureConfig()),
+    "cluster-spin": cluster_scenario("spin", TWENTY_FIVE),
+    "spin-random-waypoint": all_to_all_scenario(
         "spin", NINE, placement="random", mobility=MobilityConfig(model="waypoint")
     ),
-    single_pair_scenario("spms", 0, (8,), NINE, failures=FailureConfig()),
-)
+    "single-pair-spms-failures": single_pair_scenario(
+        "spms", 0, (8,), NINE, failures=FailureConfig()
+    ),
+}
 
 #: Runs each spec read from stdin (one JSON line each) and prints digests.
 CHILD = """
@@ -67,17 +75,18 @@ def digest(spec) -> str:
 
 @pytest.fixture(scope="module")
 def in_process():
-    return [digest(spec) for spec in SAMPLE]
+    return {name: digest(spec) for name, spec in SAMPLE.items()}
 
 
-@pytest.mark.parametrize("hash_seed", ["0", "1"])
-def test_fresh_interpreter_reproduces_every_digest(in_process, hash_seed):
+@pytest.fixture(scope="module", params=["0", "1"], ids=lambda seed: f"hashseed{seed}")
+def fresh_interpreter(request):
+    """Test id -> digest, from one fresh interpreter with this hash seed."""
     src = str(Path(repro.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env = dict(os.environ, PYTHONHASHSEED=request.param)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     child = subprocess.run(
         [sys.executable, "-c", CHILD],
-        input="".join(spec.to_json() + "\n" for spec in SAMPLE),
+        input="".join(spec.to_json() + "\n" for spec in SAMPLE.values()),
         capture_output=True,
         text=True,
         env=env,
@@ -86,9 +95,9 @@ def test_fresh_interpreter_reproduces_every_digest(in_process, hash_seed):
     assert child.returncode == 0, child.stderr
     theirs = json.loads(child.stdout)
     assert len(theirs) == len(SAMPLE)
-    moved = [
-        f"#{index} {spec.name}"
-        for index, (spec, ours, their) in enumerate(zip(SAMPLE, in_process, theirs))
-        if ours != their
-    ]
-    assert moved == []
+    return dict(zip(SAMPLE, theirs))
+
+
+@pytest.mark.parametrize("name", list(SAMPLE))
+def test_fresh_interpreter_reproduces_digest(in_process, fresh_interpreter, name):
+    assert fresh_interpreter[name] == in_process[name]
