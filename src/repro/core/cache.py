@@ -23,7 +23,7 @@ Two implementations live here:
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Set
+from typing import Dict, KeysView, List, Optional, Set
 
 from repro.core.metadata import DataDescriptor, DataItem
 
@@ -104,6 +104,10 @@ class NaiveDataCache:
     def items(self) -> List[DataItem]:
         """Every cached item (most recently used last)."""
         return list(self._items.values())
+
+    def held_names(self) -> Optional[KeysView[str]]:
+        """Always ``None``: the oracle never lets the network skip an ADV."""
+        return None
 
     def clear(self) -> None:
         """Drop everything."""
@@ -254,6 +258,17 @@ class DataCache:
         """Every cached item (insertion order; most recently used last when
         a capacity bound makes recency observable)."""
         return list(self._items.values())
+
+    def held_names(self) -> Optional[KeysView[str]]:
+        """Live view of the held item names, or ``None`` when bounded.
+
+        The network keeps this view per node and skips the ADV handler of a
+        receiver whose view holds the advertised name (see
+        ``Network._deliver_adv_batch``).  A bounded cache returns ``None``:
+        its ``has`` touches LRU recency, so no call to it may be skipped.
+        Coverage by regioned items is not in the view.
+        """
+        return self._items.keys() if self.capacity is None else None
 
     def clear(self) -> None:
         """Drop everything."""

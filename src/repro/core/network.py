@@ -18,7 +18,10 @@ nodes.  It
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+import functools
+import itertools
+import operator
+from typing import Collection, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.packets import BROADCAST, Packet, PacketType
 from repro.mac.channel import ChannelReservation
@@ -80,6 +83,9 @@ class Network:
         self.channel = channel
         self.trace = trace
         self._nodes: Dict[int, "ProtocolNode"] = {}
+        # Per node, the live names its cache holds (empty when the cache
+        # cannot vouch for them); the ADV fan-out skips a holder's handler.
+        self._held_names: Dict[int, Collection[str]] = {}
         self._failed: Set[int] = set()
         self._range_cache: Dict[Tuple[int, float], List[int]] = {}
         self._range_cache_version = -1
@@ -95,12 +101,9 @@ class Network:
         # marks an out-of-range pair.  Invalidated when any node moves.
         self._unicast_levels: Dict[Tuple[int, int], Optional[PowerLevel]] = {}
         self._unicast_levels_version = -1
-        # Per-transmission constants: the packet-type label and the delivery
-        # event name are interned once instead of rebuilt per transmission.
-        # The label dict spares the enum ``.value`` descriptor call on every
-        # transmission and every reception.
-        self._type_labels = {t: t.value for t in PacketType}
-        self._deliver_names = {t.value: f"deliver.{t.value}" for t in PacketType}
+        # The delivery event name is interned once per packet type instead
+        # of rebuilt per transmission.
+        self._deliver_names = {t.label: f"deliver.{t.label}" for t in PacketType}
 
     # ------------------------------------------------------------ registration
 
@@ -111,6 +114,8 @@ class Network:
         if node.node_id in self._nodes:
             raise ValueError(f"node {node.node_id} registered twice")
         self._nodes[node.node_id] = node
+        held = node.cache.held_names()
+        self._held_names[node.node_id] = () if held is None else held
         self._receiver_cache.clear()
 
     def node(self, node_id: int) -> "ProtocolNode":
@@ -218,7 +223,7 @@ class Network:
             end = ready_at + airtime_ms
         cost = self.energy_model.tx_cost(size_bytes, level)
         self.metrics.energy.charge(sender, cost.energy_uj, "tx")
-        type_label = self._type_labels[packet.packet_type]
+        type_label = packet.packet_type.label
         self.metrics.record_send(type_label)
         delivery_delay = (end + processing_ms) - now
         if not receivers:
@@ -326,7 +331,7 @@ class Network:
         per_node, per_category, per_node_category = metrics.energy.hot_path_accounts()
         received = metrics.packets_received
         rx_cost = self.energy_model.rx_cost(packet.size_bytes)
-        type_label = self._type_labels[packet.packet_type]
+        type_label = packet.packet_type.label
         for receiver in receivers:
             if receiver in failed:
                 metrics.record_drop("receiver_failed")
@@ -345,35 +350,47 @@ class Network:
             node.on_packet(packet.received_copy(receiver))
 
     def _deliver_adv_batch(self, receivers: Sequence[int], packet: Packet) -> None:
-        """Deliver one ADV broadcast to the whole zone, in transmit order.
+        """Deliver one ADV broadcast to the whole zone, in two phases.
 
-        Advertisement handling is the single hottest protocol path (every
-        node hears every ADV of its zone), and the handlers only *read* the
-        shared descriptor and the advertiser id — so the fan-out hands every
-        receiver the same packet instance through
-        :meth:`ProtocolNode.on_adv` instead of building a per-receiver
-        clone.  Accounting (receive energy, reception counters, drop
-        reasons) is identical to :meth:`_deliver_batch`.
+        Advertisement handling is the single hottest protocol path: every
+        node hears every ADV of its zone, and most receivers already hold
+        the item.  Phase 1 drops failed receivers and charges receive
+        energy and reception counts for the whole batch at once.  Phase 2
+        calls :meth:`ProtocolNode.on_adv`, in receiver order, only on
+        receivers whose cache does not hold the advertised name; a holder's
+        handler would return at ``cache.has`` without a side effect.  All
+        receivers share one read-only packet instance (no per-receiver
+        clone, no type dispatch).  Counters and ledger floats come out
+        bit-identical to :meth:`_deliver_batch`'s per-receiver charging; the
+        argument is on :meth:`EnergyLedger.hot_path_accounts`.
         """
         metrics = self.metrics
-        nodes = self._nodes
         failed = self._failed
+        if failed:
+            live = [receiver for receiver in receivers if receiver not in failed]
+            dropped = len(receivers) - len(live)
+            if dropped:
+                metrics.packets_dropped["receiver_failed"] += dropped
+            if not live:
+                # Touching the accounts below would create zero entries that
+                # reach the canonical record.
+                return
+            receivers = live
         per_node, per_category, per_node_category = metrics.energy.hot_path_accounts()
-        received = metrics.packets_received
         rx_cost = self.energy_model.rx_cost(packet.size_bytes)
-        type_label = self._type_labels[packet.packet_type]
         for receiver in receivers:
-            if receiver in failed:
-                metrics.record_drop("receiver_failed")
-                continue
-            node = nodes.get(receiver)
-            if node is None:
-                metrics.record_drop("unknown_receiver")
-                continue
-            # EnergyLedger.charge(receiver, rx_cost, "rx") unrolled — see
-            # _deliver_batch.
             per_node[receiver] += rx_cost
-            per_category["rx"] += rx_cost
             per_node_category[(receiver, "rx")] += rx_cost
-            received[type_label] += 1
-            node.on_adv(packet)
+        # A left fold: the same float additions, in the same order, as one
+        # charge per receiver (sum, fsum and np.sum round differently).
+        count = len(receivers)
+        per_category["rx"] = functools.reduce(
+            operator.add, itertools.repeat(rx_cost, count), per_category["rx"]
+        )
+        metrics.packets_received[packet.packet_type.label] += count
+        name = packet.descriptor.name
+        nodes = self._nodes
+        held_names = self._held_names
+        for receiver in receivers:
+            if name not in held_names[receiver]:
+                nodes[receiver].on_adv(packet)

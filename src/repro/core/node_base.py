@@ -81,6 +81,13 @@ class ProtocolNode(ABC):
         protocols that do not override this hook exactly on the legacy
         per-receiver-copy path; SPIN/SPMS override it to skip the clone and
         the type dispatch on their hottest delivery path.
+
+        The network does not call this hook on a receiver whose cache holds
+        the advertised name (:meth:`DataCache.held_names`); the reception is
+        still charged and counted.  A handler must therefore do nothing when
+        ``self.cache`` already holds the item by name, as SPIN's and SPMS's
+        return at their first check, ``cache.has``.  A holder by regioned
+        coverage only is still called.
         """
         self.on_packet(packet.received_copy(self.node_id))
 

@@ -27,6 +27,12 @@ class PacketType(Enum):
     REQ = "REQ"
     DATA = "DATA"
 
+    def __init__(self, label: str) -> None:
+        #: The value as a plain attribute, for the network's per-transmission
+        #: counters: ``.value`` is a descriptor call, and keying a dict by
+        #: the member runs the Python-level ``Enum.__hash__``.
+        self.label = label
+
 
 @dataclass(slots=True)
 class Packet:

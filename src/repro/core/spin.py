@@ -51,8 +51,11 @@ class SpinNode(ProtocolNode):
         node_id: This node's id.
         network: Shared network.
         interest_model: Which data this node wants.
-        tout_dat_ms: Retry timeout after sending a REQ (only exercised when
-            failures are injected; in failure-free runs it never fires).
+        tout_dat_ms: Retry timeout after sending a REQ.  It fires whenever
+            the data takes longer than this to arrive, failures or not: a
+            max-power REQ and its DATA can spend more than ``tout_dat_ms`` on
+            channel access alone in a dense zone, so failure-free runs retry
+            too (ROADMAP.md, direction 1, cause #1).
         max_retries: How many times a REQ is retried before giving up until
             the next ADV is heard.
     """

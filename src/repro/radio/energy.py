@@ -17,6 +17,7 @@ to SPMS.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
@@ -58,15 +59,19 @@ class EnergyModel:
         t_tx_per_byte_ms: float = 0.05,
         rx_power_mw: Optional[float] = None,
     ) -> None:
-        if t_tx_per_byte_ms <= 0:
-            raise ValueError(f"t_tx_per_byte_ms must be positive, got {t_tx_per_byte_ms}")
+        if not 0.0 < t_tx_per_byte_ms < math.inf:
+            raise ValueError(
+                f"t_tx_per_byte_ms must be positive and finite, got {t_tx_per_byte_ms}"
+            )
         self.power_table = power_table
         self.t_tx_per_byte_ms = t_tx_per_byte_ms
         self.rx_power_mw = (
             power_table.min_level.power_mw if rx_power_mw is None else rx_power_mw
         )
-        if self.rx_power_mw < 0:
-            raise ValueError(f"rx power must be non-negative, got {self.rx_power_mw}")
+        if not 0.0 <= self.rx_power_mw < math.inf:
+            raise ValueError(
+                f"rx power must be non-negative and finite, got {self.rx_power_mw}"
+            )
         # Costs depend only on (size, level) and both are immutable, so the
         # per-packet accounting on the simulation's hottest path (one charge
         # per transmission and per reception) is memoised.  The level's power
@@ -152,8 +157,8 @@ class EnergyLedger:
 
     def charge(self, node_id: int, energy_uj: float, category: str = "tx") -> None:
         """Add *energy_uj* to *node_id* under *category*."""
-        if energy_uj < 0:
-            raise ValueError(f"energy must be non-negative, got {energy_uj}")
+        if not 0.0 <= energy_uj < math.inf:
+            raise ValueError(f"energy must be non-negative and finite, got {energy_uj}")
         self._per_node[node_id] += energy_uj
         self._per_category[category] += energy_uj
         self._per_node_category[(node_id, category)] += energy_uj
@@ -162,11 +167,30 @@ class EnergyLedger:
         """The ``(per_node, per_category, per_node_category)`` accumulators.
 
         For the network delivery loops only: a reception loop charging one
-        pre-validated non-negative cost per receiver updates the mappings
-        directly instead of paying one :meth:`charge` call per reception.
-        Callers must mirror :meth:`charge` exactly — same three updates, same
-        order — so the accumulated floats are bit-identical to per-call
-        charging.
+        receive cost per receiver updates the mappings directly instead of
+        paying one :meth:`charge` call per reception.  The cost is not
+        re-validated here; :class:`EnergyModel` only builds non-negative,
+        finite costs.  Every accumulated float must stay bit-identical to
+        per-call charging.
+
+        The ADV fan-out (``Network._deliver_adv_batch``) charges a whole
+        batch before it calls any handler, where per-call charging would
+        interleave each receiver's charge with its handler.  No byte can
+        move, because:
+
+        * handlers never read the ledger or the reception counters;
+        * the only ledger writes a handler makes are the tx charges of its
+          own sends, keyed to the handler's node, and those come after that
+          node's rx charge in both orders;
+        * deliveries are always scheduled events, so no rx charge runs
+          inside a handler;
+        * handlers run in the same order, so calendar pushes, sequence
+          numbers and RNG draws do not change;
+        * :attr:`total` sums ``per_node`` in first-charge order, and that
+          order is receiver order in both designs.
+
+        The batch adds its k equal costs to ``per_category["rx"]`` as a left
+        fold, the same k additions in the same order.
         """
         return self._per_node, self._per_category, self._per_node_category
 
@@ -187,7 +211,7 @@ class EnergyLedger:
             raise ValueError(
                 f"need one energy per node, got {energies.shape} for {len(node_ids)} nodes"
             )
-        if energies.size and (np.any(energies < 0) or np.any(np.isnan(energies))):
+        if not (np.all(np.isfinite(energies)) and np.all(energies >= 0)):
             raise ValueError("energies must be non-negative and finite")
         for node_id, energy in zip(node_ids, energies.tolist()):
             self._per_node[node_id] += energy

@@ -73,7 +73,8 @@ class Simulator:
         """Schedule *action* to run ``delay`` time units from now.
 
         Args:
-            delay: Non-negative offset from the current simulation time.
+            delay: Non-negative offset from the current simulation time (not
+                NaN).
             action: Zero-argument callable.
             name: Optional label for traces.
             payload: Optional data attached to the event.
@@ -81,8 +82,8 @@ class Simulator:
         Returns:
             The scheduled :class:`Event`, which can be cancelled.
         """
-        if delay < 0:
-            raise ValueError(f"cannot schedule into the past (delay={delay})")
+        if not delay >= 0:  # also rejects NaN, which every `<` comparison lets through
+            raise ValueError(f"delay must be non-negative and not NaN, got {delay}")
         return self._queue.push(Event(self._now + delay, action, name, payload))
 
     def schedule_at(
@@ -93,9 +94,9 @@ class Simulator:
         payload: Any = None,
     ) -> Event:
         """Schedule *action* at absolute simulation time *time*."""
-        if time < self._now:
+        if not time >= self._now:
             raise ValueError(
-                f"cannot schedule into the past (time={time}, now={self._now})"
+                f"cannot schedule into the past or at NaN (time={time}, now={self._now})"
             )
         return self._queue.push(Event(time, action, name, payload))
 

@@ -107,8 +107,8 @@ class EventQueue:
 
     def push(self, event: Event) -> Event:
         """Insert *event* into the calendar and return it."""
-        if event.time < 0:
-            raise ValueError(f"event time must be non-negative, got {event.time}")
+        if not event.time >= 0:
+            raise ValueError(f"event time must be non-negative and not NaN, got {event.time}")
         event.sequence = self._next_sequence
         self._next_sequence += 1
         if not event.cancelled:

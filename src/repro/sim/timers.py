@@ -35,8 +35,8 @@ class Timer:
         callback: Callable[[], None],
         name: str = "timer",
     ) -> None:
-        if timeout < 0:
-            raise ValueError(f"timeout must be non-negative, got {timeout}")
+        if not timeout >= 0:
+            raise ValueError(f"timeout must be non-negative and not NaN, got {timeout}")
         self._sim = sim
         self.timeout = timeout
         self._callback = callback
@@ -64,15 +64,16 @@ class Timer:
     # ---------------------------------------------------------------- control
 
     def start(self, duration: Optional[float] = None) -> None:
-        """Arm the timer.  Raises if it is already running."""
+        """Arm the timer.  Raises if it is already running, and (through
+        :meth:`Simulator.schedule`) if *duration* is negative or NaN."""
         if self.running:
             raise RuntimeError(f"timer {self.name!r} is already running")
-        self.starts += 1
         self._event = self._sim.schedule(
             self.timeout if duration is None else duration,
             self._expire,
             name=self.name,
         )
+        self.starts += 1
 
     def cancel(self) -> None:
         """Disarm the timer; no-op if it is not running."""

@@ -13,8 +13,8 @@ from tests.helpers import build_network, chain_positions
 class RecorderNode(ProtocolNode):
     """Protocol node that just records what it receives."""
 
-    def __init__(self, node_id, network, interest_model):
-        super().__init__(node_id, network, interest_model)
+    def __init__(self, node_id, network, interest_model, cache_capacity=None):
+        super().__init__(node_id, network, interest_model, cache_capacity=cache_capacity)
         self.received = []
 
     def originate(self, item):  # pragma: no cover - not used
@@ -24,23 +24,25 @@ class RecorderNode(ProtocolNode):
         self.received.append(packet)
 
 
-def build_recorder_harness(positions, radius=20.0):
+def build_recorder_harness(positions, radius=20.0, cache_capacity=None):
     harness = build_network(positions, protocol="spms", radius_m=radius)
     # Replace the protocol nodes with passive recorders.
     harness.network._nodes.clear()
     nodes = {}
     for node_id in harness.field.node_ids:
-        node = RecorderNode(node_id, harness.network, AllInterested())
+        node = RecorderNode(
+            node_id, harness.network, AllInterested(), cache_capacity=cache_capacity
+        )
         harness.network.register_node(node)
         nodes[node_id] = node
     harness.nodes = nodes
     return harness
 
 
-def adv_packet(sender: int) -> Packet:
+def adv_packet(sender: int, descriptor: DataDescriptor = DataDescriptor("x")) -> Packet:
     return Packet(
         packet_type=PacketType.ADV,
-        descriptor=DataDescriptor("x"),
+        descriptor=descriptor,
         sender=sender,
         receiver=BROADCAST,
         origin=sender,
@@ -95,6 +97,53 @@ class TestBroadcast:
         harness.network.broadcast(0, adv_packet(0))
         harness.run()
         assert harness.nodes[1].received[0].hop_count == 1
+
+
+class TestAdvFanOut:
+    """The ADV fan-out charges every live receiver and skips holders' handlers."""
+
+    def test_holder_is_charged_and_counted_but_not_called(self):
+        harness = build_recorder_harness(chain_positions(3, spacing=5.0), radius=10.0)
+        harness.nodes[1].cache.add(DataItem(descriptor=DataDescriptor("x"), source=0))
+        harness.network.broadcast(0, adv_packet(0))
+        harness.run()
+        assert harness.nodes[1].received == []
+        assert len(harness.nodes[2].received) == 1
+        rx_cost = harness.network.energy_model.rx_cost(2)
+        ledger = harness.metrics.energy
+        assert ledger.node_category_total(1, "rx") == rx_cost > 0.0
+        assert ledger.node_category_total(2, "rx") == rx_cost
+        assert ledger.category_total("rx") == rx_cost + rx_cost
+        assert harness.metrics.packets_received["ADV"] == 2
+
+    def test_bounded_cache_holder_is_still_called(self):
+        # A bounded cache's `has` touches LRU recency, so its handler runs.
+        harness = build_recorder_harness(chain_positions(2, spacing=5.0), cache_capacity=4)
+        harness.nodes[1].cache.add(DataItem(descriptor=DataDescriptor("x"), source=0))
+        harness.network.broadcast(0, adv_packet(0))
+        harness.run()
+        assert len(harness.nodes[1].received) == 1
+
+    def test_holder_by_regioned_coverage_only_is_still_called(self):
+        harness = build_recorder_harness(chain_positions(2, spacing=5.0))
+        area = DataDescriptor("area", region=(0.0, 0.0, 10.0, 10.0))
+        harness.nodes[1].cache.add(DataItem(descriptor=area, source=0))
+        inside = DataDescriptor("x", region=(1.0, 1.0, 2.0, 2.0))
+        assert harness.nodes[1].cache.has(inside)
+        harness.network.broadcast(0, adv_packet(0, inside))
+        harness.run()
+        assert len(harness.nodes[1].received) == 1
+
+    def test_batch_with_every_receiver_failed_touches_no_account(self):
+        harness = build_recorder_harness(chain_positions(3, spacing=5.0), radius=10.0)
+        harness.network.broadcast(0, adv_packet(0))
+        harness.network.fail_node(1)
+        harness.network.fail_node(2)
+        harness.run()
+        assert harness.nodes[1].received == harness.nodes[2].received == []
+        assert harness.metrics.packets_dropped["receiver_failed"] == 2
+        assert "ADV" not in harness.metrics.packets_received
+        assert "rx" not in harness.metrics.energy.per_category
 
 
 class TestUnicast:

@@ -11,12 +11,16 @@ that any change must keep unless it deliberately changes results:
   2-worker pool: one digest over fig06 in job order (``55d17124…``, unmoved
   since the kernel fast paths landed) plus one digest per job, so a drift
   names the matrix, grid point and protocol that moved.
+* :class:`TestChurnPins` — transient failures and step mobility together at
+  64 nodes (perfbench's ``churn`` jobs at seed 1), where failed receivers
+  and moved zones meet the zone-wide ADV fan-out.
 
 A moved digest means simulation results changed, not just performance:
 treat it as a correctness bug or as a deliberate, documented semantics
 change that re-pins here.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -142,6 +146,17 @@ JOB_DIGESTS = {
 }
 
 
+#: SHA-256 of each churn job's ``canonical_json()``: fig12's bench shape at
+#: r = 20 m with ``FailureConfig()`` and three step-mobility epochs, seed 1.
+#: The same digests are pinned in ``perfbench/digests.json``.
+CHURN_JOB_DIGESTS = {
+    "churn/transmission_radius_m=20/spms":
+        "4d7442dd5ce6886b53905d40892eeb3d30888ab23ad1900f0bb4eea4d64242ac",
+    "churn/transmission_radius_m=20/spin":
+        "ffb9dae16ccd1875ed0902acc15668720f3e721008d940f67817d0cbc070fa6f",
+}
+
+
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -212,3 +227,28 @@ class TestFixedPoint:
     @pytest.mark.parametrize("key", list(JOB_DIGESTS))
     def test_job_digest(self, records, key):
         assert sha256(records[key].canonical_json()) == JOB_DIGESTS[key]
+
+
+class TestChurnPins:
+    @pytest.fixture(scope="class")
+    def records(self):
+        """The churn jobs' records by key, built as perfbench builds them."""
+        base = get_matrix("fig12-mobility")
+        matrix = dataclasses.replace(
+            base,
+            name="churn",
+            axes={"transmission_radius_m": (20.0,)},
+            failures=FailureConfig(),
+            mobility=MobilityConfig(num_epochs=3),
+            base_config=dataclasses.replace(base.base_config, seed=1),
+        )
+        jobs = matrix.expand()
+        assert [job.key for job in jobs] == list(CHURN_JOB_DIGESTS)
+        return {job.key: run_scenario(job.spec, key=job.key, axes=job.axes) for job in jobs}
+
+    def test_failures_were_injected(self, records):
+        assert all(record.failures_injected > 0 for record in records.values())
+
+    @pytest.mark.parametrize("key", list(CHURN_JOB_DIGESTS))
+    def test_job_digest(self, records, key):
+        assert sha256(records[key].canonical_json()) == CHURN_JOB_DIGESTS[key]

@@ -89,8 +89,11 @@ class TestUnboundedDifferential:
     @given(ops)
     def test_random_op_sequences_match_naive_oracle(self, operations):
         fast, naive = DataCache(), NaiveDataCache()
+        # Taken once, as the network does: the view must stay live.
+        held = fast.held_names()
         for op, payload in operations:
             apply_and_compare(fast, naive, op, payload)
+            assert set(held) == {item.descriptor.name for item in naive.items()}
         # Same final contents regardless of internal ordering.
         fast_names = {item.descriptor.name for item in fast.items()}
         naive_names = {item.descriptor.name for item in naive.items()}
@@ -188,6 +191,12 @@ class TestEdgeCases:
         assert cache.has(DataDescriptor("a"))
         assert not cache.has(DataDescriptor("b"))
         assert not cache.has(DataDescriptor("b", (0.0, 0.0, 1.0, 1.0)))
+
+    def test_held_names_only_from_an_unbounded_indexed_cache(self):
+        # A bounded `has` touches recency, and the oracle never short-circuits.
+        assert DataCache(capacity=2).held_names() is None
+        assert NaiveDataCache().held_names() is None
+        assert NaiveDataCache(capacity=2).held_names() is None
 
     def test_eviction_keeps_index_consistent(self):
         cache = DataCache(capacity=2)

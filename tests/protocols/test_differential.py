@@ -12,6 +12,8 @@ may only land together with an oracle that proves it changed *nothing* but
 speed.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.build import PROTOCOL, available
@@ -142,6 +144,21 @@ class TestFaultAndMobilityDifferential:
     def test_spin_with_failures_matches_oracle(self, config):
         spec = all_to_all_scenario("spin", config, failures=FailureConfig())
         optimized, oracle = run_differential(spec)
+        assert_identical(optimized, oracle)
+
+    @pytest.mark.parametrize("protocol", ["spms", "spin"])
+    def test_25_node_zones_with_failures_and_mobility_match_oracle(self, protocol, config):
+        # The 9-node fixture's zones hold at most 8 receivers; here a zone
+        # holds up to 24, most of which already hold each advertised item.
+        # 20 ms between items keeps failures landing while ADVs are in flight.
+        spec = all_to_all_scenario(
+            protocol,
+            dataclasses.replace(config, num_nodes=25, arrival_mean_interarrival_ms=20.0),
+            failures=FailureConfig(),
+            mobility=MobilityConfig(num_epochs=2),
+        )
+        optimized, oracle = run_differential(spec)
+        assert optimized.packets_dropped["receiver_failed"] > 0
         assert_identical(optimized, oracle)
 
 

@@ -1,5 +1,8 @@
 """Tests for the energy model and the energy ledger."""
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -50,6 +53,18 @@ class TestEnergyModel:
         with pytest.raises(ValueError):
             EnergyModel(MICA2_POWER_TABLE, rx_power_mw=-0.1)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rx_power_rejected(self, value):
+        # Accepted, NaN made every rx_cost NaN; the batched ADV charge
+        # trusts these costs and never goes through EnergyLedger.charge.
+        with pytest.raises(ValueError, match="finite"):
+            EnergyModel(MICA2_POWER_TABLE, rx_power_mw=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_tx_time_per_byte_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            EnergyModel(MICA2_POWER_TABLE, t_tx_per_byte_ms=value)
+
     def test_multihop_at_low_power_beats_single_hop_at_high_power(self):
         """The core SPMS energy argument: k short hops cost less transmit
         energy than one long hop (square-law power scaling)."""
@@ -96,6 +111,20 @@ class TestEnergyLedger:
     def test_negative_charge_rejected(self):
         with pytest.raises(ValueError):
             EnergyLedger().charge(1, -1.0)
+
+    @pytest.mark.parametrize("energy", [math.nan, math.inf])
+    def test_non_finite_charge_rejected(self, energy):
+        ledger = EnergyLedger()
+        ledger.charge(0, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            ledger.charge(0, energy)
+        assert ledger.total == 1.0
+
+    def test_charge_batch_rejects_infinity(self):
+        ledger = EnergyLedger()
+        with pytest.raises(ValueError, match="finite"):
+            ledger.charge_batch([0, 1], np.array([1.0, math.inf]))
+        assert ledger.total == 0.0
 
     def test_merge_combines_ledgers(self):
         a = EnergyLedger()

@@ -1,5 +1,7 @@
 """Tests for the simulation loop."""
 
+import math
+
 import pytest
 
 from repro.sim.engine import SimulationError, Simulator
@@ -25,6 +27,24 @@ class TestScheduling:
         sim = Simulator()
         with pytest.raises(ValueError):
             sim.schedule(-1.0, lambda: None)
+
+    def test_nan_delay_rejected(self):
+        # NaN compares false both ways: accepted, it fired between a 1.0 and
+        # a 5.0 event and set the clock to NaN.
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, lambda: fired.append(sim.now))
+        with pytest.raises(ValueError, match="NaN"):
+            sim.schedule(math.nan, lambda: fired.append(sim.now))
+        sim.schedule(5.0, lambda: fired.append(sim.now))
+        sim.run()
+        assert fired == [1.0, 5.0]
+
+    def test_schedule_at_nan_rejected(self):
+        sim = Simulator()
+        with pytest.raises(ValueError, match="NaN"):
+            sim.schedule_at(math.nan, lambda: None)
+        assert sim.pending_events == 0
 
     def test_schedule_at_in_the_past_rejected(self):
         sim = Simulator()

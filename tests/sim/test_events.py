@@ -70,6 +70,12 @@ class TestEventQueue:
         with pytest.raises(ValueError):
             EventQueue().push(Event(time=-1.0, action=_noop))
 
+    def test_nan_time_rejected(self):
+        queue = EventQueue()
+        with pytest.raises(ValueError, match="NaN"):
+            queue.push(Event(time=float("nan"), action=_noop))
+        assert not queue
+
     def test_clear_drops_everything(self):
         queue = EventQueue()
         queue.push(Event(time=1.0, action=_noop))

@@ -81,3 +81,16 @@ class TestTimer:
         sim = Simulator()
         with pytest.raises(ValueError):
             Timer(sim, -1.0, lambda: None)
+
+    def test_nan_timeout_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            Timer(Simulator(), float("nan"), lambda: None)
+
+    def test_nan_duration_rejected_and_not_counted(self):
+        sim = Simulator()
+        timer = Timer(sim, 1.0, lambda: None)
+        with pytest.raises(ValueError, match="NaN"):
+            timer.start(float("nan"))
+        assert not timer.running
+        assert timer.starts == 0
+        assert sim.pending_events == 0
