@@ -18,6 +18,7 @@ import sys
 import pytest
 
 from repro.experiments import figures
+from repro.results import RunStore
 
 
 def emit(*parts) -> None:
@@ -50,6 +51,17 @@ def figure_scale() -> figures.FigureScale:
     if os.environ.get("REPRO_BENCH_SCALE", "bench").lower() == "paper":
         return figures.paper_scale()
     return figures.bench_scale()
+
+
+@pytest.fixture(scope="session")
+def figure_store(tmp_path_factory) -> RunStore:
+    """One run store for the session's figures: runs they share are resumed.
+
+    Figures 6 and 8 plot the same runs, Figures 10 and 11 reuse the runs of
+    6 and 7, and the headline claims read all of them, so each spec is
+    simulated once per session.
+    """
+    return RunStore(tmp_path_factory.mktemp("figures")).open()
 
 
 def run_once(benchmark, func, *args, **kwargs):

@@ -5,13 +5,13 @@ as the sensor field grows (SPIN's curve has the higher slope).
 """
 
 from repro.experiments.claims import energy_savings_across
-from repro.experiments.figures import figure6_energy_vs_nodes
+from repro.experiments.figures import render
 
 from benchmarks.conftest import emit, print_figure, run_once
 
 
-def test_fig06_energy_vs_nodes(benchmark, figure_scale):
-    sweep = run_once(benchmark, figure6_energy_vs_nodes, figure_scale)
+def test_fig06_energy_vs_nodes(benchmark, figure_scale, figure_store):
+    sweep = run_once(benchmark, render, "fig6", figure_scale, figure_store)
     print_figure(
         "Figure 6: energy per data item (uJ) vs number of nodes (radius = 20 m)",
         sweep,

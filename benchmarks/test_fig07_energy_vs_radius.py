@@ -7,13 +7,13 @@ maximum-power transmissions.
 """
 
 from repro.experiments.claims import energy_savings_across
-from repro.experiments.figures import figure7_energy_vs_radius
+from repro.experiments.figures import render
 
 from benchmarks.conftest import emit, print_figure, run_once
 
 
-def test_fig07_energy_vs_radius(benchmark, figure_scale):
-    sweep = run_once(benchmark, figure7_energy_vs_radius, figure_scale)
+def test_fig07_energy_vs_radius(benchmark, figure_scale, figure_store):
+    sweep = run_once(benchmark, render, "fig7", figure_scale, figure_store)
     print_figure(
         f"Figure 7: energy per data item (uJ) vs transmission radius "
         f"({figure_scale.fixed_num_nodes} nodes)",

@@ -7,13 +7,13 @@ but consistently positive gap — see EXPERIMENTS.md.)
 """
 
 from repro.experiments.claims import delay_ratios_across
-from repro.experiments.figures import figure8_delay_vs_nodes
+from repro.experiments.figures import render
 
 from benchmarks.conftest import emit, print_figure, run_once
 
 
-def test_fig08_delay_vs_nodes(benchmark, figure_scale):
-    sweep = run_once(benchmark, figure8_delay_vs_nodes, figure_scale)
+def test_fig08_delay_vs_nodes(benchmark, figure_scale, figure_store):
+    sweep = run_once(benchmark, render, "fig8", figure_scale, figure_store)
     print_figure(
         "Figure 8: average end-to-end delay (ms) vs number of nodes (radius = 20 m)",
         sweep,

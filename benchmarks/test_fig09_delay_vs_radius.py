@@ -9,13 +9,13 @@ EXPERIMENTS.md for the discussion.)
 """
 
 from repro.experiments.claims import delay_ratios_across
-from repro.experiments.figures import figure9_delay_vs_radius
+from repro.experiments.figures import render
 
 from benchmarks.conftest import emit, print_figure, run_once
 
 
-def test_fig09_delay_vs_radius(benchmark, figure_scale):
-    sweep = run_once(benchmark, figure9_delay_vs_radius, figure_scale)
+def test_fig09_delay_vs_radius(benchmark, figure_scale, figure_store):
+    sweep = run_once(benchmark, render, "fig9", figure_scale, figure_store)
     print_figure(
         f"Figure 9: average end-to-end delay (ms) vs transmission radius "
         f"({figure_scale.fixed_num_nodes} nodes)",

@@ -7,13 +7,13 @@ routes, and the effect grows with the field size (longer paths activate more
 failures).
 """
 
-from repro.experiments.figures import figure10_delay_failures_vs_nodes
+from repro.experiments.figures import render
 
 from benchmarks.conftest import emit, print_figure, run_once
 
 
-def test_fig10_delay_failures_vs_nodes(benchmark, figure_scale):
-    sweep = run_once(benchmark, figure10_delay_failures_vs_nodes, figure_scale)
+def test_fig10_delay_failures_vs_nodes(benchmark, figure_scale, figure_store):
+    sweep = run_once(benchmark, render, "fig10", figure_scale, figure_store)
     print_figure(
         "Figure 10: average delay (ms) vs number of nodes, with and without failures",
         sweep,

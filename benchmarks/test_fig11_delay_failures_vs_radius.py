@@ -5,13 +5,13 @@ Paper shape: the failure/failure-free difference is small at small radii
 failures force timeout-driven recovery.
 """
 
-from repro.experiments.figures import figure11_delay_failures_vs_radius
+from repro.experiments.figures import render
 
 from benchmarks.conftest import print_figure, run_once
 
 
-def test_fig11_delay_failures_vs_radius(benchmark, figure_scale):
-    sweep = run_once(benchmark, figure11_delay_failures_vs_radius, figure_scale)
+def test_fig11_delay_failures_vs_radius(benchmark, figure_scale, figure_store):
+    sweep = run_once(benchmark, render, "fig11", figure_scale, figure_store)
     print_figure(
         f"Figure 11: average delay (ms) vs transmission radius with failures "
         f"({figure_scale.fixed_num_nodes} nodes)",

@@ -6,13 +6,13 @@ whose energy is charged to SPMS.
 """
 
 from repro.experiments.claims import energy_savings_across
-from repro.experiments.figures import figure12_energy_mobility
+from repro.experiments.figures import render
 
 from benchmarks.conftest import emit, print_figure, run_once
 
 
-def test_fig12_energy_mobility(benchmark, figure_scale):
-    sweep = run_once(benchmark, figure12_energy_mobility, figure_scale)
+def test_fig12_energy_mobility(benchmark, figure_scale, figure_store):
+    sweep = run_once(benchmark, render, "fig12", figure_scale, figure_store)
     print_figure(
         f"Figure 12: energy per data item (uJ) vs transmission radius with mobility "
         f"({figure_scale.fixed_num_nodes} nodes)",

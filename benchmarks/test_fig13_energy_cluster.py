@@ -7,13 +7,13 @@ the cluster head), and the failure runs cost more than the failure-free runs.
 """
 
 from repro.experiments.claims import energy_savings_across
-from repro.experiments.figures import figure13_energy_cluster
+from repro.experiments.figures import render
 
 from benchmarks.conftest import emit, print_figure, run_once
 
 
-def test_fig13_energy_cluster(benchmark, figure_scale):
-    sweep = run_once(benchmark, figure13_energy_cluster, figure_scale)
+def test_fig13_energy_cluster(benchmark, figure_scale, figure_store):
+    sweep = run_once(benchmark, render, "fig13", figure_scale, figure_store)
     print_figure(
         f"Figure 13: energy per data item (uJ) vs transmission radius, cluster traffic "
         f"({figure_scale.fixed_num_nodes} nodes)",

@@ -5,30 +5,24 @@
 * With mobility the energy saving drops to 5-21 %.
 * Cluster-based hierarchical traffic: SPMS uses 35-59 % less energy.
 
-This benchmark reuses the cached Figure 6/8/12/13 sweeps, evaluates every
+This benchmark renders Figures 6, 12 and 13 from the session's run store
+(after the figure benchmarks, every job is served from it), evaluates every
 claim and prints a pass/fail table.  The direction of every claim must hold;
 absolute magnitudes are recorded for EXPERIMENTS.md.
 """
 
 from repro.experiments.claims import evaluate_headline_claims, format_claims
-from repro.experiments.figures import (
-    figure6_energy_vs_nodes,
-    figure8_delay_vs_nodes,
-    figure12_energy_mobility,
-    figure13_energy_cluster,
-)
+from repro.experiments.figures import render
 
 from benchmarks.conftest import emit, run_once
 
 
-def test_headline_claims(benchmark, figure_scale):
+def test_headline_claims(benchmark, figure_scale, figure_store):
     def evaluate():
-        static_energy = figure6_energy_vs_nodes(figure_scale)
-        static_delay = figure8_delay_vs_nodes(figure_scale)
-        mobility_energy = figure12_energy_mobility(figure_scale)
-        cluster_energy = figure13_energy_cluster(figure_scale)
         return evaluate_headline_claims(
-            static_energy, static_delay, mobility_energy, cluster_energy
+            render("fig6", figure_scale, figure_store),
+            render("fig12", figure_scale, figure_store),
+            render("fig13", figure_scale, figure_store),
         )
 
     checks = run_once(benchmark, evaluate)

@@ -113,26 +113,6 @@ LISTABLE_KINDS: Dict[str, Optional[str]] = {
 }
 LISTABLE_KINDS["matrices"] = None
 
-#: Maps CLI figure names to (generator, metric, description).
-SIMULATED_FIGURES: Dict[str, tuple] = {
-    "fig6": (figures.figure6_energy_vs_nodes, "energy_per_item_uj",
-             "energy per item vs number of nodes (static)"),
-    "fig7": (figures.figure7_energy_vs_radius, "energy_per_item_uj",
-             "energy per item vs transmission radius (static)"),
-    "fig8": (figures.figure8_delay_vs_nodes, "average_delay_ms",
-             "average delay vs number of nodes (static)"),
-    "fig9": (figures.figure9_delay_vs_radius, "average_delay_ms",
-             "average delay vs transmission radius (static)"),
-    "fig10": (figures.figure10_delay_failures_vs_nodes, "average_delay_ms",
-              "average delay vs number of nodes (with failures)"),
-    "fig11": (figures.figure11_delay_failures_vs_radius, "average_delay_ms",
-              "average delay vs transmission radius (with failures)"),
-    "fig12": (figures.figure12_energy_mobility, "energy_per_item_uj",
-              "energy per item vs transmission radius (mobility)"),
-    "fig13": (figures.figure13_energy_cluster, "energy_per_item_uj",
-              "energy per item vs transmission radius (cluster traffic)"),
-}
-
 ANALYTICAL_FIGURES = {
     "fig3": (figures.figure3_delay_ratio, "SPIN/SPMS delay ratio vs radius (analytical)"),
     "fig5": (figures.figure5_energy_ratio, "SPIN/SPMS energy ratio vs radius (analytical)"),
@@ -308,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     figure = subparsers.add_parser("figure", help="regenerate one of the paper's figures")
-    figure.add_argument("name", choices=sorted(SIMULATED_FIGURES) + sorted(ANALYTICAL_FIGURES))
+    figure.add_argument("name", choices=sorted(figures.FIGURES) + sorted(ANALYTICAL_FIGURES))
     figure.add_argument(
         "--scale", choices=("bench", "paper"), default="bench",
         help="sweep size for simulated figures",
@@ -349,13 +329,14 @@ def _run_single_spec(
     except SpecValidationError as exc:
         out(f"invalid spec: {exc}")
         return 2
-    # Only construction errors (unknown components, bad option values) are a
-    # spec problem worth a clean exit code; once built, the scenario runs
-    # unguarded so genuine simulation bugs surface with their traceback.
+    # Only construction errors (unknown components, bad option values, option
+    # keys a component does not take) are a spec problem worth a clean exit
+    # code; once built, the scenario runs unguarded so genuine simulation bugs
+    # surface with their traceback.
     try:
         runner = ExperimentRunner(spec)
         runner.build()
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         out(f"scenario failed to build: {exc}")
         return 2
     record = runner.run_record()
@@ -599,13 +580,11 @@ def _cmd_compare(args: argparse.Namespace, out: Callable[[str], None]) -> int:
     )
     failures = FailureConfig() if args.failures else None
     mobility = MobilityConfig() if args.mobility else None
+    build_spec = cluster_scenario if args.workload == "cluster" else all_to_all_scenario
     results = {}
     for protocol in ("spms", "spin"):
-        if args.workload == "cluster":
-            spec = cluster_scenario(protocol, config, failures=failures)
-        else:
-            spec = all_to_all_scenario(protocol, config, failures=failures, mobility=mobility)
-        results[protocol] = run_scenario(spec)
+        spec = build_spec(protocol, config, failures=failures)
+        results[protocol] = run_scenario(dataclasses.replace(spec, mobility=mobility))
     out(f"{'protocol':>10} {'energy/item (uJ)':>18} {'avg delay (ms)':>16} {'delivered':>10}")
     for protocol, result in results.items():
         out(
@@ -713,12 +692,13 @@ def _cmd_sweep(args: argparse.Namespace, out: Callable[[str], None]) -> int:
         f"{retries}{quarantined}, {report.workers} worker(s), "
         f"{report.elapsed_s:.2f} s wall-clock"
     )
-    merged = report.merged_summary
-    if merged is not None and merged.items_generated:
+    ordered = [records[job.key] for job in jobs if job.key in records]
+    items = sum(record.items_generated for record in ordered)
+    if items:
         out(
-            f"aggregate: {merged.items_generated} items, "
-            f"{merged.deliveries_completed} deliveries, "
-            f"{merged.total_energy_uj:.1f} uJ total energy"
+            f"aggregate: {items} items, "
+            f"{sum(record.deliveries_completed for record in ordered)} deliveries, "
+            f"{sum(record.total_energy_uj for record in ordered):.1f} uJ total energy"
         )
     for failure in report.failures:
         out(
@@ -793,19 +773,18 @@ def _cmd_figure(args: argparse.Namespace, out: Callable[[str], None]) -> int:
         for x, y in generator():
             out(f"{x:>12.2f} {y:>12.4f}")
         return 0
-    generator, metric, description = SIMULATED_FIGURES[args.name]
+    figure = figures.FIGURES[args.name]
     scale = figures.paper_scale() if args.scale == "paper" else figures.bench_scale()
-    out(f"{args.name}: {description} [{args.scale} scale]")
-    sweep = generator(scale)
-    out(sweep.format_table(metric))
+    out(f"{args.name}: {figure.description} [{args.scale} scale]")
+    out(figures.render(args.name, scale).format_table(figure.metric))
     return 0
 
 
 def _cmd_list_figures(out: Callable[[str], None]) -> int:
     for name, (_, description) in sorted(ANALYTICAL_FIGURES.items()):
         out(f"{name:>6}  {description}")
-    for name, (_, _, description) in sorted(SIMULATED_FIGURES.items()):
-        out(f"{name:>6}  {description}")
+    for name, figure in sorted(figures.FIGURES.items()):
+        out(f"{name:>6}  {figure.description}")
     return 0
 
 

@@ -122,11 +122,6 @@ class Network:
         """The protocol node with the given id."""
         return self._nodes[node_id]
 
-    @property
-    def protocol_nodes(self) -> List["ProtocolNode"]:
-        """All registered protocol nodes."""
-        return list(self._nodes.values())
-
     # ---------------------------------------------------------------- failures
 
     def fail_node(self, node_id: int) -> None:

@@ -5,9 +5,11 @@ plus a scenario description into a full simulation (field, radio, MAC,
 routing, protocol nodes, workload, failures, mobility), runs it, and returns a
 :class:`~repro.results.RunRecord`.
 
-Every figure of the paper's evaluation has a generator in
-:mod:`repro.experiments.figures`; the benchmark files under ``benchmarks/``
-simply call those generators and print the resulting rows.
+Every figure of the paper's evaluation is in :mod:`repro.experiments.figures`:
+a function for Table 1 and the analytical Figures 3 and 5, and the
+``FIGURES`` table that :func:`~repro.experiments.figures.render` runs for
+Figures 6-13.  The benchmark files under ``benchmarks/`` call them and print
+the resulting rows.
 
 Sweeps are declared as :class:`~repro.experiments.matrix.ScenarioMatrix`
 parameter grids, expanded into independent seed-derived jobs and executed —

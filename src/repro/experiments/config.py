@@ -1,7 +1,7 @@
 """Simulation configuration — Table 1 of the paper plus topology knobs.
 
 ``SimulationConfig`` collects every parameter the simulation needs.  The
-defaults reproduce Table 1; the per-figure experiment generators override the
+defaults reproduce Table 1; the registered figure matrices override the
 swept parameter (number of nodes or transmission radius) and the workload
 scale.
 """
@@ -12,7 +12,6 @@ import dataclasses
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Mapping, Optional, Type, TypeVar
 
-from repro.mac.contention import ContentionModel
 from repro.radio.power import MICA2_POWER_TABLE, PowerTable, build_power_table_for_radius
 
 _T = TypeVar("_T")
@@ -216,16 +215,6 @@ class SimulationConfig:
             num_levels=self.num_power_levels,
             alpha=self.power_scaling_alpha,
         )
-
-    def contention_model(self) -> ContentionModel:
-        """The MAC contention model used by this configuration.
-
-        Resolved through the component registry, so any registered contention
-        plugin is selectable by name via :attr:`contention`.
-        """
-        from repro.build.registry import CONTENTION, create
-
-        return create(CONTENTION, self.contention, self)
 
     def with_overrides(self, **kwargs) -> "SimulationConfig":
         """A copy of this configuration with selected fields replaced."""

@@ -55,7 +55,6 @@ from repro.experiments.supervisor import (
     SupervisedResult,
     run_serial,
 )
-from repro.metrics.summary import MetricsSummary
 from repro.results import (
     JobFailure,
     RunRecord,
@@ -64,8 +63,8 @@ from repro.results import (
     spec_fingerprint,
 )
 
-#: Environment variable consulted for the default worker count (used by the
-#: figure generators and benchmarks so `REPRO_SWEEP_WORKERS=4 pytest
+#: Environment variable consulted for the default worker count (read by
+#: :func:`repro.experiments.figures.render`, so `REPRO_SWEEP_WORKERS=4 pytest
 #: benchmarks` parallelises every figure without code changes).
 WORKERS_ENV_VAR = "REPRO_SWEEP_WORKERS"
 
@@ -141,9 +140,6 @@ class ExecutionReport:
             report then covers only the jobs completed before shutdown.
         job_keys: Keys in expansion order (provenance).
         failures: The quarantined jobs' structured failure records.
-        merged_summary: Fold of every record's :class:`MetricsSummary`, in
-            expansion order (so serial and parallel executions aggregate
-            byte-identically).  Covers resumed records too.
     """
 
     total_jobs: int = 0
@@ -157,7 +153,6 @@ class ExecutionReport:
     interrupted: bool = False
     job_keys: List[str] = field(default_factory=list)
     failures: List[JobFailure] = field(default_factory=list)
-    merged_summary: Optional[MetricsSummary] = None
 
     @property
     def completed(self) -> int:
@@ -388,13 +383,6 @@ def execute_jobs(
                 signal.SIGTERM,
                 previous_sigterm if previous_sigterm is not None else signal.SIG_DFL,
             )
-    # Fold the aggregate view in expansion order — not completion order — so
-    # the merged floats are byte-identical between serial and parallel runs.
-    merged = MetricsSummary()
-    for job in jobs:
-        if job.key in records:
-            merged = merged.merge(records[job.key].summary)
-    report.merged_summary = merged
     report.elapsed_s = time.perf_counter() - started
     return records, report
 

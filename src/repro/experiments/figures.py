@@ -1,9 +1,17 @@
-"""Per-figure experiment generators.
+"""The paper's tables and figures.
 
-One function per table/figure of the paper's evaluation.  Each returns either
-an analytical series (Figures 3 and 5) or a :class:`SweepResult` of simulation
-runs (Figures 6-13).  The benchmark files under ``benchmarks/`` call these and
-print the resulting rows.
+Table 1 and the analytical Figures 3 and 5 are plain functions.  The
+simulated Figures 6-13 are one table, :data:`FIGURES`, naming the registered
+scenario matrices each figure plots, and one function, :func:`render`, that
+runs those matrices and pivots their records into a :class:`SweepResult`.
+``repro figure`` and the benchmark files under ``benchmarks/`` call
+:func:`render` and print the resulting rows.
+
+Results live only in their run records.  A :class:`~repro.results.RunStore`
+passed to :func:`render` is its one cache: every job whose spec the store
+already holds is served from it, so figures that plot the same runs
+(Figures 6 and 8, say) simulate them once, and so do grid points two
+matrices share.  Without a store every job runs.
 
 Scaling: the paper runs 10 packets per node on up to ~225 nodes.  That is
 minutes of simulation per figure in pure Python, so the default
@@ -17,7 +25,7 @@ every bench-scale job the headline claims read.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.analysis.delay_model import delay_ratio_series
 from repro.analysis.energy_model import energy_ratio_series
@@ -28,8 +36,8 @@ from repro.experiments.config import (
     TABLE1_PARAMETERS,
 )
 from repro.experiments.executor import assemble_sweep, default_workers, execute_jobs
-from repro.experiments.matrix import ScenarioMatrix, matrix_from_axes, register_matrix
-from repro.results import SweepResult
+from repro.experiments.matrix import ScenarioMatrix, get_matrix, matrix_from_axes, register_matrix
+from repro.results import RunStore, SweepResult
 
 
 @dataclass(frozen=True)
@@ -92,33 +100,11 @@ def paper_scale() -> FigureScale:
     )
 
 
-# ----------------------------------------------------------------- run cache
-#
-# Several figures share identical sweeps (Figure 6 and Figure 8 plot energy
-# and delay of the same runs; Figures 10/11 reuse the failure-free curves of
-# Figures 6/9).  Simulation runs are deterministic for a given scale, so the
-# sweeps are memoised per (kind, scale) to keep the benchmark suite fast.
-
-_SWEEP_CACHE: Dict[Tuple[str, FigureScale], SweepResult] = {}
-
-
-def clear_figure_cache() -> None:
-    """Drop memoised sweeps (tests use this to force fresh runs)."""
-    _SWEEP_CACHE.clear()
-
-
-def _cached(kind: str, scale: FigureScale, compute) -> SweepResult:
-    key = (kind, scale)
-    if key not in _SWEEP_CACHE:
-        _SWEEP_CACHE[key] = compute()
-    return _SWEEP_CACHE[key]
-
-
 # ----------------------------------------------------------- figure matrices
 #
 # Every simulated figure registers its parameter grid in the scenario-matrix
-# registry, so the CLI (`repro sweep fig06 --workers 4`), the figure
-# generators below and the benchmark drivers all expand the very same grid.
+# registry, so the CLI (`repro sweep fig06 --workers 4`), :func:`render`
+# and the benchmark drivers all expand the very same grid.
 # The grids keep the paper's historical seeding (one shared seed per sweep,
 # `seed_policy="shared"`), which makes the regenerated figures bit-identical
 # to the pre-matrix serial implementation.
@@ -294,11 +280,86 @@ def fig13_cluster_failures_matrix(scale: "FigureScale | None" = None) -> Scenari
     )
 
 
-def _run_registered(matrix: ScenarioMatrix) -> SweepResult:
-    """Execute a figure matrix (worker count from ``REPRO_SWEEP_WORKERS``)."""
-    jobs = matrix.expand()
-    records, _report = execute_jobs(jobs, workers=default_workers())
-    return assemble_sweep(jobs, records)
+# ------------------------------------------------------- Figures 6 through 13
+
+
+class Figure(NamedTuple):
+    """One simulated figure: the registered matrices whose runs it plots.
+
+    Attributes:
+        matrices: Registered matrix names.  Rows follow the first matrix's
+            grid; a matrix with failures contributes the paper's ``f-``
+            series (F-SPMS, F-SPIN).
+        metric: Record metric the figure plots.
+        description: One-line caption (``repro list-figures``).
+    """
+
+    matrices: Tuple[str, ...]
+    metric: str
+    description: str
+
+
+_ENERGY, _DELAY = "energy_per_item_uj", "average_delay_ms"
+
+#: Figures 6-13 by CLI name.  Figures 6 and 8 (and 7 and 9) plot energy and
+#: delay of the same runs; Figures 10 and 11 add failure curves to them.
+FIGURES: Dict[str, Figure] = {
+    "fig6": Figure(("fig06",), _ENERGY, "energy per item vs number of nodes (static)"),
+    "fig7": Figure(("fig07",), _ENERGY, "energy per item vs transmission radius (static)"),
+    "fig8": Figure(("fig06",), _DELAY, "average delay vs number of nodes (static)"),
+    "fig9": Figure(("fig07",), _DELAY, "average delay vs transmission radius (static)"),
+    "fig10": Figure(
+        ("fig06", "fig10-failures"),
+        _DELAY,
+        "average delay vs number of nodes (with failures)",
+    ),
+    "fig11": Figure(
+        ("fig07", "fig11-failures"),
+        _DELAY,
+        "average delay vs transmission radius (with failures)",
+    ),
+    "fig12": Figure(
+        ("fig12-mobility",),
+        _ENERGY,
+        "energy per item vs transmission radius (mobility)",
+    ),
+    "fig13": Figure(
+        ("fig13-cluster", "fig13-cluster-failures"),
+        _ENERGY,
+        "energy per item vs transmission radius (cluster traffic)",
+    ),
+}
+
+
+def render(
+    name: str, scale: Optional[FigureScale] = None, store: Optional[RunStore] = None
+) -> SweepResult:
+    """Run the matrices of figure *name* and pivot their records.
+
+    Args:
+        name: A key of :data:`FIGURES`.
+        scale: Sweep size (default :func:`bench_scale`).
+        store: Run store that receives every record and serves the jobs
+            whose spec it already holds (``resume``); ``None`` runs every
+            job.  Workers come from ``REPRO_SWEEP_WORKERS``.
+
+    Returns:
+        One series per protocol and matrix, ``f-``-prefixed for a matrix
+        with failures, with a row for every grid value of the first matrix
+        (a job without a record leaves an empty cell).
+    """
+    matrices = [get_matrix(matrix_name, scale=scale) for matrix_name in FIGURES[name].matrices]
+    first = matrices[0]
+    sweep = SweepResult(first.parameter, list(first.axes[first.parameter]))
+    for matrix in matrices:
+        jobs = matrix.expand()
+        records, _report = execute_jobs(
+            jobs, workers=default_workers(), store=store, resume=store is not None
+        )
+        prefix = "f-" if matrix.failures is not None else ""
+        for series, runs in assemble_sweep(jobs, records).results.items():
+            sweep.results[prefix + series] = runs
+    return sweep
 
 
 # --------------------------------------------------------------------- Table 1
@@ -320,112 +381,3 @@ def figure3_delay_ratio(radii_m: Sequence[float] = tuple(range(2, 31, 2))) -> Li
 def figure5_energy_ratio(radii: Sequence[int] = tuple(range(1, 31))) -> List[Tuple[int, float]]:
     """Figure 5: analytical SPIN/SPMS energy ratio vs transmission radius."""
     return energy_ratio_series(radii)
-
-
-# ----------------------------------------------------------- Figures 6 through 9
-
-
-def _static_node_sweep(scale: FigureScale) -> SweepResult:
-    return _cached(
-        "static_nodes", scale, lambda: _run_registered(fig06_matrix(scale))
-    )
-
-
-def _static_radius_sweep(scale: FigureScale) -> SweepResult:
-    return _cached(
-        "static_radius", scale, lambda: _run_registered(fig07_matrix(scale))
-    )
-
-
-def figure6_energy_vs_nodes(scale: FigureScale | None = None) -> SweepResult:
-    """Figure 6: energy per packet vs number of nodes (static, failure free)."""
-    return _static_node_sweep(scale or bench_scale())
-
-
-def figure7_energy_vs_radius(scale: FigureScale | None = None) -> SweepResult:
-    """Figure 7: energy per packet vs transmission radius (fixed node count)."""
-    return _static_radius_sweep(scale or bench_scale())
-
-
-def figure8_delay_vs_nodes(scale: FigureScale | None = None) -> SweepResult:
-    """Figure 8: end-to-end delay vs number of nodes (static, failure free).
-
-    The runs are shared with Figure 6 (the paper plots energy and delay of
-    the same simulations).
-    """
-    return _static_node_sweep(scale or bench_scale())
-
-
-def figure9_delay_vs_radius(scale: FigureScale | None = None) -> SweepResult:
-    """Figure 9: end-to-end delay vs transmission radius (fixed node count).
-
-    The runs are shared with Figure 7.
-    """
-    return _static_radius_sweep(scale or bench_scale())
-
-
-# ---------------------------------------------------------- Figures 10 and 11
-
-
-def figure10_delay_failures_vs_nodes(scale: FigureScale | None = None) -> SweepResult:
-    """Figure 10: delay vs nodes, with and without transient failures.
-
-    Produces four curves: ``spms``/``spin`` (failure free) and
-    ``f-spms``/``f-spin`` (with the Table 1 failure process).
-    """
-    scale = scale or bench_scale()
-    healthy = _static_node_sweep(scale)
-    faulty = _cached(
-        "failure_nodes", scale, lambda: _run_registered(fig10_failures_matrix(scale))
-    )
-    merged = SweepResult(parameter="num_nodes", values=list(scale.node_counts))
-    merged.results["spms"] = healthy.results["spms"]
-    merged.results["spin"] = healthy.results["spin"]
-    merged.results["f-spms"] = faulty.results["spms"]
-    merged.results["f-spin"] = faulty.results["spin"]
-    return merged
-
-
-def figure11_delay_failures_vs_radius(scale: FigureScale | None = None) -> SweepResult:
-    """Figure 11: delay vs transmission radius, with and without failures."""
-    scale = scale or bench_scale()
-    healthy = _static_radius_sweep(scale)
-    faulty = _cached(
-        "failure_radius", scale, lambda: _run_registered(fig11_failures_matrix(scale))
-    )
-    merged = SweepResult(parameter="transmission_radius_m", values=list(scale.radii_m))
-    merged.results["spms"] = healthy.results["spms"]
-    merged.results["spin"] = healthy.results["spin"]
-    merged.results["f-spms"] = faulty.results["spms"]
-    merged.results["f-spin"] = faulty.results["spin"]
-    return merged
-
-
-# ----------------------------------------------------------------- Figure 12
-
-
-def figure12_energy_mobility(scale: FigureScale | None = None) -> SweepResult:
-    """Figure 12: energy vs transmission radius with step mobility.
-
-    SPMS pays for routing-table re-convergence after every mobility epoch;
-    SPIN does not, which narrows (but does not close) the energy gap.
-    """
-    scale = scale or bench_scale()
-    return _run_registered(fig12_mobility_matrix(scale))
-
-
-# ----------------------------------------------------------------- Figure 13
-
-
-def figure13_energy_cluster(scale: FigureScale | None = None) -> SweepResult:
-    """Figure 13: energy vs transmission radius, cluster-based traffic,
-    with and without transient failures (four curves)."""
-    scale = scale or bench_scale()
-    healthy = _run_registered(fig13_cluster_matrix(scale))
-    faulty = _run_registered(fig13_cluster_failures_matrix(scale))
-    merged = SweepResult(parameter="transmission_radius_m", values=list(scale.radii_m))
-    merged.results["spms"] = healthy.results["spms"]
-    merged.results["spin"] = healthy.results["spin"]
-    merged.results["f-spms"] = faulty.results["spms"]
-    merged.results["f-spin"] = faulty.results["spin"]
-    return merged

@@ -18,8 +18,9 @@ picklable description of one simulation run:
 
 Named grids live in a registry (:func:`register_matrix` /
 :func:`get_matrix`): each figure of the paper registers its grid once, and
-the CLI (``repro sweep fig06 --workers 4``), the figure generators and the
-benchmarks all expand the same registered matrix.
+the CLI (``repro sweep fig06 --workers 4``),
+:func:`repro.experiments.figures.render` and the benchmarks all expand the
+same registered matrix.
 """
 
 from __future__ import annotations

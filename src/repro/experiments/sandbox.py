@@ -90,6 +90,9 @@ def build_sandbox(
             micro-scenarios are deterministic).
         trace: Record a packet-level trace in ``sandbox.sim.trace_log``.
         protocol_options: Extra keyword arguments for the node constructor.
+
+    Every protocol factory receives the routing manager; factories that do
+    not route ignore it (see :mod:`repro.build.components`).
     """
     registry = default_registry()
     canonical = normalize_protocol_name(protocol, registry=registry)
@@ -131,7 +134,7 @@ def build_sandbox(
             node_id,
             network,
             interest,
-            routing=routing if canonical == "spms" else None,
+            routing=routing,
             **(protocol_options or {}),
         )
         network.register_node(node)

@@ -2,8 +2,9 @@
 
 A :class:`ScenarioSpec` fully describes one run: which protocol, which
 workload and scale, how nodes are placed, whether failures are injected and
-whether nodes move.  The per-figure generators in
-:mod:`repro.experiments.figures` are thin wrappers around these builders.
+whether nodes move.  The builders below make single specs; scenario-matrix
+job expansion (:mod:`repro.experiments.matrix`) makes one spec per grid
+point of a figure's sweep.
 
 Specs round-trip losslessly through plain dictionaries and JSON
 (:meth:`ScenarioSpec.to_dict` / :meth:`ScenarioSpec.from_dict`), with a

@@ -53,26 +53,6 @@ class MetricsCollector:
         """Record a completed delivery."""
         self.delay.record_delivery(item_id, destination, time_ms)
 
-    # ---------------------------------------------------------------- merging
-
-    def merge(self, other: "MetricsCollector", item_prefix: str = "") -> None:
-        """Fold another collector's counters into this one.
-
-        The sweep executor uses this to combine per-shard metrics into one
-        network-wide view: energy ledgers add, delay recordings concatenate
-        and traffic counters sum.  *item_prefix* (typically the shard's job
-        key plus ``"/"``) namespaces item ids so shards that reuse the same
-        workload ids do not collide.
-        """
-        self.energy.merge(other.energy)
-        self.delay.merge(other.delay, item_prefix=item_prefix)
-        self.packets_sent.update(other.packets_sent)
-        self.packets_received.update(other.packets_received)
-        self.packets_dropped.update(other.packets_dropped)
-        for item_id, destinations in other.expected_deliveries.items():
-            self.expected_deliveries[item_prefix + item_id].extend(destinations)
-        self.items_generated += other.items_generated
-
     # ---------------------------------------------------------------- results
 
     @property
@@ -101,7 +81,7 @@ class MetricsCollector:
         return self.delay.summary()
 
     def summarize(self) -> MetricsSummary:
-        """Reduce this collector to its compact, mergeable summary.
+        """Reduce this collector to its compact summary.
 
         Workers call this in-process so only the O(1) summary — not the
         O(deliveries) collector — crosses the IPC boundary.

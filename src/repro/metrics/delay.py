@@ -79,20 +79,6 @@ class DelayTracker:
         delays = self.all_delays()
         return sum(delays) / len(delays) if delays else 0.0
 
-    def merge(self, other: "DelayTracker", item_prefix: str = "") -> None:
-        """Fold another tracker's recordings into this one.
-
-        Args:
-            other: The tracker to absorb (left untouched).
-            item_prefix: Prepended to every absorbed item id.  Shard merging
-                uses the shard's job key so items from different runs (which
-                reuse ids like ``"item-0"``) never collide.
-        """
-        for item_id, time_ms in other._origin_times.items():
-            self.record_origin(item_prefix + item_id, time_ms)
-        for (item_id, destination), time_ms in other._deliveries.items():
-            self.record_delivery(item_prefix + item_id, destination, time_ms)
-
     def undelivered(self, expected: Dict[str, List[int]]) -> List[Tuple[str, int]]:
         """Which expected (item, destination) pairs never completed.
 

@@ -3,10 +3,10 @@
 :class:`DistributionSummary` condenses a sample into its headline statistics;
 :class:`MetricsSummary` condenses a whole
 :class:`~repro.metrics.collector.MetricsCollector` into the counters the
-results layer needs.  Both are small, frozen, JSON-round-trippable and —
-crucially for the parallel executor — *mergeable*: worker processes reduce
-their collector to a summary in-process and ship only the summary over IPC,
-so the per-job payload is O(1) instead of O(deliveries).
+results layer needs.  Both are small, frozen and JSON-round-trippable:
+worker processes reduce their collector to a summary in-process and ship
+only the summary over IPC, so the per-job payload is O(1) instead of
+O(deliveries).
 """
 
 from __future__ import annotations
@@ -62,41 +62,6 @@ class DistributionSummary:
         """The summary of an empty sample."""
         return cls(0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
-    def merge(self, other: "DistributionSummary") -> "DistributionSummary":
-        """Summary of the union of the two underlying samples.
-
-        Count, minimum and maximum are exact.  Mean and standard deviation
-        are combined through the count-weighted moments, which agrees with
-        summarising the concatenated sample up to floating-point rounding.
-        The *median* of a union is not recoverable from two summaries, so the
-        merged median is the count-weighted mean of the two medians — an
-        explicit approximation, adequate for the sweep-wide aggregate view
-        (per-run records keep their exact medians).
-        """
-        if self.count == 0:
-            return other
-        if other.count == 0:
-            return self
-        count = self.count + other.count
-        mean = (self.mean * self.count + other.mean * other.count) / count
-        # Pairwise update of the squared-deviation sums (Chan et al.): the
-        # E[x^2] - E[x]^2 form cancels catastrophically, turning a zero spread
-        # of large values into a spurious ~1e-6 deviation.
-        delta = other.mean - self.mean
-        squared_deviations = (
-            self.count * self.stddev**2
-            + other.count * other.stddev**2
-            + delta * delta * self.count * other.count / count
-        )
-        return DistributionSummary(
-            count=count,
-            mean=mean,
-            minimum=min(self.minimum, other.minimum),
-            maximum=max(self.maximum, other.maximum),
-            stddev=math.sqrt(squared_deviations / count),
-            median=(self.median * self.count + other.median * other.count) / count,
-        )
-
 
 def percentile(sorted_values: Sequence[float], q: float) -> float:
     """Linear-interpolation percentile of an already sorted sample.
@@ -147,16 +112,9 @@ def summarize(values: Iterable[float]) -> DistributionSummary:
 # ---------------------------------------------------------- metrics summary
 
 
-def _merge_number_maps(a: Mapping[str, float], b: Mapping[str, float]) -> Dict[str, float]:
-    merged = dict(a)
-    for key, value in b.items():
-        merged[key] = merged.get(key, 0) + value
-    return merged
-
-
 @dataclass(frozen=True)
 class MetricsSummary:
-    """Compact, mergeable reduction of one run's :class:`MetricsCollector`.
+    """Compact reduction of one run's :class:`MetricsCollector`.
 
     This is the payload the parallel executor ships between processes and the
     metrics half of every :class:`~repro.results.RunRecord`: traffic counters,
@@ -226,35 +184,6 @@ class MetricsSummary:
             packets_received=dict(collector.packets_received),
             packets_dropped=dict(collector.packets_dropped),
             delay=collector.delay_summary(),
-        )
-
-    # --------------------------------------------------------------- merging
-
-    def merge(self, other: "MetricsSummary") -> "MetricsSummary":
-        """Fold another run's summary into a combined view (returns a new one).
-
-        Replaces collector-level merging on the executor's hot path: counters,
-        energy and delivery counts combine exactly as
-        :meth:`MetricsCollector.merge` would; the delay distribution combines
-        through :meth:`DistributionSummary.merge` (exact count/min/max,
-        moment-combined mean/stddev, approximated median).
-        """
-        return MetricsSummary(
-            items_generated=self.items_generated + other.items_generated,
-            expected_deliveries=self.expected_deliveries + other.expected_deliveries,
-            deliveries_completed=self.deliveries_completed + other.deliveries_completed,
-            total_energy_uj=self.total_energy_uj + other.total_energy_uj,
-            energy_breakdown_uj=_merge_number_maps(
-                self.energy_breakdown_uj, other.energy_breakdown_uj
-            ),
-            packets_sent=_merge_number_maps(self.packets_sent, other.packets_sent),
-            packets_received=_merge_number_maps(
-                self.packets_received, other.packets_received
-            ),
-            packets_dropped=_merge_number_maps(
-                self.packets_dropped, other.packets_dropped
-            ),
-            delay=self.delay.merge(other.delay),
         )
 
     # -------------------------------------------------------- serialization

@@ -245,15 +245,6 @@ class EnergyLedger:
         """Copy of the per-category totals."""
         return dict(self._per_category)
 
-    def merge(self, other: "EnergyLedger") -> None:
-        """Fold another ledger's totals into this one."""
-        for node_id, value in other._per_node.items():
-            self._per_node[node_id] += value
-        for category, value in other._per_category.items():
-            self._per_category[category] += value
-        for key, value in other._per_node_category.items():
-            self._per_node_category[key] += value
-
     def reset(self) -> None:
         """Zero every counter."""
         self._per_node.clear()

@@ -5,8 +5,8 @@ Everything a run produces flows through one canonical, schema-versioned type:
 * :class:`RunRecord` — one run's outcome: provenance (key, spec fingerprint,
   seed, grid axes), a compact :class:`MetricsSummary`, routing/fault
   bookkeeping and wall time.  JSON round-trip with strict validation.
-* :class:`MetricsSummary` / :class:`DistributionSummary` — the compact,
-  *mergeable* metrics reduction workers compute in-process (defined in
+* :class:`MetricsSummary` / :class:`DistributionSummary` — the compact
+  metrics reduction workers compute in-process (defined in
   :mod:`repro.metrics.summary`, re-exported here).
 * :class:`RunStore` — a run directory holding one append-only JSONL record
   log, read in append order or by :func:`spec_fingerprint` (what

@@ -2,20 +2,13 @@
 
 import pytest
 
-from repro.build import (
-    PLACEMENT,
-    PROTOCOL,
-    WORKLOAD,
-    ComponentRegistry,
-    SimulationBuilder,
-    UnknownComponentError,
-    default_registry,
-)
-from repro.build.registry import CONTENTION, FAILURE, MOBILITY
+from repro.build import PLACEMENT, PROTOCOL, SimulationBuilder, UnknownComponentError
 from repro.core.spin import SpinNode
 from repro.experiments.config import FailureConfig, MobilityConfig, SimulationConfig
 from repro.experiments.runner import ExperimentRunner, run_scenario
 from repro.experiments.scenarios import all_to_all_scenario
+
+from tests.helpers import clone_default_registry
 
 
 @pytest.fixture
@@ -27,23 +20,6 @@ def config():
         grid_spacing_m=5.0,
         seed=11,
     )
-
-
-def _clone_default_registry() -> ComponentRegistry:
-    """A private registry pre-loaded with the built-in components."""
-    clone = ComponentRegistry()
-    source = default_registry()
-    for kind in (PROTOCOL, WORKLOAD, PLACEMENT, MOBILITY, FAILURE, CONTENTION):
-        for name in source.available(kind):
-            registration = source.lookup(kind, name)
-            clone.add(
-                kind,
-                name,
-                registration.factory,
-                aliases=registration.aliases,
-                metadata=registration.metadata,
-            )
-    return clone
 
 
 class TestPhases:
@@ -125,7 +101,7 @@ class TestPlacements:
 
 class TestPluginsEndToEnd:
     def test_custom_protocol_plugin_runs_through_runner(self, config):
-        registry = _clone_default_registry()
+        registry = clone_default_registry()
 
         class QuietSpin(SpinNode):
             pass
@@ -153,7 +129,7 @@ class TestPluginsEndToEnd:
     def test_custom_placement_plugin(self, config):
         from repro.topology.node import NodeInfo, Position
 
-        registry = _clone_default_registry()
+        registry = clone_default_registry()
 
         def line_placement(cfg, rng, **options):
             return [

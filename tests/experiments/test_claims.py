@@ -106,18 +106,18 @@ class TestClaimHelpers:
 class TestEvaluateHeadlineClaims:
     def test_all_claims_hold_for_winning_spms(self):
         winning = sweep([(100, 70, 30, 10), (200, 120, 50, 20)])
-        checks = evaluate_headline_claims(winning, winning, winning, winning)
+        checks = evaluate_headline_claims(winning, winning, winning)
         assert len(checks) == 4
         assert all(isinstance(c, ClaimCheck) for c in checks)
         assert all(c.holds for c in checks)
 
     def test_claims_fail_when_spms_loses(self):
         losing = sweep([(70, 100, 10, 30)])
-        checks = evaluate_headline_claims(losing, losing, losing, losing)
+        checks = evaluate_headline_claims(losing, losing, losing)
         assert not any(c.holds for c in checks)
 
     def test_format_claims_mentions_status(self):
         winning = sweep([(100, 70, 30, 10)])
-        text = format_claims(evaluate_headline_claims(winning, winning, winning, winning))
+        text = format_claims(evaluate_headline_claims(winning, winning, winning))
         assert "HOLDS" in text
         assert "energy" in text

@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import ANALYTICAL_FIGURES, SIMULATED_FIGURES, build_parser, main
+from repro.cli import ANALYTICAL_FIGURES, build_parser, main
 from repro.experiments import figures
-from repro.experiments.figures import FigureScale
+from repro.experiments.config import MobilityConfig
+from repro.experiments.figures import FIGURES, FigureScale
 
 
 @pytest.fixture
@@ -42,7 +43,7 @@ class TestCommands:
         lines, out = capture
         assert main(["list-figures"], out=out) == 0
         listed = "\n".join(lines)
-        for name in list(ANALYTICAL_FIGURES) + list(SIMULATED_FIGURES):
+        for name in list(ANALYTICAL_FIGURES) + list(FIGURES):
             assert name in listed
 
     def test_analytical_figure(self, capture):
@@ -71,12 +72,50 @@ class TestCommands:
             arrival_mean_interarrival_ms=5.0,
         )
         monkeypatch.setattr(figures, "bench_scale", lambda: tiny)
-        figures.clear_figure_cache()
-        try:
-            assert main(["figure", "fig6"], out=out) == 0
-        finally:
-            figures.clear_figure_cache()
+        assert main(["figure", "fig6"], out=out) == 0
         assert any("spms" in line for line in lines)
+
+    def test_four_curve_figure_derives_the_failure_series(self, capture, monkeypatch):
+        lines, out = capture
+        tiny = FigureScale(
+            node_counts=(9,),
+            radii_m=(10.0,),
+            fixed_num_nodes=9,
+            packets_per_node=1,
+            cluster_packets_per_member=1,
+            arrival_mean_interarrival_ms=5.0,
+        )
+        monkeypatch.setattr(figures, "bench_scale", lambda: tiny)
+        assert main(["figure", "fig13"], out=out) == 0
+        assert lines[0] == (
+            "fig13: energy per item vs transmission radius (cluster traffic) "
+            "[bench scale]"
+        )
+        assert lines[1].splitlines()[0].split() == [
+            "transmission_radius_m", "f-spin", "f-spms", "spin", "spms",
+        ]
+
+    @pytest.mark.parametrize("workload", ["all_to_all", "cluster"])
+    def test_compare_mobility_reaches_every_workload(
+        self, capture, monkeypatch, workload
+    ):
+        import repro.cli
+
+        specs = []
+        run = repro.cli.run_scenario
+
+        def recording(spec):
+            specs.append(spec)
+            return run(spec)
+
+        monkeypatch.setattr(repro.cli, "run_scenario", recording)
+        _, out = capture
+        argv = ["compare", "--nodes", "9", "--radius", "15", "--workload", workload]
+        assert main(argv + ["--mobility"], out=out) == 0
+        assert [(s.protocol, s.workload, s.mobility) for s in specs] == [
+            ("spms", workload, MobilityConfig()),
+            ("spin", workload, MobilityConfig()),
+        ]
 
 
 class TestSweepCommand:
@@ -118,7 +157,12 @@ class TestSweepCommand:
         assert "sweep fig06: 2 jobs" in text
         assert "spms" in text and "spin" in text
         assert "2 simulated, 0 from cache" in text
-        assert "aggregate:" in text
+        records = list(RunStore(run_dir).records())
+        assert (
+            f"aggregate: {sum(r.items_generated for r in records)} items, "
+            f"{sum(r.deliveries_completed for r in records)} deliveries, "
+            f"{sum(r.total_energy_uj for r in records):.1f} uJ total energy"
+        ) in lines
         table = [row for row in text.splitlines() if row.strip().startswith("9 ")]
         assert len(table) == 1
 
@@ -245,6 +289,17 @@ class TestRunCommand:
         bad["placement"] = "hexagonal"
         assert main(["run", "--spec", self._write_spec(tmp_path, bad)], out=out) == 2
         assert any("scenario failed to build" in line for line in lines)
+
+    @pytest.mark.parametrize(
+        "options", ["workload_options", "placement_options", "protocol_options"]
+    )
+    def test_run_unknown_option_key_fails_cleanly(self, capture, tmp_path, options):
+        lines, out = capture
+        bad = {**self.SPEC, options: {"bogus": 1}}
+        assert main(["run", "--spec", self._write_spec(tmp_path, bad)], out=out) == 2
+        assert len(lines) == 1
+        assert lines[0].startswith("scenario failed to build: ")
+        assert "bogus" in lines[0]
 
     def test_run_reads_stdin(self, capture, monkeypatch):
         import io

@@ -2,12 +2,14 @@
 
 import pytest
 
+from repro.build import SimulationBuilder
 from repro.experiments.config import (
     FailureConfig,
     MobilityConfig,
     SimulationConfig,
     TABLE1_PARAMETERS,
 )
+from repro.experiments.scenarios import all_to_all_scenario
 from repro.mac.contention import QuadraticContention
 from repro.radio.power import MICA2_POWER_TABLE
 
@@ -59,8 +61,9 @@ class TestSimulationConfig:
         assert config.power_table() is MICA2_POWER_TABLE
 
     def test_contention_model_uses_g(self):
-        config = SimulationConfig(csma_g=0.02)
-        model = config.contention_model()
+        config = SimulationConfig(csma_g=0.02, num_nodes=9)
+        builder = SimulationBuilder(all_to_all_scenario("spin", config)).build()
+        model = builder.mac_delay.contention
         assert isinstance(model, QuadraticContention)
         assert model.access_delay_ms(10) == pytest.approx(2.0)
 

@@ -3,7 +3,11 @@
 import pytest
 
 from repro import build_sandbox, line_positions
+from repro.build import PROTOCOL
+from repro.core.spms import SpmsNode
 from repro.experiments.sandbox import Sandbox
+
+from tests.helpers import clone_default_registry
 
 
 class TestLinePositions:
@@ -73,3 +77,25 @@ class TestBuildSandbox:
         sandbox.originate("x", source=0, destinations=[1, 2])
         sandbox.run()
         assert sandbox.delivered("x", 1)
+
+    def test_routing_reaches_a_plugin_that_needs_it(self, monkeypatch):
+        # The README's plugin convention: a protocol registered with
+        # needs_routing gets the routing manager, whatever its name.
+        registry = clone_default_registry()
+        registry.add(
+            PROTOCOL,
+            "spms-plugin",
+            lambda node_id, network, interest, routing=None, **options: SpmsNode(
+                node_id, network, interest, routing, **options
+            ),
+            metadata={"needs_routing": True},
+        )
+        monkeypatch.setattr(
+            "repro.experiments.sandbox.default_registry", lambda: registry
+        )
+        sandbox = build_sandbox(line_positions(3), protocol="spms-plugin", radius_m=15.0)
+        assert all(node.routing is sandbox.routing for node in sandbox.nodes.values())
+        sandbox.originate("x", source=0, destinations=[1, 2])
+        sandbox.run()
+        assert sandbox.delivered("x", 1)
+        assert sandbox.delivered("x", 2)

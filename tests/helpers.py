@@ -1,73 +1,18 @@
 """Utilities for building small hand-crafted protocol scenarios in tests.
 
-``build_network`` wires the full stack (simulator, field, zones, energy, MAC,
-network, routing) around an explicit list of node positions so behaviour
-tests can reproduce the paper's walk-through topologies (Sections 3.3 and
-3.5) exactly.
+``build_network`` is :func:`repro.experiments.sandbox.build_sandbox` with the
+``SimulationConfig`` protocol timeouts (``tout_adv_ms`` 2 ms, ``tout_dat_ms``
+25 ms) instead of the node constructors' defaults, so behaviour tests
+reproduce the paper's walk-through topologies (Sections 3.3 and 3.5) at the
+simulated timings.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.core.interests import ExplicitInterest
-from repro.core.metadata import DataDescriptor, DataItem
-from repro.core.network import Network
-from repro.core.spin import SpinNode
-from repro.core.spms import SpmsNode
-from repro.mac.delay import MacDelayModel
-from repro.metrics.collector import MetricsCollector
-from repro.radio.energy import EnergyModel
-from repro.radio.power import build_power_table_for_radius
-from repro.routing.manager import RoutingManager
-from repro.sim.engine import Simulator
-from repro.topology.field import SensorField
-from repro.topology.node import NodeInfo, Position
-from repro.topology.zone import ZoneMap
-
-
-@dataclass
-class Harness:
-    """Everything a behaviour test needs to drive a small scenario."""
-
-    sim: Simulator
-    field: SensorField
-    zone_map: ZoneMap
-    network: Network
-    routing: RoutingManager
-    metrics: MetricsCollector
-    nodes: Dict[int, object]
-    interest: ExplicitInterest
-
-    def item(self, name: str, source: int, size_bytes: int = 40) -> DataItem:
-        """Create a data item originated by *source*."""
-        return DataItem(
-            descriptor=DataDescriptor(name=name),
-            source=source,
-            size_bytes=size_bytes,
-            created_at_ms=self.sim.now,
-        )
-
-    def set_interest(self, name: str, destinations: Sequence[int]) -> None:
-        """Declare which nodes want the item called *name*."""
-        self.interest.set_interest(name, destinations)
-
-    def originate(self, name: str, source: int, destinations: Sequence[int]) -> DataItem:
-        """Register interest, record metrics bookkeeping and originate."""
-        self.set_interest(name, destinations)
-        item = self.item(name, source)
-        self.metrics.record_item_generated(name, self.sim.now, list(destinations))
-        self.nodes[source].originate(item)
-        return item
-
-    def run(self, until: float = 10_000.0) -> float:
-        """Run the simulation until the event queue drains (or *until*)."""
-        return self.sim.run(until=until)
-
-    def delivered(self, name: str, destination: int) -> bool:
-        """Whether *destination* got the item called *name*."""
-        return self.nodes[destination].cache.has(DataDescriptor(name=name))
+from repro.build import BUILTIN_KINDS, ComponentRegistry, default_registry
+from repro.experiments.sandbox import Sandbox, build_sandbox, line_positions
 
 
 def build_network(
@@ -80,7 +25,7 @@ def build_network(
     tout_dat_ms: float = 25.0,
     spms_options: Optional[dict] = None,
     spin_options: Optional[dict] = None,
-) -> Harness:
+) -> Sandbox:
     """Build a small network with explicit node positions.
 
     Args:
@@ -89,74 +34,45 @@ def build_network(
         radius_m: Maximum transmission radius (zone radius).
         seed: Simulator seed.
         random_backoff: Keep False for deterministic timing in tests.
-        tout_adv_ms / tout_dat_ms: Protocol timeouts.
+        tout_adv_ms / tout_dat_ms: Protocol timeouts (SPIN takes only
+            ``tout_dat_ms``).
         spms_options / spin_options: Extra node-constructor options.
     """
-    sim = Simulator(seed=seed)
-    field = SensorField(
-        [NodeInfo(node_id=i, position=Position(x, y)) for i, (x, y) in enumerate(positions)]
-    )
-    power_table = build_power_table_for_radius(radius_m, num_levels=5, alpha=2.0)
-    zone_map = ZoneMap(field, radius_m)
-    metrics = MetricsCollector()
-    energy_model = EnergyModel(power_table, rx_power_mw=0.0125)
-    mac = MacDelayModel(rng=sim.rng if random_backoff else None)
-    network = Network(
-        sim=sim,
-        field=field,
-        power_table=power_table,
-        zone_map=zone_map,
-        energy_model=energy_model,
-        mac_delay=mac,
-        metrics=metrics,
-    )
-    routing = RoutingManager(
-        field=field,
-        power_table=power_table,
-        zone_map=zone_map,
-        energy_model=energy_model,
-        energy_ledger=metrics.energy,
-        mac_delay=mac,
-        charge_energy=False,
-    )
-    routing.build()
-    interest = ExplicitInterest({})
-    nodes: Dict[int, object] = {}
-    for node_id in field.node_ids:
-        if protocol == "spms":
-            node = SpmsNode(
-                node_id,
-                network,
-                interest,
-                routing,
-                tout_adv_ms=tout_adv_ms,
-                tout_dat_ms=tout_dat_ms,
-                **(spms_options or {}),
-            )
-        elif protocol == "spin":
-            node = SpinNode(
-                node_id,
-                network,
-                interest,
-                tout_dat_ms=tout_dat_ms,
-                **(spin_options or {}),
-            )
-        else:
-            raise ValueError(f"unsupported protocol {protocol!r} in test harness")
-        network.register_node(node)
-        nodes[node_id] = node
-    return Harness(
-        sim=sim,
-        field=field,
-        zone_map=zone_map,
-        network=network,
-        routing=routing,
-        metrics=metrics,
-        nodes=nodes,
-        interest=interest,
+    if protocol == "spms":
+        options = {"tout_adv_ms": tout_adv_ms, "tout_dat_ms": tout_dat_ms}
+        options.update(spms_options or {})
+    elif protocol == "spin":
+        options = {"tout_dat_ms": tout_dat_ms}
+        options.update(spin_options or {})
+    else:
+        raise ValueError(f"unsupported protocol {protocol!r} in test harness")
+    return build_sandbox(
+        positions,
+        protocol=protocol,
+        radius_m=radius_m,
+        seed=seed,
+        random_backoff=random_backoff,
+        protocol_options=options,
     )
 
 
 def chain_positions(count: int, spacing: float = 5.0) -> List[Tuple[float, float]]:
     """Positions of *count* nodes in a straight line, *spacing* metres apart."""
-    return [(i * spacing, 0.0) for i in range(count)]
+    return line_positions(count, spacing_m=spacing)
+
+
+def clone_default_registry() -> ComponentRegistry:
+    """A private registry pre-loaded with the built-in components."""
+    clone = ComponentRegistry()
+    source = default_registry()
+    for kind in BUILTIN_KINDS:
+        for name in source.available(kind):
+            registration = source.lookup(kind, name)
+            clone.add(
+                kind,
+                name,
+                registration.factory,
+                aliases=registration.aliases,
+                metadata=registration.metadata,
+            )
+    return clone

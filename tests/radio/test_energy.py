@@ -126,17 +126,6 @@ class TestEnergyLedger:
             ledger.charge_batch([0, 1], np.array([1.0, math.inf]))
         assert ledger.total == 0.0
 
-    def test_merge_combines_ledgers(self):
-        a = EnergyLedger()
-        b = EnergyLedger()
-        a.charge(1, 1.0, "tx")
-        b.charge(1, 2.0, "tx")
-        b.charge(2, 3.0, "rx")
-        a.merge(b)
-        assert a.node_total(1) == pytest.approx(3.0)
-        assert a.node_total(2) == pytest.approx(3.0)
-        assert a.category_total("rx") == pytest.approx(3.0)
-
     def test_reset_zeroes_everything(self):
         ledger = EnergyLedger()
         ledger.charge(1, 1.0)
