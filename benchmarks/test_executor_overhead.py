@@ -30,8 +30,9 @@ import time
 
 from benchmarks.conftest import emit, run_once
 from repro.experiments.config import SimulationConfig
-from repro.experiments.executor import _run_job, execute_jobs
+from repro.experiments.executor import execute_jobs
 from repro.experiments.matrix import ScenarioMatrix, get_matrix
+from repro.experiments.runner import ExperimentRunner
 
 #: The tentpole's acceptance bar: supervision adds at most 10% wall time.
 MAX_OVERHEAD_FACTOR = 1.10
@@ -53,6 +54,12 @@ def _pool_context():
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - platforms without fork
         return multiprocessing.get_context("spawn")
+
+
+def _run_job(job):
+    """Run one job in-process, unsupervised (module-level, hence picklable):
+    what one attempt inside the supervised pool executes."""
+    return job.index, ExperimentRunner(job.spec).run_record(key=job.key, axes=job.axes)
 
 
 def _run_plain_pool(jobs):

@@ -58,17 +58,7 @@ import sys
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.build import (
-    BUILTIN_KINDS,
-    CONTENTION,
-    FAILURE,
-    MOBILITY,
-    PLACEMENT,
-    WORKLOAD,
-    UnknownComponentError,
-    default_registry,
-    normalize_protocol_name,
-)
+from repro.build import BUILTIN_KINDS, default_registry
 from repro.experiments import figures
 from repro.experiments.claims import delay_ratio, energy_saving_percent
 from repro.experiments.config import (
@@ -78,7 +68,7 @@ from repro.experiments.config import (
     SpecValidationError,
 )
 from repro.experiments.chaos import ChaosSpec, ChaosSpecError
-from repro.experiments.executor import assemble_sweep, execute_jobs, stream_jobs
+from repro.experiments.executor import ExecutionReport, assemble_sweep, execute_jobs
 from repro.experiments.matrix import SweepJob, available_matrices, get_matrix
 from repro.experiments.runner import ExperimentRunner, run_scenario
 from repro.experiments.scenarios import (
@@ -197,7 +187,11 @@ def build_parser() -> argparse.ArgumentParser:
     compare = subparsers.add_parser("compare", help="run SPMS and SPIN on one scenario")
     compare.add_argument("--nodes", type=int, default=49, help="number of sensor nodes")
     compare.add_argument("--radius", type=float, default=20.0, help="transmission radius (m)")
-    compare.add_argument("--packets", type=int, default=1, help="data items per node")
+    compare.add_argument(
+        "--packets", type=int, default=None,
+        help="data items per node (all_to_all, default 1) or per cluster "
+             "member (cluster, default 2)",
+    )
     compare.add_argument("--seed", type=int, default=1, help="random seed")
     compare.add_argument(
         "--workload", choices=("all_to_all", "cluster"), default="all_to_all"
@@ -313,6 +307,22 @@ def _cmd_run(args: argparse.Namespace, out: Callable[[str], None]) -> int:
     return _run_spec_batch(args, store, out)
 
 
+def _build(spec: ScenarioSpec) -> Tuple[Optional[ExperimentRunner], str]:
+    """*spec*'s runner with its simulation built, or ``(None, reason)``.
+
+    Only construction errors (unknown components, bad option values, option
+    keys a component does not take) are a spec problem worth a clean exit
+    code; once built, the scenario runs unguarded so genuine simulation bugs
+    surface with their traceback.
+    """
+    try:
+        runner = ExperimentRunner(spec)
+        runner.build()
+    except (KeyError, TypeError, ValueError) as exc:
+        return None, str(exc)
+    return runner, ""
+
+
 def _run_single_spec(
     args: argparse.Namespace, store: Optional[RunStore], out: Callable[[str], None]
 ) -> int:
@@ -329,15 +339,9 @@ def _run_single_spec(
     except SpecValidationError as exc:
         out(f"invalid spec: {exc}")
         return 2
-    # Only construction errors (unknown components, bad option values, option
-    # keys a component does not take) are a spec problem worth a clean exit
-    # code; once built, the scenario runs unguarded so genuine simulation bugs
-    # surface with their traceback.
-    try:
-        runner = ExperimentRunner(spec)
-        runner.build()
-    except (KeyError, TypeError, ValueError) as exc:
-        out(f"scenario failed to build: {exc}")
+    runner, error = _build(spec)
+    if runner is None:
+        out(f"scenario failed to build: {error}")
         return 2
     record = runner.run_record()
     if store is not None:
@@ -402,38 +406,19 @@ def _load_spec_fleet(
     return fleet
 
 
-def _resolve_spec_components(spec: ScenarioSpec) -> None:
-    """Resolve every component name a spec references (without building).
-
-    The cheap fail-fast check for fleets: unknown protocols/workloads/
-    placements/models surface before the worker pool spins up, without
-    paying a full simulation build per spec in the parent process (bad
-    option *values* still surface in the worker that builds the scenario).
-    """
-    registry = default_registry()
-    normalize_protocol_name(spec.protocol, registry=registry)
-    registry.lookup(WORKLOAD, spec.workload)
-    registry.lookup(PLACEMENT, spec.placement)
-    registry.lookup(CONTENTION, spec.config.contention)
-    if spec.failures is not None:
-        registry.lookup(FAILURE, spec.failures.model)
-    if spec.mobility is not None:
-        registry.lookup(MOBILITY, spec.mobility.model)
-
-
 def _run_spec_batch(
     args: argparse.Namespace, store: Optional[RunStore], out: Callable[[str], None]
 ) -> int:
     fleet = _load_spec_fleet(args, out)
     if fleet is None:
         return 2
-    # Fail fast on specs referencing unknown components before the pool
-    # spins up — a fleet should not die halfway through.
+    # Build every spec once before the pool spins up, as `run --spec` does:
+    # a spec that cannot be built fails the fleet with exit 2 instead of
+    # being retried and quarantined in a worker.
     for name, spec in fleet:
-        try:
-            _resolve_spec_components(spec)
-        except (UnknownComponentError, KeyError, ValueError) as exc:
-            out(f"scenario {name!r} failed to build: {exc}")
+        runner, error = _build(spec)
+        if runner is None:
+            out(f"scenario {name!r} failed to build: {error}")
             return 2
     jobs = [
         SweepJob(
@@ -450,41 +435,55 @@ def _run_spec_batch(
     ]
     out(f"batch: {len(jobs)} spec(s), workers={args.workers}"
         + (f", run-dir={args.run_dir}" if args.run_dir else ""))
-    records: List[RunRecord] = []
-    failures = []
-    for completion in stream_jobs(jobs, workers=args.workers, store=store):
-        record = completion.record
-        if record is None:
-            failures.append(completion.failure)
-            if not args.as_json:
-                out(
-                    f"  [fail] {completion.job.key}: quarantined after "
-                    f"{completion.failure.attempt_count} attempt(s) — "
-                    f"{completion.failure.last_detail}"
-                )
-            continue
-        records.append(record)
-        if not args.as_json:
+
+    def progress(completion):
+        if args.as_json:
+            return
+        failure = completion.failure
+        if failure is not None:
             out(
-                f"  [done] {record.key} ({record.protocol}): "
-                f"energy/item={record.energy_per_item_uj:.3f} uJ, "
-                f"delay={record.average_delay_ms:.2f} ms, "
-                f"delivered={record.delivery_ratio:.0%}"
+                f"  [fail] {completion.job.key}: quarantined after "
+                f"{failure.attempt_count} attempt(s) — {failure.last_detail}"
             )
-    records.sort(key=lambda r: r.key)
+            return
+        record = completion.record
+        out(
+            f"  [done] {record.key} ({record.protocol}): "
+            f"energy/item={record.energy_per_item_uj:.3f} uJ, "
+            f"delay={record.average_delay_ms:.2f} ms, "
+            f"delivered={record.delivery_ratio:.0%}"
+        )
+
+    by_key, report = execute_jobs(
+        jobs, workers=args.workers, progress=progress, store=store
+    )
+    records = sorted(by_key.values(), key=lambda r: r.key)
     if args.as_json:
         out(json.dumps([r.to_dict() for r in records], sort_keys=True, indent=1))
-        return EXIT_PARTIAL_FAILURE if failures else 0
+        return _exit_code(report)
     out("")
     out(_record_table(records, "energy_per_item_uj"))
     if store is not None:
         out("")
         out(f"{len(records)} record(s) appended to {args.run_dir}")
-    if failures:
-        out(f"{len(failures)} spec(s) FAILED"
+    if report.failures:
+        out(f"{len(report.failures)} spec(s) FAILED"
             + (f"; see {store.failures_path}" if store is not None else ""))
-        return EXIT_PARTIAL_FAILURE
-    return 0
+    _note_interrupt(report, out)
+    return _exit_code(report)
+
+
+def _note_interrupt(report: ExecutionReport, out: Callable[[str], None]) -> None:
+    if report.interrupted:
+        out(
+            f"interrupted: {report.completed}/{report.total_jobs} job(s) "
+            "completed before shutdown"
+        )
+
+
+def _exit_code(report: ExecutionReport) -> int:
+    """3 when a job list ran only in part (quarantined or interrupted)."""
+    return EXIT_PARTIAL_FAILURE if report.quarantined or report.interrupted else 0
 
 
 def _record_table(records: Sequence[RunRecord], metric: str) -> str:
@@ -572,18 +571,24 @@ def _cmd_list(args: argparse.Namespace, out: Callable[[str], None]) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace, out: Callable[[str], None]) -> int:
+    cluster = args.workload == "cluster"
+    packets = args.packets if args.packets is not None else (2 if cluster else 1)
     config = SimulationConfig(
         num_nodes=args.nodes,
         transmission_radius_m=args.radius,
-        packets_per_node=args.packets,
+        packets_per_node=packets,
         seed=args.seed,
     )
     failures = FailureConfig() if args.failures else None
     mobility = MobilityConfig() if args.mobility else None
-    build_spec = cluster_scenario if args.workload == "cluster" else all_to_all_scenario
     results = {}
     for protocol in ("spms", "spin"):
-        spec = build_spec(protocol, config, failures=failures)
+        if cluster:
+            spec = cluster_scenario(
+                protocol, config, failures=failures, packets_per_member=packets
+            )
+        else:
+            spec = all_to_all_scenario(protocol, config, failures=failures)
         results[protocol] = run_scenario(dataclasses.replace(spec, mobility=mobility))
     out(f"{'protocol':>10} {'energy/item (uJ)':>18} {'avg delay (ms)':>16} {'delivered':>10}")
     for protocol, result in results.items():
@@ -659,13 +664,14 @@ def _cmd_sweep(args: argparse.Namespace, out: Callable[[str], None]) -> int:
     if chaos is not None:
         out(f"chaos: injecting {chaos.describe()}")
 
-    def progress(job, record, from_cache):
+    def progress(completion):
         if args.quiet:
             return
+        job, record = completion.job, completion.record
         if record is None:
             out(f"  [ fail] {job.key}: quarantined after exhausting attempts")
             return
-        source = "cache" if from_cache else "run"
+        source = "cache" if completion.from_cache else "run"
         out(
             f"  [{source:>5}] {job.key}: energy/item={record.energy_per_item_uj:.3f} uJ, "
             f"delay={record.average_delay_ms:.2f} ms, delivered={record.delivery_ratio:.0%}"
@@ -707,14 +713,8 @@ def _cmd_sweep(args: argparse.Namespace, out: Callable[[str], None]) -> int:
         )
     if report.failures and store is not None:
         out(f"failure records appended to {store.failures_path}")
-    if report.interrupted:
-        out(
-            f"interrupted: {report.completed}/{report.total_jobs} job(s) "
-            "completed before shutdown"
-        )
-    if report.quarantined or report.interrupted:
-        return EXIT_PARTIAL_FAILURE
-    return 0
+    _note_interrupt(report, out)
+    return _exit_code(report)
 
 
 def _split_rule_args(values: Sequence[str]) -> Tuple[str, ...]:

@@ -12,10 +12,13 @@ Figures 6-13.  The benchmark files under ``benchmarks/`` call them and print
 the resulting rows.
 
 Sweeps are declared as :class:`~repro.experiments.matrix.ScenarioMatrix`
-parameter grids, expanded into independent seed-derived jobs and executed —
-serially or across a supervised worker pool — by
-:mod:`repro.experiments.executor`, which appends every record to a
-:class:`~repro.results.RunStore` run directory and resumes from one.
+parameter grids and expanded into independent seed-derived jobs.
+:func:`~repro.experiments.executor.execute_jobs` is the one way a job list
+runs — a sweep, a ``repro run --spec-dir`` fleet or a figure's matrices —
+serially or across the supervised worker pool.  Each job ends in one
+:class:`~repro.experiments.executor.JobCompletion`; the executor appends
+every record to a :class:`~repro.results.RunStore` run directory and
+resumes from one.
 """
 
 from repro.experiments.chaos import (
@@ -30,18 +33,7 @@ from repro.experiments.config import (
     SimulationConfig,
     TABLE1_PARAMETERS,
 )
-from repro.experiments.executor import (
-    ExecutionReport,
-    JobCompletion,
-    execute_jobs,
-    stream_jobs,
-)
-from repro.experiments.supervisor import (
-    SupervisedPool,
-    SupervisedResult,
-    retry_backoff_s,
-    run_serial,
-)
+from repro.experiments.executor import ExecutionReport, JobCompletion, execute_jobs
 from repro.experiments.matrix import (
     ScenarioMatrix,
     SweepJob,
@@ -69,8 +61,6 @@ __all__ = [
     "ExperimentRunner",
     "FailureConfig",
     "JobCompletion",
-    "SupervisedPool",
-    "SupervisedResult",
     "MetricsSummary",
     "MobilityConfig",
     "RunRecord",
@@ -92,9 +82,6 @@ __all__ = [
     "get_matrix",
     "line_positions",
     "register_matrix",
-    "retry_backoff_s",
     "run_scenario",
-    "run_serial",
     "single_pair_scenario",
-    "stream_jobs",
 ]

@@ -1,32 +1,32 @@
-"""Parallel execution of expanded sweep jobs, streaming run records.
+"""The one job runner: sweeps, spec fleets and figures all call :func:`execute_jobs`.
 
-The executor takes the flat job list produced by
-:meth:`repro.experiments.matrix.ScenarioMatrix.expand` and runs it either
-serially (``workers <= 1``; zero multiprocessing overhead) or across a
-**supervised** worker pool (:mod:`repro.experiments.supervisor`).  Because
-every job is self-contained and carries its own derived seed, the two paths
-produce **identical** results — the determinism regression tests assert
-byte-equality of the canonical record renderings.
+The executor takes a flat job list — the expansion of a
+:class:`repro.experiments.matrix.ScenarioMatrix`, or one job per spec file
+of a ``repro run --spec-dir`` fleet — and runs it either serially
+(``workers <= 1``; zero multiprocessing overhead) or across a **supervised**
+worker pool (:mod:`repro.experiments.supervisor`).  Because every job is
+self-contained and carries its own derived seed, the two paths produce
+**identical** results — the determinism regression tests assert byte-equality
+of the canonical record renderings.
 
-Since PR 9 job failure is an outcome, not an abort: a raising job is retried
-(bounded, deterministic backoff) and quarantined into a structured
+Job failure is an outcome, not an abort: a raising job is retried (bounded,
+deterministic backoff) and quarantined into a structured
 :class:`~repro.results.JobFailure` if it keeps failing; a hung job is killed
 at ``job_timeout`` and its worker respawned; a worker that dies (SIGKILL,
-segfault) is respawned with its in-flight job requeued.  Quarantined jobs
-surface in the :class:`ExecutionReport` and in the run directory's
-``failures.jsonl`` sidecar — the sweep always completes every job it can.
-Surviving records are byte-identical to a fault-free run no matter which
-other jobs failed (the fault-injection tests pin this over canonical bytes).
+segfault) is respawned with its in-flight job requeued.  Every job ends in
+exactly one :class:`~repro.experiments.supervisor.JobCompletion`, which
+*progress* sees as it lands.  Quarantined jobs surface in the
+:class:`ExecutionReport` and in the run directory's ``failures.jsonl``
+sidecar — the run always completes every job it can.  Surviving records are
+byte-identical to a fault-free run no matter which other jobs failed (the
+fault-injection tests pin this over canonical bytes).  ``KeyboardInterrupt``
+and ``SIGTERM`` tear the pool down and return a partial report.
 
 Workers reduce their :class:`~repro.metrics.collector.MetricsCollector` to a
 compact :class:`~repro.metrics.summary.MetricsSummary` *in-process* and ship a
 single :class:`~repro.results.RunRecord` back per job, so the IPC payload is
 O(1) instead of O(deliveries) — ``benchmarks/test_ipc_payload.py`` pins the
-reduction.  :func:`stream_jobs` is the core generator, yielding a
-:class:`JobCompletion` the moment each job finishes (serial: in expansion
-order; parallel: completion order); :func:`execute_jobs` drains it into the
-keyed-dictionary form most callers want, handling ``KeyboardInterrupt`` /
-``SIGTERM`` by tearing the pool down and returning a partial report.
+reduction.
 
 Results are keyed by the job's stable key (never by completion order).  An
 optional :class:`~repro.results.RunStore` receives every completed record
@@ -44,15 +44,14 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.experiments.chaos import ChaosSpec
 from repro.experiments.matrix import SweepJob
-from repro.experiments.runner import ExperimentRunner
 from repro.experiments.supervisor import (
     DEFAULT_MAX_ATTEMPTS,
+    JobCompletion,
     SupervisedPool,
-    SupervisedResult,
     run_serial,
 )
 from repro.results import (
@@ -68,8 +67,8 @@ from repro.results import (
 #: benchmarks` parallelises every figure without code changes).
 WORKERS_ENV_VAR = "REPRO_SWEEP_WORKERS"
 
-#: *record* is ``None`` when the completion is a quarantined failure.
-ProgressCallback = Callable[[SweepJob, Optional[RunRecord], bool], None]
+#: Called with each job's completion as it lands.
+ProgressCallback = Callable[[JobCompletion], None]
 
 _workers_warning_emitted = False
 
@@ -96,32 +95,6 @@ def default_workers() -> int:
         return 1
 
 
-@dataclass(frozen=True)
-class JobCompletion:
-    """One finished job, as yielded by :func:`stream_jobs`.
-
-    Attributes:
-        job: The job that completed.
-        record: Its canonical run record, or ``None`` if the job was
-            quarantined (see *failure*).
-        from_cache: Whether the record was served from the run directory
-            (``resume=True``) instead of simulated.
-        attempts: Attempts the supervisor consumed (0 for resumed jobs,
-            1 for a clean first-try run, >1 when retries were needed).
-        failure: The structured failure, when every attempt was exhausted.
-    """
-
-    job: SweepJob
-    record: Optional[RunRecord]
-    from_cache: bool
-    attempts: int = 1
-    failure: Optional[JobFailure] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.record is not None
-
-
 @dataclass
 class ExecutionReport:
     """Bookkeeping of one :func:`execute_jobs` call.
@@ -138,7 +111,6 @@ class ExecutionReport:
         elapsed_s: Wall-clock duration of the whole execution.
         interrupted: Whether the run was cut short by SIGINT/SIGTERM; the
             report then covers only the jobs completed before shutdown.
-        job_keys: Keys in expansion order (provenance).
         failures: The quarantined jobs' structured failure records.
     """
 
@@ -151,7 +123,6 @@ class ExecutionReport:
     workers: int = 1
     elapsed_s: float = 0.0
     interrupted: bool = False
-    job_keys: List[str] = field(default_factory=list)
     failures: List[JobFailure] = field(default_factory=list)
 
     @property
@@ -159,16 +130,18 @@ class ExecutionReport:
         """Jobs that produced a record (simulated or resumed)."""
         return self.executed + self.cache_hits
 
-
-def _run_job(job: SweepJob) -> Tuple[int, RunRecord]:
-    """Run one job in-process, unsupervised (module-level, hence picklable).
-
-    Kept as the plain single-attempt entry point: the overhead benchmark
-    uses it as the un-supervised baseline, and it documents exactly what one
-    attempt inside the supervised pool executes.
-    """
-    runner = ExperimentRunner(job.spec)
-    return job.index, runner.run_record(key=job.key, axes=job.axes)
+    def add(self, completion: JobCompletion) -> None:
+        """Account for one job's outcome."""
+        self.failed_attempts += len(completion.failed_attempts)
+        if completion.failure is not None:
+            self.quarantined += 1
+            self.failures.append(completion.failure)
+        elif completion.from_cache:
+            self.cache_hits += 1
+        else:
+            self.executed += 1
+            if completion.attempts > 1:
+                self.retried += 1
 
 
 def _resumed_record(store: RunStore, job: SweepJob) -> Optional[RunRecord]:
@@ -192,21 +165,23 @@ def _resumed_record(store: RunStore, job: SweepJob) -> Optional[RunRecord]:
     return store.append(dataclasses.replace(stored[0], key=job.key, axes=axes))
 
 
-def stream_jobs(
+def execute_jobs(
     jobs: Sequence[SweepJob],
     workers: int = 1,
     resume: bool = False,
+    progress: Optional[ProgressCallback] = None,
     store: Optional[RunStore] = None,
     job_timeout: Optional[float] = None,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     chaos: Optional[ChaosSpec] = None,
-) -> Iterator[JobCompletion]:
-    """Run every job, yielding each completion as soon as it is available.
+) -> Tuple[Dict[str, RunRecord], ExecutionReport]:
+    """Run every job and return ``(records_by_key, report)``.
 
-    Resumed jobs are yielded first (an index lookup each); the remaining
-    jobs then stream back from the supervised pool in completion order, or
-    in expansion order when running serially.  Every job yields exactly one
-    completion — quarantined jobs yield one with ``record=None`` and a
+    Resumed jobs complete first (an index lookup each); the remaining jobs
+    then complete in expansion order when running serially, or in
+    completion order from the supervised pool.  Every job completes exactly
+    once, and *progress* is called with its :class:`JobCompletion` as it
+    lands — a quarantined job's has ``record=None`` and a
     :class:`~repro.results.JobFailure` attached.
 
     Args:
@@ -215,6 +190,7 @@ def stream_jobs(
         resume: Serve jobs whose spec fingerprint *store* already holds
             instead of simulating them (see :func:`_resumed_record`).
             Quarantined jobs have no record, so a resume re-runs them.
+        progress: Called once per job with its completion.
         store: Optional run store; every completed record it does not
             already hold is appended, so the run directory describes the
             full requested set.  Appends happen in the parent under the
@@ -230,6 +206,12 @@ def stream_jobs(
         chaos: Optional deterministic fault-injection spec (tests and the
             ``--chaos`` dev flag).  ``hang``/``kill`` injections require a
             worker pool for the same reason *job_timeout* does.
+
+    ``KeyboardInterrupt`` (and ``SIGTERM``, when running on the main thread)
+    shuts down gracefully: the pool is torn down — supervised workers are
+    daemonic and explicitly killed, so no children leak — records completed
+    so far are already flushed to the store, and a *partial* report is
+    returned with ``interrupted=True`` instead of dying mid-append.
 
     Raises:
         ValueError: When *resume* is requested without a *store*, or
@@ -253,95 +235,21 @@ def stream_jobs(
                 f"chaos spec {chaos.describe()!r} injects hang/kill faults, "
                 "which act on worker processes; use workers >= 2"
             )
-    pending: List[SweepJob] = []
-
-    def complete(result: SupervisedResult) -> JobCompletion:
-        job = result.job
-        if result.failure is not None:
-            if store is not None:
-                store.append_failure(result.failure)
-            return JobCompletion(
-                job=job,
-                record=None,
-                from_cache=False,
-                attempts=result.attempts,
-                failure=result.failure,
-            )
-        record = result.record
-        if store is not None:
-            record = store.append(record)
-        return JobCompletion(
-            job=job, record=record, from_cache=False, attempts=result.attempts
-        )
-
-    for job in jobs:
-        hit = _resumed_record(store, job) if resume else None
-        if hit is not None:
-            yield JobCompletion(job=job, record=hit, from_cache=True, attempts=0)
-        else:
-            pending.append(job)
-
-    # A pool is only worth its process overhead when there is real
-    # parallelism to exploit — except that timeout enforcement and
-    # hang/kill chaos *need* worker processes even for a single job.
-    use_pool = workers >= 2 and bool(pending) and (
-        len(pending) > 1
-        or job_timeout is not None
-        or (chaos is not None and chaos.needs_pool())
-    )
-    if not use_pool:
-        yield from map(
-            complete,
-            run_serial(pending, max_attempts=max_attempts, chaos=chaos),
-        )
-        return
-    pool = SupervisedPool(
-        workers=workers,
-        job_timeout_s=job_timeout,
-        max_attempts=max_attempts,
-        chaos=chaos,
-    )
-    yield from map(complete, pool.run(pending))
-
-
-def execute_jobs(
-    jobs: Sequence[SweepJob],
-    workers: int = 1,
-    resume: bool = False,
-    progress: Optional[ProgressCallback] = None,
-    store: Optional[RunStore] = None,
-    job_timeout: Optional[float] = None,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    chaos: Optional[ChaosSpec] = None,
-) -> Tuple[Dict[str, RunRecord], ExecutionReport]:
-    """Run every job and return ``(records_by_key, report)``.
-
-    A convenience wrapper draining :func:`stream_jobs`; see there for the
-    argument semantics.  *progress* is invoked ``(job, record, from_cache)``
-    as each job completes (serial: in order; parallel: completion order);
-    ``record`` is ``None`` for a quarantined failure.
-
-    ``KeyboardInterrupt`` (and ``SIGTERM``, when running on the main thread)
-    shuts down gracefully: the pool is torn down — supervised workers are
-    daemonic and explicitly killed, so no children leak — records completed
-    so far are already flushed to the store, and a *partial* report is
-    returned with ``interrupted=True`` instead of dying mid-append.
-    """
     started = time.perf_counter()
-    workers = max(1, int(workers))
-    report = ExecutionReport(
-        total_jobs=len(jobs), workers=workers, job_keys=[j.key for j in jobs]
-    )
+    report = ExecutionReport(total_jobs=len(jobs), workers=workers)
     records: Dict[str, RunRecord] = {}
-    stream = stream_jobs(
-        jobs,
-        workers=workers,
-        resume=resume,
-        store=store,
-        job_timeout=job_timeout,
-        max_attempts=max_attempts,
-        chaos=chaos,
-    )
+
+    def complete(completion: JobCompletion) -> None:
+        if store is not None and completion.failure is not None:
+            store.append_failure(completion.failure)
+        elif store is not None and not completion.from_cache:
+            store.append(completion.record)
+        if completion.record is not None:
+            records[completion.job.key] = completion.record
+        report.add(completion)
+        if progress is not None:
+            progress(completion)
+
     sigterm_installed = False
     previous_sigterm = None
 
@@ -354,30 +262,44 @@ def execute_jobs(
             sigterm_installed = True
         except (ValueError, OSError):  # pragma: no cover - restricted envs
             sigterm_installed = False
+    outcomes: Optional[Generator[JobCompletion, None, None]] = None
     try:
-        for completion in stream:
-            if completion.failure is not None:
-                report.quarantined += 1
-                report.failures.append(completion.failure)
-                report.failed_attempts += completion.failure.attempt_count
+        pending: List[SweepJob] = []
+        for job in jobs:
+            hit = _resumed_record(store, job) if resume else None
+            if hit is None:
+                pending.append(job)
             else:
-                records[completion.job.key] = completion.record
-                if completion.from_cache:
-                    report.cache_hits += 1
-                else:
-                    report.executed += 1
-                    if completion.attempts > 1:
-                        report.retried += 1
-                        report.failed_attempts += completion.attempts - 1
-            if progress is not None:
-                progress(completion.job, completion.record, completion.from_cache)
+                complete(JobCompletion(job=job, record=hit, attempts=0, from_cache=True))
+        # A pool is only worth its process overhead when there is real
+        # parallelism to exploit — except that timeout enforcement and
+        # hang/kill chaos *need* worker processes even for a single job.
+        use_pool = workers >= 2 and bool(pending) and (
+            len(pending) > 1
+            or job_timeout is not None
+            or (chaos is not None and chaos.needs_pool())
+        )
+        if use_pool:
+            pool = SupervisedPool(
+                workers=workers,
+                job_timeout_s=job_timeout,
+                max_attempts=max_attempts,
+                chaos=chaos,
+            )
+            outcomes = pool.run(pending)
+        else:
+            outcomes = run_serial(pending, max_attempts=max_attempts, chaos=chaos)
+        for outcome in outcomes:
+            complete(outcome)
     except KeyboardInterrupt:
-        # Graceful shutdown: closing the generator runs the supervisor's
-        # ``finally`` (kill + join every worker).  Completed records were
-        # flushed as they arrived, so the partial report is durable.
+        # Graceful shutdown: completed records were flushed as they arrived,
+        # so the partial report is durable.
         report.interrupted = True
-        stream.close()
     finally:
+        # Closing the generator runs the supervisor's ``finally`` (kill +
+        # join every worker), interrupted or not.
+        if outcomes is not None:
+            outcomes.close()
         if sigterm_installed:
             signal.signal(
                 signal.SIGTERM,

@@ -31,11 +31,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.experiments.config import FailureConfig, MobilityConfig, SimulationConfig
-from repro.experiments.scenarios import (
-    SCHEMA_KEY,
-    SPEC_SCHEMA_VERSION,
-    ScenarioSpec,
-)
+from repro.experiments.scenarios import ScenarioSpec
 from repro.sim.rng import spawn_seed
 
 #: Seed policies: "spawn" derives one independent seed per job from the base
@@ -101,8 +97,7 @@ class ScenarioMatrix:
         axes: Mapping of axis name to the swept values.  An axis may be a
             ``SimulationConfig`` field (``"num_nodes"``), a spec-level
             component selector (``"placement"``, ``"workload"``) or a dotted
-            option path (``"workload_options.packets_per_member"``) — any
-            coordinate the canonical spec payload expresses is sweepable.
+            option path (``"workload_options.packets_per_member"``).
             Multiple axes expand as a cartesian product; the first axis is the
             *primary* parameter used when assembling a
             :class:`~repro.results.SweepResult` (secondary axes label the
@@ -155,10 +150,8 @@ class ScenarioMatrix:
     def _axis_kind(axis: str) -> Optional[str]:
         """Classify an axis: "config", "spec", "option" or ``None`` (unknown).
 
-        Non-config axes are possible because jobs are materialised from the
-        canonical serialized-spec payload: anything the payload expresses —
-        the placement/workload selectors and their option dictionaries — is
-        sweepable, not just ``SimulationConfig`` fields.
+        Besides ``SimulationConfig`` fields, the placement/workload
+        selectors and entries of their option dictionaries are sweepable.
         """
         if axis in _CONFIG_AXES:
             return "config"
@@ -232,12 +225,8 @@ class ScenarioMatrix:
     def _build_spec(
         self, protocol: str, config: SimulationConfig, point: Mapping[str, object]
     ) -> ScenarioSpec:
-        # Jobs are materialised from the canonical serialized-spec payload —
-        # the same dictionary layout `repro run --spec` consumes and
-        # `spec_fingerprint` hashes — so any registered workload/placement plugin
-        # is sweepable and the payload is validated on the way in.  Spec-level
-        # axes override the matrix-wide selectors; dotted option axes merge
-        # into the corresponding options dictionary.
+        # Spec-level axes override the matrix-wide selectors; dotted option
+        # axes merge into the corresponding options dictionary.
         selectors = {"workload": self.workload, "placement": self.placement}
         options = {
             "workload_options": dict(self.workload_options),
@@ -251,20 +240,15 @@ class ScenarioMatrix:
             elif kind == "option":
                 prefix, _, option = axis.partition(".")
                 options[prefix][option] = value
-        payload = {
-            SCHEMA_KEY: SPEC_SCHEMA_VERSION,
-            "name": f"{selectors['workload'].replace('_', '-')}/{protocol}",
-            "protocol": protocol,
-            "config": config.to_dict(),
-            "workload": selectors["workload"],
-            "workload_options": options["workload_options"],
-            "placement": selectors["placement"],
-            "placement_options": options["placement_options"],
-            "protocol_options": options["protocol_options"],
-            "failures": self.failures.to_dict() if self.failures is not None else None,
-            "mobility": self.mobility.to_dict() if self.mobility is not None else None,
-        }
-        return ScenarioSpec.from_dict(payload)
+        return ScenarioSpec(
+            name=f"{selectors['workload'].replace('_', '-')}/{protocol}",
+            protocol=protocol,
+            config=config,
+            failures=self.failures,
+            mobility=self.mobility,
+            **selectors,
+            **options,
+        )
 
 
 # ------------------------------------------------------------------ registry

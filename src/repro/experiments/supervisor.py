@@ -18,6 +18,11 @@ outcome, not a process-killing exception**:
   the job becomes a structured :class:`~repro.results.failures.JobFailure`
   carrying its full attempt trail.
 
+:class:`SupervisedPool` and its serial twin :func:`run_serial` both yield
+one :class:`JobCompletion` per job and keep their attempt trails in the same
+:class:`_AttemptLog`.  Neither is called directly outside this package's
+executor: :func:`repro.experiments.executor.execute_jobs` is the one runner.
+
 The key invariant, which the fault-injection tests state over canonical
 record bytes: because jobs are independently spawn-seeded and self-contained,
 **surviving records are byte-identical no matter which other jobs fail, time
@@ -34,6 +39,7 @@ cannot leak simulation processes.
 from __future__ import annotations
 
 import heapq
+import itertools
 import multiprocessing
 import time
 from dataclasses import dataclass
@@ -48,57 +54,89 @@ from repro.results import JobAttempt, JobFailure, RunRecord
 #: Default attempt budget per job (1 first try + 2 retries).
 DEFAULT_MAX_ATTEMPTS = 3
 
-#: Deterministic backoff: ``base * 2**(attempt - 2)`` seconds before retry
+#: Deterministic backoff: ``BASE * 2**(attempt - 2)`` seconds before retry
 #: *attempt*, capped.  No jitter — grid jobs are seed-isolated, so there is
 #: no thundering herd to stagger and determinism wins.
-DEFAULT_BACKOFF_BASE_S = 0.05
-DEFAULT_BACKOFF_CAP_S = 2.0
+BACKOFF_BASE_S = 0.05
+BACKOFF_CAP_S = 2.0
 
 
-def retry_backoff_s(
-    attempt: int,
-    base_s: float = DEFAULT_BACKOFF_BASE_S,
-    cap_s: float = DEFAULT_BACKOFF_CAP_S,
-) -> float:
+def retry_backoff_s(attempt: int) -> float:
     """Seconds to wait before starting *attempt* (1-based; attempt 1 is 0)."""
     if attempt <= 1:
         return 0.0
-    return min(base_s * (2.0 ** (attempt - 2)), cap_s)
+    return min(BACKOFF_BASE_S * (2.0 ** (attempt - 2)), BACKOFF_CAP_S)
 
 
 @dataclass(frozen=True)
-class SupervisedResult:
-    """Terminal outcome of one job under supervision.
+class JobCompletion:
+    """The one outcome of one job: its record, or its quarantine.
 
-    Exactly one of ``record`` (success) and ``failure`` (quarantined) is set.
+    Exactly one of ``record`` and ``failure`` is set.
 
     Attributes:
         job: The job this outcome belongs to.
-        record: The run record, when any attempt succeeded.
-        attempts: Total attempts consumed (1 = first try succeeded).
+        record: Its canonical run record, or ``None`` if the job was
+            quarantined (see *failure*).
+        attempts: Attempts consumed (0 for a record served from the run
+            directory, 1 for a clean first try, >1 when retries were needed).
         failed_attempts: The failed tries that preceded the outcome.
         failure: The structured quarantine record, when every attempt failed.
+        from_cache: Whether the record was served from the run directory
+            (``resume=True``) instead of simulated.
     """
 
     job: SweepJob
     record: Optional[RunRecord]
-    attempts: int
+    attempts: int = 1
     failed_attempts: Tuple[JobAttempt, ...] = ()
     failure: Optional[JobFailure] = None
+    from_cache: bool = False
 
     @property
     def ok(self) -> bool:
         return self.record is not None
 
 
-def _quarantine(job: SweepJob, attempts: Sequence[JobAttempt]) -> JobFailure:
-    return JobFailure(
-        key=job.key,
-        index=job.index,
-        matrix=job.matrix,
-        protocol=job.protocol,
-        attempts=tuple(attempts),
-    )
+class _AttemptLog:
+    """The failed-attempt trails of unfinished jobs, and each job's verdict.
+
+    Serial and pooled runs share it, so both retry and quarantine the same
+    way: a failed attempt is a retry until *max_attempts* is spent.
+    """
+
+    def __init__(self, max_attempts: int) -> None:
+        if max_attempts < 1:
+            raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
+        self.max_attempts = max_attempts
+        self._trails: Dict[int, List[JobAttempt]] = {}
+
+    def succeeded(self, job: SweepJob, attempt: int, record: RunRecord) -> JobCompletion:
+        trail = tuple(self._trails.pop(job.index, ()))
+        return JobCompletion(job=job, record=record, attempts=attempt, failed_attempts=trail)
+
+    def failed(
+        self, job: SweepJob, attempt: int, outcome: str, detail: str, elapsed_s: float
+    ) -> Optional[JobCompletion]:
+        """Log a failed attempt: the quarantine once the budget is spent,
+        ``None`` while the job has attempts left."""
+        trail = self._trails.setdefault(job.index, [])
+        trail.append(
+            JobAttempt(attempt=attempt, outcome=outcome, detail=detail, elapsed_s=elapsed_s)
+        )
+        if attempt < self.max_attempts:
+            return None
+        attempts = tuple(self._trails.pop(job.index))
+        failure = JobFailure(
+            key=job.key,
+            index=job.index,
+            matrix=job.matrix,
+            protocol=job.protocol,
+            attempts=attempts,
+        )
+        return JobCompletion(
+            job=job, record=None, attempts=attempt, failed_attempts=attempts, failure=failure
+        )
 
 
 def _attempt_job(job: SweepJob, attempt: int, chaos: Optional[ChaosSpec]) -> RunRecord:
@@ -108,6 +146,10 @@ def _attempt_job(job: SweepJob, attempt: int, chaos: Optional[ChaosSpec]) -> Run
         chaos.apply(job.index, attempt)
     runner = ExperimentRunner(job.spec)
     return runner.run_record(key=job.key, axes=job.axes)
+
+
+def _describe(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def _worker_main(conn, chaos: Optional[ChaosSpec]) -> None:
@@ -133,13 +175,7 @@ def _worker_main(conn, chaos: Optional[ChaosSpec]) -> None:
         except Exception as exc:
             # Converted into a JobAttempt by the supervisor — failures are
             # data, not control flow (the R701 contract).
-            message = (
-                "error",
-                job.index,
-                attempt,
-                f"{type(exc).__name__}: {exc}",
-                time.perf_counter() - started,
-            )
+            message = ("error", job.index, attempt, _describe(exc), time.perf_counter() - started)
         else:
             message = ("ok", job.index, attempt, record, time.perf_counter() - started)
         try:
@@ -210,13 +246,15 @@ class _Worker:
 class SupervisedPool:
     """A worker pool whose jobs can fail, hang or die without aborting it.
 
+    The pool's run state — its workers, the retry queue and the attempt
+    trails — lives on the instance, so one instance runs one job list.
+
     Args:
         workers: Worker processes to keep alive (>= 1).
         job_timeout_s: Per-attempt wall-clock budget; ``None`` disables
             timeout supervision (a hung job then hangs its worker forever,
             exactly like the pre-supervisor executor).
         max_attempts: Total tries per job before quarantine (>= 1).
-        backoff_base_s / backoff_cap_s: Deterministic retry backoff shape.
         chaos: Optional fault-injection spec, forwarded into every worker.
     """
 
@@ -225,249 +263,154 @@ class SupervisedPool:
         workers: int,
         job_timeout_s: Optional[float] = None,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        backoff_base_s: float = DEFAULT_BACKOFF_BASE_S,
-        backoff_cap_s: float = DEFAULT_BACKOFF_CAP_S,
         chaos: Optional[ChaosSpec] = None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"a supervised pool needs >= 1 worker, got {workers}")
-        if max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
         if job_timeout_s is not None and job_timeout_s <= 0:
             raise ValueError(f"job_timeout_s must be positive, got {job_timeout_s}")
         self.workers = workers
         self.job_timeout_s = job_timeout_s
-        self.max_attempts = max_attempts
-        self.backoff_base_s = backoff_base_s
-        self.backoff_cap_s = backoff_cap_s
         self.chaos = chaos
+        self._log = _AttemptLog(max_attempts)
+        self._context = _pool_context()
+        self._pool: List[_Worker] = []
+        # Min-heap of (ready_at, enqueue order, attempt, job): backoff
+        # scheduling with FIFO tie-breaks, so retry order is deterministic.
+        self._waiting: List[Tuple[float, int, int, SweepJob]] = []
+        self._order = itertools.count()
 
-    # ------------------------------------------------------------------ run
-
-    def run(self, jobs: Sequence[SweepJob]) -> Iterator[SupervisedResult]:
+    def run(self, jobs: Sequence[SweepJob]) -> Iterator[JobCompletion]:
         """Run every job, yielding terminal outcomes in completion order.
 
-        Every job yields exactly one :class:`SupervisedResult` — succeeded
-        or quarantined — so callers can stream completions without tracking
-        the retry machinery.  Workers are always torn down on exit, normal
-        or not (generator ``close()`` included), so an interrupted sweep
-        leaks no children.
+        Every job yields exactly one :class:`JobCompletion` — succeeded or
+        quarantined — so callers can stream completions without tracking the
+        retry machinery.  Workers are always torn down on exit, normal or not
+        (generator ``close()`` included), so an interrupted sweep leaks no
+        children.
         """
-        context = _pool_context()
-        pool_size = min(self.workers, max(1, len(jobs)))
-        # Min-heap of (ready_at, dispatch order, attempt, job): backoff
-        # scheduling with FIFO tie-breaks, so retry order is deterministic.
-        waiting: List[Tuple[float, int, int, SweepJob]] = []
-        order = 0
         now = time.monotonic()
         for job in jobs:
-            heapq.heappush(waiting, (now, order, 1, job))
-            order += 1
-        failed: Dict[int, List[JobAttempt]] = {}
-        pool: List[_Worker] = [_Worker(context, self.chaos) for _ in range(pool_size)]
+            self._enqueue(now, 1, job)
+        pool_size = min(self.workers, max(1, len(jobs)))
+        self._pool = [_Worker(self._context, self.chaos) for _ in range(pool_size)]
         try:
-            while waiting or any(worker.task is not None for worker in pool):
+            while self._waiting or any(worker.task is not None for worker in self._pool):
                 now = time.monotonic()
-                order = self._dispatch_ready(pool, waiting, order, now)
-                self._wait(pool, waiting, now)
-                now = time.monotonic()
-                for worker in pool:
-                    if worker.task is None or not worker.conn.poll(0):
-                        continue
-                    outcome, order = self._handle_message(
-                        worker, pool, waiting, failed, order, now
-                    )
-                    if outcome is not None:
-                        yield outcome
-                now = time.monotonic()
-                for worker in pool:
-                    task = worker.task
-                    if task is None or task.deadline is None or now < task.deadline:
-                        continue
-                    outcome, order = self._handle_timeout(
-                        worker, pool, waiting, failed, order, now
-                    )
+                self._dispatch_ready(now)
+                self._wait(now)
+                for slot in range(len(self._pool)):
+                    outcome = self._collect(slot)
                     if outcome is not None:
                         yield outcome
         finally:
-            for worker in pool:
+            for worker in self._pool:
                 worker.retire(kill=True)
 
     # ------------------------------------------------------- loop plumbing
 
-    def _dispatch_ready(
-        self,
-        pool: List[_Worker],
-        waiting: List[Tuple[float, int, int, SweepJob]],
-        order: int,
-        now: float,
-    ) -> int:
-        for slot, worker in enumerate(pool):
-            if not waiting or waiting[0][0] > now:
+    def _enqueue(self, ready_at: float, attempt: int, job: SweepJob) -> None:
+        heapq.heappush(self._waiting, (ready_at, next(self._order), attempt, job))
+
+    def _respawn(self, slot: int, kill: bool = False) -> Optional[int]:
+        """Replace the worker in *slot* with a fresh one; the old exitcode.
+
+        The one path by which a worker is lost: it died idle, its pipe broke
+        under a send, it died under a job, or it overran the job timeout.
+        """
+        exitcode = self._pool[slot].retire(kill=kill)
+        self._pool[slot] = _Worker(self._context, self.chaos)
+        return exitcode
+
+    def _dispatch_ready(self, now: float) -> None:
+        for slot, worker in enumerate(self._pool):
+            if not self._waiting or self._waiting[0][0] > now:
                 break
             if worker.task is not None:
                 continue
             if not worker.process.is_alive():
                 # Died idle (between jobs): no attempt to charge, just respawn.
-                worker.retire()
-                worker = pool[slot] = _Worker(_pool_context(), self.chaos)
-            ready_at, _, attempt, job = heapq.heappop(waiting)
+                self._respawn(slot)
+                worker = self._pool[slot]
+            ready_at, _, attempt, job = heapq.heappop(self._waiting)
             deadline = (
                 now + self.job_timeout_s if self.job_timeout_s is not None else None
             )
-            task = _Task(job=job, attempt=attempt, started=now, deadline=deadline)
-            if not worker.dispatch(task):
+            if not worker.dispatch(_Task(job=job, attempt=attempt, started=now, deadline=deadline)):
                 # The pipe broke under the send: respawn and requeue without
                 # burning an attempt — the job never started.
-                worker.retire()
-                pool[slot] = _Worker(_pool_context(), self.chaos)
-                heapq.heappush(waiting, (ready_at, order, attempt, job))
-                order += 1
-        return order
+                self._respawn(slot)
+                self._enqueue(ready_at, attempt, job)
 
-    def _wait(
-        self,
-        pool: List[_Worker],
-        waiting: List[Tuple[float, int, int, SweepJob]],
-        now: float,
-    ) -> None:
+    def _wait(self, now: float) -> None:
         """Block until the next real wake-up, without polling: a busy worker's
         pipe turning readable (a result, or EOF when it dies), the earliest
         attempt deadline, or the queue head's ready time — counted only while
         a worker is idle to take that job, since it cannot start before."""
-        busy = [worker for worker in pool if worker.task is not None]
+        busy = [worker for worker in self._pool if worker.task is not None]
         wake_ups = [worker.task.deadline for worker in busy if worker.task.deadline is not None]
-        if waiting and len(busy) < len(pool):
-            wake_ups.append(waiting[0][0])
+        if self._waiting and len(busy) < len(self._pool):
+            wake_ups.append(self._waiting[0][0])
         timeout = max(0.0, min(wake_ups) - now) if wake_ups else None
         if busy:
             mp_connection.wait([worker.conn for worker in busy], timeout=timeout)
         elif timeout:
             time.sleep(timeout)
 
-    def _handle_message(
-        self,
-        worker: _Worker,
-        pool: List[_Worker],
-        waiting: List[Tuple[float, int, int, SweepJob]],
-        failed: Dict[int, List[JobAttempt]],
-        order: int,
-        now: float,
-    ) -> Tuple[Optional[SupervisedResult], int]:
+    def _collect(self, slot: int) -> Optional[JobCompletion]:
+        """The outcome the worker in *slot* has for its attempt, if any yet:
+        its result, its death, or its attempt's overrun deadline."""
+        worker = self._pool[slot]
         task = worker.task
-        try:
-            message = worker.conn.recv()
-        except Exception as exc:
-            # EOF (worker died), or a pipe poisoned by a kill mid-send: the
-            # pipe is discarded with the worker either way, and the attempt
-            # is recorded as a worker crash — never silently dropped.
-            return self._handle_worker_death(worker, pool, waiting, failed, order, now, exc)
-        status, job_index, attempt, payload, elapsed = message
-        if task is None or job_index != task.job.index or attempt != task.attempt:
-            # A message from a superseded attempt (cannot happen with
-            # per-worker pipes, but a stale result must never complete a
-            # requeued job twice).
-            return None, order  # pragma: no cover - defensive
-        worker.task = None
-        if status == "ok":
-            failed_attempts = tuple(failed.pop(task.job.index, ()))
-            result = SupervisedResult(
-                job=task.job,
-                record=payload,
-                attempts=attempt,
-                failed_attempts=failed_attempts,
+        if task is None:
+            return None
+        now = time.monotonic()
+        if worker.conn.poll(0):
+            try:
+                message = worker.conn.recv()
+            except Exception as exc:
+                # EOF (worker died), or a pipe poisoned by a kill mid-send:
+                # the pipe is discarded with the worker either way, and the
+                # attempt is recorded as a worker crash — never dropped.
+                exitcode = self._respawn(slot)
+                detail = f"worker died under the job (exitcode {exitcode}, {type(exc).__name__})"
+                return self._failure(task, "worker-crash", detail, now - task.started, now)
+            status, job_index, attempt, payload, elapsed = message
+            if job_index != task.job.index or attempt != task.attempt:
+                # A message from a superseded attempt (cannot happen with
+                # per-worker pipes, but a stale result must never complete a
+                # requeued job twice).
+                return None  # pragma: no cover - defensive
+            worker.task = None
+            if status == "ok":
+                return self._log.succeeded(task.job, attempt, payload)
+            return self._failure(task, "raised", str(payload), float(elapsed), now)
+        if task.deadline is not None and now >= task.deadline:
+            self._respawn(slot, kill=True)
+            detail = (
+                f"attempt exceeded the job timeout ({self.job_timeout_s:g} s); "
+                "worker killed"
             )
-            return result, order
-        return self._register_failure(
-            task, "raised", str(payload), float(elapsed), waiting, failed, order, now
-        )
+            return self._failure(task, "timeout", detail, now - task.started, now)
+        return None
 
-    def _handle_worker_death(
-        self,
-        worker: _Worker,
-        pool: List[_Worker],
-        waiting: List[Tuple[float, int, int, SweepJob]],
-        failed: Dict[int, List[JobAttempt]],
-        order: int,
-        now: float,
-        cause: Exception,
-    ) -> Tuple[Optional[SupervisedResult], int]:
-        task = worker.task
-        exitcode = worker.retire()
-        slot = pool.index(worker)
-        pool[slot] = _Worker(_pool_context(), self.chaos)
-        if task is None:  # pragma: no cover - death is only seen via a task
-            return None, order
-        detail = f"worker died under the job (exitcode {exitcode}, {type(cause).__name__})"
-        return self._register_failure(
-            task, "worker-crash", detail, now - task.started, waiting, failed, order, now
-        )
-
-    def _handle_timeout(
-        self,
-        worker: _Worker,
-        pool: List[_Worker],
-        waiting: List[Tuple[float, int, int, SweepJob]],
-        failed: Dict[int, List[JobAttempt]],
-        order: int,
-        now: float,
-    ) -> Tuple[Optional[SupervisedResult], int]:
-        task = worker.task
-        worker.retire(kill=True)
-        slot = pool.index(worker)
-        pool[slot] = _Worker(_pool_context(), self.chaos)
-        detail = (
-            f"attempt exceeded the job timeout ({self.job_timeout_s:g} s); "
-            "worker killed"
-        )
-        return self._register_failure(
-            task, "timeout", detail, now - task.started, waiting, failed, order, now
-        )
-
-    def _register_failure(
-        self,
-        task: _Task,
-        outcome: str,
-        detail: str,
-        elapsed_s: float,
-        waiting: List[Tuple[float, int, int, SweepJob]],
-        failed: Dict[int, List[JobAttempt]],
-        order: int,
-        now: float,
-    ) -> Tuple[Optional[SupervisedResult], int]:
-        trail = failed.setdefault(task.job.index, [])
-        trail.append(
-            JobAttempt(
-                attempt=task.attempt,
-                outcome=outcome,
-                detail=detail,
-                elapsed_s=elapsed_s,
-            )
-        )
-        if task.attempt >= self.max_attempts:
-            attempts = tuple(failed.pop(task.job.index))
-            result = SupervisedResult(
-                job=task.job,
-                record=None,
-                attempts=task.attempt,
-                failed_attempts=attempts,
-                failure=_quarantine(task.job, attempts),
-            )
-            return result, order
-        ready_at = now + retry_backoff_s(
-            task.attempt + 1, self.backoff_base_s, self.backoff_cap_s
-        )
-        heapq.heappush(waiting, (ready_at, order, task.attempt + 1, task.job))
-        return None, order + 1
+    def _failure(
+        self, task: _Task, outcome: str, detail: str, elapsed_s: float, now: float
+    ) -> Optional[JobCompletion]:
+        """Log a failed attempt; requeue the job behind its backoff, or
+        return its quarantine."""
+        quarantined = self._log.failed(task.job, task.attempt, outcome, detail, elapsed_s)
+        if quarantined is None:
+            next_attempt = task.attempt + 1
+            self._enqueue(now + retry_backoff_s(next_attempt), next_attempt, task.job)
+        return quarantined
 
 
 def run_serial(
     jobs: Sequence[SweepJob],
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    backoff_base_s: float = DEFAULT_BACKOFF_BASE_S,
-    backoff_cap_s: float = DEFAULT_BACKOFF_CAP_S,
     chaos: Optional[ChaosSpec] = None,
-) -> Iterator[SupervisedResult]:
+) -> Iterator[JobCompletion]:
     """Serial in-process twin of :meth:`SupervisedPool.run`.
 
     Same retry/quarantine semantics and the same outcome type, without any
@@ -475,42 +418,22 @@ def run_serial(
     is no supervisor to kill the attempt), and chaos ``hang``/``kill``
     injections are rejected upstream for exactly that reason.
     """
-    if max_attempts < 1:
-        raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
+    log = _AttemptLog(max_attempts)
     for job in jobs:
-        trail: List[JobAttempt] = []
-        record: Optional[RunRecord] = None
+        outcome: Optional[JobCompletion] = None
         attempt = 0
-        for attempt in range(1, max_attempts + 1):
-            backoff = retry_backoff_s(attempt, backoff_base_s, backoff_cap_s)
+        while outcome is None:
+            attempt += 1
+            backoff = retry_backoff_s(attempt)
             if backoff > 0:
                 time.sleep(backoff)
             started = time.perf_counter()
             try:
                 record = _attempt_job(job, attempt, chaos)
             except Exception as exc:
-                trail.append(
-                    JobAttempt(
-                        attempt=attempt,
-                        outcome="raised",
-                        detail=f"{type(exc).__name__}: {exc}",
-                        elapsed_s=time.perf_counter() - started,
-                    )
+                outcome = log.failed(
+                    job, attempt, "raised", _describe(exc), time.perf_counter() - started
                 )
-                continue
-            break
-        if record is not None:
-            yield SupervisedResult(
-                job=job,
-                record=record,
-                attempts=attempt,
-                failed_attempts=tuple(trail),
-            )
-        else:
-            yield SupervisedResult(
-                job=job,
-                record=None,
-                attempts=attempt,
-                failed_attempts=tuple(trail),
-                failure=_quarantine(job, trail),
-            )
+            else:
+                outcome = log.succeeded(job, attempt, record)
+        yield outcome

@@ -1,4 +1,4 @@
-"""Sensor-field topology: node placement, zones and the weighted zone graph.
+"""Sensor-field topology: node placement and zones.
 
 The paper's experiments use a sensor field of uniform node density — as the
 number of nodes grows, the field area grows with it.  This package provides:
@@ -10,13 +10,9 @@ number of nodes grows, the field area grows with it.  This package provides:
 * :mod:`repro.topology.zone` — a node's *zone* is the set of nodes reachable
   at its maximum transmission power; zones drive both SPIN's neighbourhood and
   SPMS's routing scope.
-* :mod:`repro.topology.graph` — the weighted graph over a zone, where an edge
-  weight is the minimum transmission power needed for that hop; the input to
-  distributed Bellman-Ford.
 """
 
 from repro.topology.field import SensorField
-from repro.topology.graph import ZoneGraph, build_zone_graph
 from repro.topology.node import NodeInfo, Position
 from repro.topology.placement import grid_placement, random_placement
 from repro.topology.zone import ZoneMap, compute_zones
@@ -25,9 +21,7 @@ __all__ = [
     "NodeInfo",
     "Position",
     "SensorField",
-    "ZoneGraph",
     "ZoneMap",
-    "build_zone_graph",
     "compute_zones",
     "grid_placement",
     "random_placement",

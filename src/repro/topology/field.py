@@ -4,7 +4,7 @@
 hear a transmission), zone computation, and mobility (which rewrites node
 positions).  Queries are O(n) per call, which is fine for the paper's field
 sizes (up to a few hundred nodes); results that protocols use repeatedly
-(zones, zone graphs, routing tables) are cached at higher layers and refreshed
+(zones, routing tables) are cached at higher layers and refreshed
 only when the topology actually changes.
 """
 

@@ -1,6 +1,12 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -94,6 +100,25 @@ class TestCommands:
         assert lines[1].splitlines()[0].split() == [
             "transmission_radius_m", "f-spin", "f-spms", "spin", "spms",
         ]
+
+    def test_compare_packets_reach_the_cluster_workload(self, capture):
+        lines, out = capture
+        argv = ["compare", "--nodes", "16", "--radius", "15", "--workload", "cluster"]
+        assert main(argv + ["--packets", "1"], out=out) == 0
+        one_per_member = list(lines)
+        lines.clear()
+        assert main(argv + ["--packets", "4"], out=out) == 0
+        assert lines[1:] != one_per_member[1:]
+
+    @pytest.mark.parametrize("workload, default", [("all_to_all", "1"), ("cluster", "2")])
+    def test_compare_default_packets_per_workload(self, capture, workload, default):
+        lines, out = capture
+        argv = ["compare", "--nodes", "9", "--radius", "15", "--workload", workload]
+        assert main(argv, out=out) == 0
+        implicit = list(lines)
+        lines.clear()
+        assert main(argv + ["--packets", default], out=out) == 0
+        assert lines == implicit
 
     @pytest.mark.parametrize("workload", ["all_to_all", "cluster"])
     def test_compare_mobility_reaches_every_workload(
@@ -421,9 +446,75 @@ class TestBatchRunCommand:
         assert main(["run", "--spec-dir", str(tmp_path)], out=out) == 2
         assert any("failed to build" in line for line in lines)
 
+    def test_unknown_option_key_fails_the_fleet_before_any_worker(
+        self, capture, tmp_path
+    ):
+        lines, out = capture
+        good = tmp_path / "a.json"
+        good.write_text(json.dumps(TestRunCommand.SPEC))
+        bad = tmp_path / "b.json"
+        bad.write_text(json.dumps({**TestRunCommand.SPEC, "workload_options": {"bogus": 1}}))
+        run_dir = tmp_path / "run"
+        argv = ["run", "--specs", str(good), str(bad), "--workers", "2",
+                "--run-dir", str(run_dir)]
+        assert main(argv, out=out) == 2
+        assert len(lines) == 1  # no "batch:" banner: nothing was dispatched
+        assert lines[0].startswith("scenario 'b' failed to build: ")
+        assert "bogus" in lines[0]
+        assert not (run_dir / "records.jsonl").exists()
+        assert not (run_dir / "failures.jsonl").exists()
+
     def test_spec_and_spec_dir_are_mutually_exclusive(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--spec", "a.json", "--spec-dir", "d"])
+
+
+class TestFleetInterrupt:
+    def test_sigint_prints_the_partial_table_and_exits_3(self, tmp_path):
+        # One quick spec, then three that run for seconds: SIGINT after the
+        # first completion lands while both workers are busy.
+        fleet_dir = tmp_path / "specs"
+        fleet_dir.mkdir()
+        (fleet_dir / "a_quick.json").write_text(json.dumps(TestRunCommand.SPEC))
+        slow = dict(TestRunCommand.SPEC)
+        slow["config"] = {**slow["config"], "num_nodes": 100, "packets_per_node": 3}
+        for name in ("b_slow", "c_slow", "d_slow"):
+            (fleet_dir / f"{name}.json").write_text(json.dumps(slow))
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ, PYTHONUNBUFFERED="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        fleet = subprocess.Popen(
+            [sys.executable, "-m", "repro", "run", "--spec-dir", str(fleet_dir),
+             "--workers", "2"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            start_new_session=True,
+        )
+        watchdog = threading.Timer(60.0, fleet.kill)
+        watchdog.start()
+        try:
+            printed = []
+            for line in fleet.stdout:
+                printed.append(line)
+                if "[done]" in line:
+                    fleet.send_signal(signal.SIGINT)
+                    break
+            rest, err = fleet.communicate(timeout=60.0)
+        finally:
+            watchdog.cancel()
+        text = "".join(printed) + rest
+        assert fleet.returncode == 3, err
+        assert "Traceback" not in err
+        done = re.findall(r"\[done\] (\S+)", text)
+        assert done and done[0] == "a_quick"
+        header = next(line for line in text.splitlines() if line.startswith("run "))
+        rows = text.split(header, 1)[1].splitlines()[2:2 + len(done)]
+        assert sorted(row.split()[0] for row in rows) == sorted(done)
+        assert f"interrupted: {len(done)}/4 job(s) completed before shutdown" in text
+        with pytest.raises(ProcessLookupError):  # no worker outlived the fleet
+            os.killpg(fleet.pid, 0)
 
 
 class TestReportCommand:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.experiments.executor as executor_module
+from repro.experiments import supervisor
 from repro.experiments.chaos import ChaosSpec
 from repro.experiments.config import SimulationConfig
 from repro.experiments.executor import (
@@ -17,7 +18,6 @@ from repro.experiments.executor import (
     default_workers,
     execute_jobs,
     series_label,
-    stream_jobs,
 )
 from repro.experiments.matrix import matrix_from_axes
 from repro.experiments.runner import ExperimentRunner
@@ -56,7 +56,7 @@ class TestSerialExecution:
     def test_progress_callback_sees_every_job(self, small_matrix):
         seen = []
         jobs = small_matrix.expand()
-        execute_jobs(jobs, progress=lambda job, result, cached: seen.append((job.key, cached)))
+        execute_jobs(jobs, progress=lambda c: seen.append((c.job.key, c.from_cache)))
         assert seen == [(j.key, False) for j in jobs]
 
     def test_assemble_preserves_expansion_order(self, small_matrix):
@@ -80,26 +80,40 @@ class TestSerialExecution:
             assert record.wall_time_s > 0.0
 
 
+def completions_of(jobs, **kwargs):
+    """Every completion ``execute_jobs`` reports, in the order it lands."""
+    completions = []
+    execute_jobs(jobs, progress=completions.append, **kwargs)
+    return completions
+
+
 class TestStreaming:
     def test_stream_yields_each_completion_once(self, small_matrix):
         jobs = small_matrix.expand()
-        completions = list(stream_jobs(jobs))
+        completions = completions_of(jobs)
         assert [c.job.key for c in completions] == [j.key for j in jobs]
         assert all(not c.from_cache for c in completions)
         assert all(isinstance(c.record, RunRecord) for c in completions)
 
-    def test_stream_is_lazy(self, small_matrix):
-        # Pulling one completion must not have executed the whole grid.
+    def test_stream_is_lazy(self, small_matrix, monkeypatch):
+        # Progress sees each completion as it lands, before the next job runs.
         jobs = small_matrix.expand()
-        stream = stream_jobs(jobs)
-        first = next(stream)
-        assert first.job.key == jobs[0].key
-        stream.close()
+        attempted = []
+        attempt_job = supervisor._attempt_job
+
+        def counting(job, attempt, chaos):
+            attempted.append(job.key)
+            return attempt_job(job, attempt, chaos)
+
+        monkeypatch.setattr(supervisor, "_attempt_job", counting)
+        seen = []
+        execute_jobs(jobs, progress=lambda c: seen.append(list(attempted)))
+        assert seen == [[jobs[0].key], [jobs[0].key, jobs[1].key]]
 
     def test_stream_writes_through_to_store(self, small_matrix, tmp_path):
         jobs = small_matrix.expand()
         store = RunStore(tmp_path / "run")
-        completions = list(stream_jobs(jobs, store=store))
+        completions = completions_of(jobs, store=store)
         stored = list(store.records())
         assert [r.key for r in stored] == [c.job.key for c in completions]
         assert stored[0].to_dict() == completions[0].record.to_dict()
@@ -115,7 +129,7 @@ class TestStreaming:
         monkeypatch.setattr(executor_module, "spec_fingerprint", forbidden)
         monkeypatch.setattr(RunStore, "records_by_fingerprint", forbidden)
         store = RunStore(tmp_path / "run")
-        completions = list(stream_jobs(small_matrix.expand(), store=store))
+        completions = completions_of(small_matrix.expand(), store=store)
         assert all(c.ok and not c.from_cache for c in completions)
 
 
@@ -167,9 +181,9 @@ class TestResume:
             handle.write(torn)
         simulated = []
 
-        def progress(job, record, from_cache):
-            if not from_cache:
-                simulated.append(job.key)
+        def progress(completion):
+            if not completion.from_cache:
+                simulated.append(completion.job.key)
 
         _, report = execute_jobs(
             jobs, store=RunStore(root), resume=True, progress=progress
@@ -223,7 +237,7 @@ class TestResume:
         assert [spec_fingerprint(j.spec) for j in renamed] == [
             spec_fingerprint(j.spec) for j in jobs
         ]
-        completions = list(stream_jobs(renamed, store=store, resume=True))
+        completions = completions_of(renamed, store=store, resume=True)
         assert all(c.from_cache for c in completions)
         for completion in completions:
             assert completion.record.key == completion.job.key
@@ -235,7 +249,7 @@ class TestResume:
         }
         # The re-stamped records now belong to the run dir: resuming the
         # renamed matrix again serves them as is.
-        list(stream_jobs(renamed, store=store, resume=True))
+        execute_jobs(renamed, store=store, resume=True)
         assert len(store) == 2 * len(jobs)
 
     def test_restamping_changes_provenance_only(self, small_matrix, tmp_path):
@@ -244,7 +258,7 @@ class TestResume:
         original = store.append(
             ExperimentRunner(job.spec).run_record(key="elsewhere", axes={"spec": "x"})
         )
-        (completion,) = stream_jobs([job], store=store, resume=True)
+        (completion,) = completions_of([job], store=store, resume=True)
         served = completion.record.to_dict()
         assert (served.pop("key"), served.pop("axes")) == (job.key, dict(job.axes))
         expected = original.to_dict()
@@ -277,9 +291,9 @@ class TestResume:
         assert report.quarantined == 1
         simulated = []
 
-        def progress(job, record, from_cache):
-            if not from_cache:
-                simulated.append(job.key)
+        def progress(completion):
+            if not completion.from_cache:
+                simulated.append(completion.job.key)
 
         records, resumed = execute_jobs(
             jobs, store=store, resume=True, progress=progress
@@ -352,17 +366,17 @@ class TestWorkerConfiguration:
 class TestFaultTolerance:
     def test_serial_rejects_job_timeout(self, small_matrix):
         with pytest.raises(ValueError, match="job_timeout requires a worker pool"):
-            list(stream_jobs(small_matrix.expand(), workers=1, job_timeout=5.0))
+            execute_jobs(small_matrix.expand(), workers=1, job_timeout=5.0)
 
     def test_serial_rejects_pool_only_chaos(self, small_matrix):
         chaos = ChaosSpec.parse("0:hang")
         with pytest.raises(ValueError, match="hang/kill"):
-            list(stream_jobs(small_matrix.expand(), workers=1, chaos=chaos))
+            execute_jobs(small_matrix.expand(), workers=1, chaos=chaos)
 
     def test_serial_raise_chaos_is_fine(self, small_matrix):
         # raise faults are in-process; no pool needed.
         chaos = ChaosSpec.parse("0:raise:1")
-        completions = list(stream_jobs(small_matrix.expand(), chaos=chaos))
+        completions = completions_of(small_matrix.expand(), chaos=chaos)
         assert all(c.ok for c in completions)
         assert completions[0].attempts == 2
 
@@ -391,7 +405,7 @@ class TestFaultTolerance:
             small_matrix.expand(),
             chaos=chaos,
             max_attempts=1,
-            progress=lambda job, record, cached: seen.append((job.index, record)),
+            progress=lambda c: seen.append((c.job.index, c.record)),
         )
         assert [(index, record is None) for index, record in seen] == [
             (0, False), (1, True),
@@ -409,8 +423,8 @@ class TestFaultTolerance:
         jobs = small_matrix.expand()
         calls = []
 
-        def explode(job, record, cached):
-            calls.append(job.key)
+        def explode(completion):
+            calls.append(completion.job.key)
             if len(calls) == 1:
                 raise KeyboardInterrupt
 

@@ -12,7 +12,8 @@ from repro.experiments.matrix import (
     matrix_from_axes,
     register_matrix,
 )
-from repro.experiments.figures import FigureScale, bench_scale
+from repro.experiments.figures import FigureScale, bench_scale, paper_scale
+from repro.experiments.scenarios import ScenarioSpec
 
 
 @pytest.fixture
@@ -179,6 +180,14 @@ class TestNonConfigAxes:
 
 
 class TestRegistry:
+    @pytest.mark.parametrize("scale", [bench_scale, paper_scale], ids=["bench", "paper"])
+    @pytest.mark.parametrize("name", available_matrices())
+    def test_job_specs_round_trip_their_serialization(self, name, scale):
+        # Jobs build their ScenarioSpec directly; the canonical payload
+        # `repro run --spec` reads must describe exactly that spec.
+        for job in get_matrix(name, scale=scale()).expand():
+            assert ScenarioSpec.from_dict(job.spec.to_dict()) == job.spec
+
     def test_builtin_figures_registered(self):
         names = available_matrices()
         for expected in (

@@ -11,9 +11,10 @@ from multiprocessing import connection as mp_connection
 
 import pytest
 
-from repro.experiments import ChaosSpec, SupervisedPool, retry_backoff_s, run_serial
+from repro.experiments import ChaosSpec
 from repro.experiments.config import SimulationConfig
 from repro.experiments.matrix import matrix_from_axes
+from repro.experiments.supervisor import SupervisedPool, retry_backoff_s, run_serial
 
 
 @pytest.fixture
@@ -55,7 +56,6 @@ class TestBackoff:
         assert retry_backoff_s(3) == pytest.approx(0.10)
         assert retry_backoff_s(4) == pytest.approx(0.20)
         assert retry_backoff_s(9) == 2.0  # capped
-        assert retry_backoff_s(3, base_s=0.5, cap_s=0.75) == 0.75
 
     def test_no_entropy(self):
         # Same inputs, same waits — retries never consult a clock or RNG.

@@ -18,7 +18,7 @@ import types
 
 import pytest
 
-from repro.experiments import SupervisedPool, supervisor
+from repro.experiments import supervisor
 from repro.experiments.config import SimulationConfig
 from repro.experiments.matrix import matrix_from_axes
 from repro.results import RunStore
@@ -184,7 +184,7 @@ class TestEntropyTripwire:
 
         monkeypatch.setattr(supervisor, "_attempt_job", attempt_after_backoff)
         jobs = guard_jobs()[:1]
-        (outcome,) = SupervisedPool(workers=1, max_attempts=1).run(jobs)
+        (outcome,) = supervisor.SupervisedPool(workers=1, max_attempts=1).run(jobs)
         assert not outcome.ok
         (attempt,) = outcome.failure.attempts
         assert attempt.outcome == "raised"
@@ -296,7 +296,7 @@ class TestNoStoreHandleInAChild:
             return record
 
         monkeypatch.setattr(supervisor, "_attempt_job", attempt_and_append)
-        outcomes = list(SupervisedPool(workers=2, max_attempts=1).run(guard_jobs()))
+        outcomes = list(supervisor.SupervisedPool(workers=2, max_attempts=1).run(guard_jobs()))
         assert len(outcomes) == 2
         for outcome in outcomes:
             assert not outcome.ok
