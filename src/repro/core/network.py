@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from typing import Collection, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Collection, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.packets import BROADCAST, Packet, PacketType
 from repro.mac.channel import ChannelReservation
@@ -165,10 +165,6 @@ class Network:
             self._range_cache[key] = neighbors
         return neighbors
 
-    def _contenders(self, sender: int, level: PowerLevel) -> int:
-        """Nodes competing for the channel when *sender* transmits at *level*."""
-        return len(self._neighbors_within(sender, level.range_m)) + 1
-
     def _broadcast_receivers(self, sender: int) -> Tuple[int, ...]:
         """Registered zone neighbours of *sender*, cached per sender.
 
@@ -197,12 +193,25 @@ class Network:
     # ------------------------------------------------------------ transmission
 
     def _transmit(
-        self, sender: int, packet: Packet, level: PowerLevel, receivers: Sequence[int]
+        self,
+        sender: int,
+        packet: Packet,
+        level: PowerLevel,
+        deliver: Optional[Callable[[Any, Packet], None]],
+        target: Any,
     ) -> None:
-        """Common path for broadcast and unicast transmissions."""
+        """Common path for broadcast and unicast transmissions.
+
+        Charges and counts the transmission, then schedules
+        ``deliver(target, packet)`` for its arrival; a *deliver* of ``None``
+        transmits to no receiver.
+        """
         size_bytes = packet.size_bytes
         mac = self.mac_delay
-        contenders = self._contenders(sender, level)
+        # Nodes inside the used radius: they set the contention and, with a
+        # channel model, have their medium reserved for the airtime.
+        neighbors = self._neighbors_within(sender, level.range_m)
+        contenders = len(neighbors) + 1
         # The memoised deterministic parts plus exactly one backoff draw —
         # the same RNG call sequence as MacDelayModel.timing, without
         # constructing a TransmissionTiming per transmission.
@@ -212,37 +221,23 @@ class Network:
         if self.channel is not None:
             start = self.channel.earliest_start(sender, ready_at)
             self.channel.record_wait(start - ready_at)
-            affected = self._neighbors_within(sender, level.range_m) + [sender]
-            end = self.channel.reserve(affected, start, airtime_ms)
+            end = self.channel.reserve(neighbors + [sender], start, airtime_ms)
         else:
             end = ready_at + airtime_ms
         cost = self.energy_model.tx_cost(size_bytes, level)
         self.metrics.energy.charge(sender, cost.energy_uj, "tx")
         type_label = packet.packet_type.label
         self.metrics.record_send(type_label)
-        delivery_delay = (end + processing_ms) - now
-        if not receivers:
+        if deliver is None:
             return
-        # One fan-out event per transmission (not one per receiver): every
+        # One delivery event per transmission (not one per receiver): every
         # receiver of a broadcast hears the packet at the same instant, so a
         # single event delivering in receiver order reproduces the exact
         # per-receiver event sequence at a fraction of the calendar traffic.
-        receivers = tuple(receivers)
-        if (
-            self.ADV_FAST_PATH
-            and packet.packet_type is PacketType.ADV
-            and packet.receiver == BROADCAST
-        ):
-            # Zone-batched ADV fan-out: advertisements are read-only,
-            # single-hop notifications, so the whole zone shares one packet
-            # instance through the lean on_adv hook (no per-receiver clone,
-            # no type dispatch) — see _deliver_adv_batch.
-            deliver = self._deliver_adv_batch
-        else:
-            deliver = self._deliver_batch
+        # A unicast hop's event delivers straight to its one receiver.
         self.sim.schedule(
-            delivery_delay,
-            lambda rs=receivers, p=packet, d=deliver: d(rs, p),
+            (end + processing_ms) - now,
+            functools.partial(deliver, target, packet),
             name=self._deliver_names[type_label],
         )
 
@@ -254,11 +249,24 @@ class Network:
         if self.is_failed(sender):
             self.metrics.record_drop("sender_failed")
             return False
-        level = self.power_table.max_level
         receivers = self._broadcast_receivers(sender)
         if self.trace:
             self._trace(f"broadcast {packet.label()}")
-        self._transmit(sender, packet, level, receivers)
+        if not receivers:
+            deliver = None
+        elif (
+            self.ADV_FAST_PATH
+            and packet.packet_type is PacketType.ADV
+            and packet.receiver == BROADCAST
+        ):
+            # Zone-batched ADV fan-out: advertisements are read-only,
+            # single-hop notifications, so the whole zone shares one packet
+            # instance through the lean on_adv hook (no per-receiver clone,
+            # no type dispatch) — see _deliver_adv_batch.
+            deliver = self._deliver_adv_batch
+        else:
+            deliver = self._deliver_batch
+        self._transmit(sender, packet, self.power_table.max_level, deliver, receivers)
         return True
 
     def unicast(
@@ -307,42 +315,37 @@ class Network:
                 level = self.power_table.level_for_distance(distance)
         if self.trace:
             self._trace(f"unicast {packet.label()} @level{level.index}")
-        self._transmit(sender, packet, level, (receiver,))
+        self._transmit(sender, packet, level, self._deliver_one, receiver)
         return True
 
     # ------------------------------------------------------------------ deliver
 
-    def _deliver_batch(self, receivers: Sequence[int], packet: Packet) -> None:
-        """Deliver one transmission to every receiver, in transmit order.
+    def _deliver_one(self, receiver: int, packet: Packet) -> None:
+        """Deliver one transmission to one receiver.
 
-        Runs once per reception — the hottest loop in the simulation — so
-        the per-transmission invariants (receive cost, packet-type label,
-        the lookups themselves) are hoisted out of the receiver loop and the
-        clone uses the slotted fast copy instead of full construction.
+        A unicast hop's whole delivery event, and each step of
+        :meth:`_deliver_batch`.  A failed or unregistered receiver only
+        counts a drop.  Otherwise the receiver pays the receive energy, the
+        reception is counted, and its node handles a clone of the packet one
+        hop further on.
         """
         metrics = self.metrics
-        nodes = self._nodes
-        failed = self._failed
-        per_node, per_category, per_node_category = metrics.energy.hot_path_accounts()
-        received = metrics.packets_received
-        rx_cost = self.energy_model.rx_cost(packet.size_bytes)
-        type_label = packet.packet_type.label
+        if receiver in self._failed:
+            metrics.record_drop("receiver_failed")
+            return
+        node = self._nodes.get(receiver)
+        if node is None:
+            metrics.record_drop("unknown_receiver")
+            return
+        metrics.energy.charge(receiver, self.energy_model.rx_cost(packet.size_bytes), "rx")
+        metrics.packets_received[packet.packet_type.label] += 1
+        node.on_packet(packet.received_copy(receiver))
+
+    def _deliver_batch(self, receivers: Sequence[int], packet: Packet) -> None:
+        """Deliver one broadcast to every receiver, in receiver order."""
+        deliver_one = self._deliver_one
         for receiver in receivers:
-            if receiver in failed:
-                metrics.record_drop("receiver_failed")
-                continue
-            node = nodes.get(receiver)
-            if node is None:
-                metrics.record_drop("unknown_receiver")
-                continue
-            # EnergyLedger.charge(receiver, rx_cost, "rx") unrolled: rx_cost
-            # is non-negative by construction, and the three additions happen
-            # in the same order, so the floats are bit-identical.
-            per_node[receiver] += rx_cost
-            per_category["rx"] += rx_cost
-            per_node_category[(receiver, "rx")] += rx_cost
-            received[type_label] += 1
-            node.on_packet(packet.received_copy(receiver))
+            deliver_one(receiver, packet)
 
     def _deliver_adv_batch(self, receivers: Sequence[int], packet: Packet) -> None:
         """Deliver one ADV broadcast to the whole zone, in two phases.
@@ -356,8 +359,9 @@ class Network:
         handler would return at ``cache.has`` without a side effect.  All
         receivers share one read-only packet instance (no per-receiver
         clone, no type dispatch).  Counters and ledger floats come out
-        bit-identical to :meth:`_deliver_batch`'s per-receiver charging; the
-        argument is on :meth:`EnergyLedger.hot_path_accounts`.
+        bit-identical to one :meth:`EnergyLedger.charge` per receiver, as
+        :meth:`_deliver_batch` makes; the argument is on
+        :meth:`EnergyLedger.hot_path_accounts`.
         """
         metrics = self.metrics
         failed = self._failed

@@ -83,41 +83,35 @@ class Packet:
 
     def next_hop_copy(self, sender: int, receiver: int, multi_hop: bool = True) -> "Packet":
         """A copy of this packet re-addressed for the next hop."""
-        return Packet(
-            packet_type=self.packet_type,
-            descriptor=self.descriptor,
-            sender=sender,
-            receiver=receiver,
-            origin=self.origin,
-            final_target=self.final_target,
-            size_bytes=self.size_bytes,
-            item=self.item,
-            hop_count=self.hop_count,
-            multi_hop=multi_hop,
-            created_at_ms=self.created_at_ms,
-        )
+        return self._copy(sender, receiver, self.hop_count, multi_hop)
 
     def received_copy(self, receiver: int) -> "Packet":
         """The per-receiver delivery clone (hot path).
 
-        One clone is handed to every receiver of a transmission, so this is
-        called once per reception — the single most frequent allocation in a
-        run.  It bypasses dataclass construction (``__init__`` +
-        ``__post_init__`` validation) with direct slot assignment; the
-        template packet was validated when it was built, and a received copy
-        only re-addresses the hop and bumps the hop count.
+        Every reception delivered through ``on_packet`` gets one clone, so
+        this is the single most frequent allocation in a run.
+        """
+        return self._copy(self.sender, receiver, self.hop_count + 1, self.multi_hop)
+
+    def _copy(self, sender: int, receiver: int, hop_count: int, multi_hop: bool) -> "Packet":
+        """A copy with a new id and the given addressing fields.
+
+        Bypasses dataclass construction (``__init__`` + ``__post_init__``
+        validation) with direct slot assignment: this packet was validated
+        when it was built, and a copy changes no validated field.  Draws the
+        id from the same counter, once, as construction would.
         """
         clone = object.__new__(Packet)
         clone.packet_type = self.packet_type
         clone.descriptor = self.descriptor
-        clone.sender = self.sender
+        clone.sender = sender
         clone.receiver = receiver
         clone.origin = self.origin
         clone.final_target = self.final_target
         clone.size_bytes = self.size_bytes
         clone.item = self.item
-        clone.hop_count = self.hop_count + 1
-        clone.multi_hop = self.multi_hop
+        clone.hop_count = hop_count
+        clone.multi_hop = multi_hop
         clone.created_at_ms = self.created_at_ms
         clone.packet_id = next(_packet_counter)
         return clone

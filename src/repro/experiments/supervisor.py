@@ -41,6 +41,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import multiprocessing
+import signal
 import time
 from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
@@ -160,7 +161,11 @@ def _worker_main(conn, chaos: Optional[ChaosSpec]) -> None:
     store-write guard fails any store write made under this loop.  The *only*
     payload shipped back per job is the compact run record or the exception
     text — the supervisor never unpickles collectors.
+
+    A worker ignores SIGINT: Ctrl-C reaches the whole process group, and the
+    parent alone turns it into a graceful shutdown that SIGKILLs workers.
     """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     while True:
         try:
             task = conn.recv()

@@ -114,9 +114,10 @@ class MacDelayModel:
         if stream is None:
             stream = self.rng.stream(self.BACKOFF_STREAM)
             self._backoff_stream = stream
-        # Identical draw to ``rng.randint(BACKOFF_STREAM, 0, window - 1)``,
-        # minus the per-call registry lookup.
-        return stream.randint(0, window - 1) * self.slot_time_ms
+        # ``randrange(window)`` and ``randint(0, window - 1)`` both make one
+        # ``_randbelow(window)`` draw, so the stream advances identically;
+        # randrange skips randint's extra frame.
+        return stream.randrange(window) * self.slot_time_ms
 
     def airtime_ms(self, size_bytes: int) -> float:
         """Time on air for *size_bytes*."""

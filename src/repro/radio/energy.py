@@ -166,12 +166,11 @@ class EnergyLedger:
     def hot_path_accounts(self):
         """The ``(per_node, per_category, per_node_category)`` accumulators.
 
-        For the network delivery loops only: a reception loop charging one
-        receive cost per receiver updates the mappings directly instead of
-        paying one :meth:`charge` call per reception.  The cost is not
-        re-validated here; :class:`EnergyModel` only builds non-negative,
-        finite costs.  Every accumulated float must stay bit-identical to
-        per-call charging.
+        For the network's ADV fan-out only: a batch charging one receive
+        cost per receiver updates the mappings directly instead of paying
+        one :meth:`charge` call per reception.  The cost is not re-validated
+        here; :class:`EnergyModel` only builds non-negative, finite costs.
+        Every accumulated float must stay bit-identical to per-call charging.
 
         The ADV fan-out (``Network._deliver_adv_batch``) charges a whole
         batch before it calls any handler, where per-call charging would

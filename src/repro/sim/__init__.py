@@ -5,7 +5,7 @@ runs.  It provides:
 
 * :class:`~repro.sim.events.Event` and :class:`~repro.sim.events.EventQueue` —
   a binary-heap event calendar with stable FIFO ordering for simultaneous
-  events and O(log n) cancellation.
+  events and O(1) lazy cancellation.
 * :class:`~repro.sim.engine.Simulator` — the event loop, with scheduling
   helpers, wall-clock safety limits and run-until predicates.
 * :class:`~repro.sim.timers.Timer` — restartable, cancellable timers used to

@@ -102,7 +102,7 @@ class Simulator:
 
     def cancel(self, event: Event) -> None:
         """Cancel a previously scheduled event."""
-        self._queue.cancel(event)
+        event.cancel()
 
     # ------------------------------------------------------------------- run
 

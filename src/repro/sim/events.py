@@ -1,18 +1,20 @@
 """Event calendar primitives for the discrete-event kernel.
 
 An :class:`Event` is a scheduled callback with a firing time.  The
-:class:`EventQueue` is a binary heap of events ordered by ``(time, sequence)``
-so that two events scheduled for the same simulated time fire in the order
-they were scheduled (FIFO tie-breaking), which keeps protocol traces
-deterministic.
+:class:`EventQueue` is a binary heap of ``(time, sequence, event)`` entries,
+where ``sequence`` counts pushes, so two events scheduled for the same
+simulated time fire in the order they were scheduled (FIFO tie-breaking),
+which keeps protocol traces deterministic.
 
 This module is the hottest code in the repository — every simulated
 transmission, timer and delivery passes through it — so it trades a little
 generality for throughput:
 
-* :class:`Event` is a ``__slots__`` class (no per-event ``__dict__``) and the
-  heap stores the events themselves (ordered via :meth:`Event.__lt__`), not
-  ``(time, seq, event)`` wrapper tuples.
+* Heap entries are plain tuples whose first two fields are a float and a
+  unique int, so ``heapq`` orders them with C-level tuple comparison and
+  never reaches the event itself.  :class:`Event` defines no ordering:
+  ``event_a < event_b`` raises :class:`TypeError`.
+* :class:`Event` is a ``__slots__`` class (no per-event ``__dict__``).
 * The queue tracks its live-event count incrementally, making ``len()`` and
   truth-testing O(1) even with many lazily-cancelled entries in the heap.
 * :meth:`EventQueue.pop_due` fuses the peek/pop pair the simulation loop
@@ -26,6 +28,7 @@ cancels a large number of ``tau_ADV`` timers.
 from __future__ import annotations
 
 import heapq
+import itertools
 from typing import Any, Callable, Optional
 
 
@@ -37,11 +40,10 @@ class Event:
         action: Zero-argument callable invoked when the event fires.
         name: Optional human-readable label used in traces and error messages.
         payload: Optional arbitrary data carried for inspection/debugging.
-        sequence: Queue-assigned FIFO tie-breaker (-1 until pushed).
         cancelled: Whether the event has been cancelled.
     """
 
-    __slots__ = ("time", "action", "name", "payload", "sequence", "cancelled", "_queue")
+    __slots__ = ("time", "action", "name", "payload", "cancelled", "_queue")
 
     def __init__(
         self,
@@ -49,23 +51,15 @@ class Event:
         action: Callable[[], None],
         name: str = "",
         payload: Any = None,
-        sequence: int = -1,
     ) -> None:
         self.time = time
         self.action = action
         self.name = name
         self.payload = payload
-        self.sequence = sequence
         self.cancelled = False
         # Owning queue while the event sits live in a heap; lets cancel()
         # keep the queue's live count exact without a per-cancel scan.
         self._queue: Optional["EventQueue"] = None
-
-    def __lt__(self, other: "Event") -> bool:
-        # Heap ordering: (time, sequence) without allocating key tuples.
-        if self.time != other.time:
-            return self.time < other.time
-        return self.sequence < other.sequence
 
     def cancel(self) -> None:
         """Mark the event so it is skipped when its firing time arrives."""
@@ -85,17 +79,17 @@ class Event:
 class EventQueue:
     """Binary-heap event calendar with FIFO tie-breaking.
 
-    The queue assigns each pushed event a monotonically increasing sequence
-    number; the heap is ordered by ``(time, sequence)``.  The live (i.e.
-    non-cancelled) event count is maintained incrementally: ``len(queue)``
-    and ``bool(queue)`` are O(1).
+    Each push takes the next number of a per-queue counter; the heap holds
+    ``(time, sequence, event)`` entries.  The live (i.e. non-cancelled)
+    event count is maintained incrementally: ``len(queue)`` and
+    ``bool(queue)`` are O(1).
     """
 
-    __slots__ = ("_heap", "_next_sequence", "_live")
+    __slots__ = ("_heap", "_sequence", "_live")
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
-        self._next_sequence = 0
+        self._heap: list[tuple[float, int, Event]] = []
+        self._sequence = itertools.count()
         self._live = 0
 
     def __len__(self) -> int:
@@ -107,30 +101,14 @@ class EventQueue:
 
     def push(self, event: Event) -> Event:
         """Insert *event* into the calendar and return it."""
-        if not event.time >= 0:
-            raise ValueError(f"event time must be non-negative and not NaN, got {event.time}")
-        event.sequence = self._next_sequence
-        self._next_sequence += 1
+        time = event.time
+        if not time >= 0:
+            raise ValueError(f"event time must be non-negative and not NaN, got {time}")
         if not event.cancelled:
             event._queue = self
             self._live += 1
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (time, next(self._sequence), event))
         return event
-
-    def pop(self) -> Optional[Event]:
-        """Remove and return the earliest non-cancelled event.
-
-        Returns ``None`` when no live events remain.  Cancelled events found
-        on the way are discarded silently.
-        """
-        heap = self._heap
-        while heap:
-            event = heapq.heappop(heap)
-            if not event.cancelled:
-                event._queue = None
-                self._live -= 1
-                return event
-        return None
 
     def pop_due(self, until: Optional[float] = None) -> Optional[Event]:
         """Pop the earliest live event, unless it fires after *until*.
@@ -144,35 +122,14 @@ class EventQueue:
         """
         heap = self._heap
         while heap:
-            event = heap[0]
+            time, _, event = heap[0]
             if event.cancelled:
                 heapq.heappop(heap)
                 continue
-            if until is not None and event.time > until:
+            if until is not None and time > until:
                 return None
             heapq.heappop(heap)
             event._queue = None
             self._live -= 1
             return event
         return None
-
-    def peek_time(self) -> Optional[float]:
-        """Return the firing time of the earliest live event, or ``None``."""
-        heap = self._heap
-        while heap and heap[0].cancelled:
-            heapq.heappop(heap)
-        if not heap:
-            return None
-        return heap[0].time
-
-    def cancel(self, event: Event) -> None:
-        """Cancel *event*; alias for ``event.cancel()`` kept for symmetry with
-        :meth:`push`."""
-        event.cancel()
-
-    def clear(self) -> None:
-        """Drop every pending event."""
-        for event in self._heap:
-            event._queue = None
-        self._heap.clear()
-        self._live = 0

@@ -1,11 +1,14 @@
 """Tests for the network glue layer (delivery, energy charging, failures)."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.metadata import DataDescriptor, DataItem
 from repro.core.interests import AllInterested
 from repro.core.node_base import ProtocolNode
 from repro.core.packets import BROADCAST, Packet, PacketType
+from repro.sim.events import EventQueue
 
 from tests.helpers import build_network, chain_positions
 
@@ -184,6 +187,43 @@ class TestUnicast:
         harness.run()
         assert harness.nodes[1].received == []
         assert harness.metrics.packets_dropped["receiver_failed"] == 1
+        assert "DATA" not in harness.metrics.packets_received
+        assert "rx" not in harness.metrics.energy.per_category
+
+    def test_one_calendar_push_per_unicast_hop(self, monkeypatch):
+        harness = build_recorder_harness(chain_positions(3, spacing=5.0))
+        pushes = []
+        push = EventQueue.push
+        monkeypatch.setattr(
+            EventQueue, "push", lambda queue, event: pushes.append(event) or push(queue, event)
+        )
+        for receiver in (1, 2, 1):
+            harness.network.unicast(0, receiver, data_packet(0, receiver))
+        assert len(pushes) == 3
+        harness.run()
+        assert len(pushes) == 3
+        assert [len(harness.nodes[n].received) for n in (1, 2)] == [2, 1]
+
+    def test_unregistered_receiver_counts_unknown_receiver(self):
+        harness = build_recorder_harness(chain_positions(2, spacing=5.0))
+        harness.network.unicast(0, 1, data_packet(0, 1))
+        del harness.network._nodes[1]
+        harness.run()
+        assert harness.nodes[1].received == []
+        assert harness.metrics.packets_dropped["unknown_receiver"] == 1
+        assert "rx" not in harness.metrics.energy.per_category
+
+    def test_handler_gets_a_copy_one_hop_further(self):
+        harness = build_recorder_harness(chain_positions(2, spacing=5.0))
+        sent = data_packet(0, 1)
+        before = dataclasses.astuple(sent)
+        harness.network.unicast(0, 1, sent)
+        harness.run()
+        (received,) = harness.nodes[1].received
+        assert received is not sent
+        assert received.hop_count == sent.hop_count + 1
+        assert (received.sender, received.receiver) == (0, 1)
+        assert dataclasses.astuple(sent) == before
 
     def test_recovered_receiver_gets_later_packets(self):
         harness = build_recorder_harness(chain_positions(2, spacing=5.0))

@@ -1,5 +1,7 @@
 """Tests for packet construction."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.metadata import DataDescriptor, DataItem
@@ -51,6 +53,35 @@ class TestPacket:
         assert forwarded.hop_count == original.hop_count
         assert forwarded.multi_hop is True
         assert forwarded.packet_id != original.packet_id
+
+    @pytest.mark.parametrize(
+        "make_copy, changes",
+        [
+            (lambda p: p.received_copy(9), dict(receiver=9, hop_count=3)),
+            (
+                lambda p: p.next_hop_copy(sender=2, receiver=7),
+                dict(sender=2, receiver=7, multi_hop=True),
+            ),
+            (lambda p: p.next_hop_copy(2, 7, multi_hop=False), dict(sender=2, receiver=7)),
+        ],
+        ids=["received_copy", "next_hop_copy", "next_hop_copy-single-hop"],
+    )
+    def test_fast_copy_sets_every_field_as_construction_would(self, make_copy, changes):
+        # The copies assign slots one by one instead of running __init__, so
+        # a field they forget stays unset and getattr raises here.
+        item = DataItem(descriptor=DataDescriptor("x"), source=1)
+        original = make_packet(
+            packet_type=PacketType.DATA, size_bytes=40, item=item,
+            hop_count=2, multi_hop=False, created_at_ms=12.5,
+        )
+        copy = make_copy(original)
+        built = dataclasses.replace(original, **changes)
+        for field in dataclasses.fields(Packet):
+            if field.name != "packet_id":
+                assert getattr(copy, field.name) == getattr(built, field.name), field.name
+        assert isinstance(copy.packet_id, int)
+        assert copy.packet_id != original.packet_id
+        assert copy == dataclasses.replace(built, packet_id=copy.packet_id)
 
     def test_label_mentions_type_and_endpoints(self):
         label = make_packet().label()

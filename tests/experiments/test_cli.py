@@ -470,9 +470,11 @@ class TestBatchRunCommand:
 
 
 class TestFleetInterrupt:
-    def test_sigint_prints_the_partial_table_and_exits_3(self, tmp_path):
-        # One quick spec, then three that run for seconds: SIGINT after the
-        # first completion lands while both workers are busy.
+    def _interrupt_fleet(self, tmp_path, interrupt) -> str:
+        """Run a 2-worker fleet, *interrupt* it after its first completion,
+        check the partial table and the exit code, and return stderr."""
+        # One quick spec, then three that run for seconds: the interrupt
+        # after the first completion lands while both workers are busy.
         fleet_dir = tmp_path / "specs"
         fleet_dir.mkdir()
         (fleet_dir / "a_quick.json").write_text(json.dumps(TestRunCommand.SPEC))
@@ -499,14 +501,13 @@ class TestFleetInterrupt:
             for line in fleet.stdout:
                 printed.append(line)
                 if "[done]" in line:
-                    fleet.send_signal(signal.SIGINT)
+                    interrupt(fleet)
                     break
             rest, err = fleet.communicate(timeout=60.0)
         finally:
             watchdog.cancel()
         text = "".join(printed) + rest
         assert fleet.returncode == 3, err
-        assert "Traceback" not in err
         done = re.findall(r"\[done\] (\S+)", text)
         assert done and done[0] == "a_quick"
         header = next(line for line in text.splitlines() if line.startswith("run "))
@@ -515,6 +516,20 @@ class TestFleetInterrupt:
         assert f"interrupted: {len(done)}/4 job(s) completed before shutdown" in text
         with pytest.raises(ProcessLookupError):  # no worker outlived the fleet
             os.killpg(fleet.pid, 0)
+        return err
+
+    def test_sigint_prints_the_partial_table_and_exits_3(self, tmp_path):
+        err = self._interrupt_fleet(tmp_path, lambda fleet: fleet.send_signal(signal.SIGINT))
+        assert "Traceback" not in err
+
+    def test_sigint_to_the_process_group_leaves_no_worker_traceback(self, tmp_path):
+        # Ctrl-C in a terminal signals the whole foreground process group,
+        # workers included; only the parent may react to it.
+        err = self._interrupt_fleet(
+            tmp_path, lambda fleet: os.killpg(fleet.pid, signal.SIGINT)
+        )
+        assert "Traceback" not in err
+        assert "Process ForkProcess" not in err
 
 
 class TestReportCommand:

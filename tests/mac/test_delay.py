@@ -36,6 +36,19 @@ class TestMacDelayModel:
         draws = {model.backoff_ms() for _ in range(300)}
         assert max(draws) > 1.0
 
+    def test_backoff_draws_as_randint_for_every_window(self):
+        # backoff_ms draws with randrange(window); it must advance the
+        # stream exactly as randint(0, window - 1) on a twin stream does.
+        model = MacDelayModel(rng=RandomStreams(7), slot_time_ms=0.1, num_slots=20)
+        twin = RandomStreams(7).stream(MacDelayModel.BACKOFF_STREAM)
+        for window in range(1, model.num_slots + 1):
+            # A one-slot window draws nothing.
+            expected = [
+                (twin.randint(0, window - 1) if window > 1 else 0) * 0.1 for _ in range(50)
+            ]
+            assert [model.backoff_ms(contenders=window) for _ in range(50)] == expected
+        assert model.rng.stream(MacDelayModel.BACKOFF_STREAM).getstate() == twin.getstate()
+
     def test_negative_contenders_rejected(self):
         model = MacDelayModel(rng=RandomStreams(1))
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Tests for the event calendar."""
 
+import heapq
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,10 +12,29 @@ def _noop() -> None:
     pass
 
 
+def _peek_time(queue: EventQueue):
+    """Firing time of *queue*'s earliest live event, or ``None``.
+
+    Reads the heap directly, dropping cancelled entries from its top, so the
+    fused :meth:`EventQueue.pop_due` can be checked against a separate peek.
+    """
+    heap = queue._heap
+    while heap and heap[0][2].cancelled:
+        heapq.heappop(heap)
+    return heap[0][0] if heap else None
+
+
 class TestEvent:
     def test_repr_mentions_state(self):
         event = Event(time=1.0, action=_noop, name="hello")
         assert "hello" in repr(event)
+
+    def test_events_define_no_order(self):
+        # The heap orders (time, sequence, event) entries; an event itself
+        # is never compared, so it defines no ordering to fall back on.
+        early, late = Event(time=1.0, action=_noop), Event(time=2.0, action=_noop)
+        with pytest.raises(TypeError):
+            early < late
 
 
 class TestEventQueue:
@@ -22,33 +43,36 @@ class TestEventQueue:
         queue.push(Event(time=3.0, action=_noop, name="c"))
         queue.push(Event(time=1.0, action=_noop, name="a"))
         queue.push(Event(time=2.0, action=_noop, name="b"))
-        assert [queue.pop().name for _ in range(3)] == ["a", "b", "c"]
+        assert [queue.pop_due().name for _ in range(3)] == ["a", "b", "c"]
 
     def test_simultaneous_events_fire_in_fifo_order(self):
         queue = EventQueue()
         for name in ("first", "second", "third"):
             queue.push(Event(time=5.0, action=_noop, name=name))
-        assert [queue.pop().name for _ in range(3)] == ["first", "second", "third"]
+        assert [queue.pop_due().name for _ in range(3)] == ["first", "second", "third"]
+
+    def test_same_time_events_fire_fifo_across_interleaved_cancels(self):
+        queue = EventQueue()
+        events = {name: queue.push(Event(time=5.0, action=_noop, name=name)) for name in "abcd"}
+        events["b"].cancel()
+        events["e"] = queue.push(Event(time=5.0, action=_noop, name="e"))
+        events["a"].cancel()
+        assert queue.pop_due().name == "c"
+        # A push after a pop still queues behind every earlier push.
+        events["f"] = queue.push(Event(time=5.0, action=_noop, name="f"))
+        events["e"].cancel()
+        assert [queue.pop_due().name for _ in range(2)] == ["d", "f"]
+        assert queue.pop_due() is None
 
     def test_pop_skips_cancelled_events(self):
         queue = EventQueue()
         keep = queue.push(Event(time=2.0, action=_noop, name="keep"))
         drop = queue.push(Event(time=1.0, action=_noop, name="drop"))
-        queue.cancel(drop)
-        assert queue.pop() is keep
+        drop.cancel()
+        assert queue.pop_due() is keep
 
     def test_pop_empty_returns_none(self):
-        assert EventQueue().pop() is None
-
-    def test_peek_time_ignores_cancelled(self):
-        queue = EventQueue()
-        early = queue.push(Event(time=1.0, action=_noop))
-        queue.push(Event(time=4.0, action=_noop))
-        early.cancel()
-        assert queue.peek_time() == pytest.approx(4.0)
-
-    def test_peek_time_empty_is_none(self):
-        assert EventQueue().peek_time() is None
+        assert EventQueue().pop_due() is None
 
     def test_len_counts_only_live_events(self):
         queue = EventQueue()
@@ -76,12 +100,6 @@ class TestEventQueue:
             queue.push(Event(time=float("nan"), action=_noop))
         assert not queue
 
-    def test_clear_drops_everything(self):
-        queue = EventQueue()
-        queue.push(Event(time=1.0, action=_noop))
-        queue.clear()
-        assert queue.pop() is None
-
     @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=200))
     def test_property_pop_order_is_sorted(self, times):
         queue = EventQueue()
@@ -89,7 +107,7 @@ class TestEventQueue:
             queue.push(Event(time=t, action=_noop))
         popped = []
         while True:
-            event = queue.pop()
+            event = queue.pop_due()
             if event is None:
                 break
             popped.append(event.time)
@@ -112,17 +130,16 @@ class TestEventQueue:
         queue.push(Event(time=2.0, action=_noop))
         event.cancel()
         event.cancel()
-        queue.cancel(event)
         assert len(queue) == 1
 
     def test_cancel_after_pop_does_not_corrupt_count(self):
         queue = EventQueue()
         first = queue.push(Event(time=1.0, action=_noop))
         queue.push(Event(time=2.0, action=_noop))
-        assert queue.pop() is first
+        assert queue.pop_due() is first
         first.cancel()  # already out of the calendar; must be a no-op
         assert len(queue) == 1
-        assert queue.pop() is not None
+        assert queue.pop_due() is not None
         assert len(queue) == 0
 
     def test_cancel_of_unpushed_event_is_harmless(self):
@@ -131,22 +148,11 @@ class TestEventQueue:
         loose.cancel()
         assert len(queue) == 0
 
-    def test_clear_resets_live_count(self):
-        queue = EventQueue()
-        events = [queue.push(Event(time=float(i), action=_noop)) for i in range(3)]
-        queue.clear()
-        assert len(queue) == 0
-        assert not queue
-        # Cancelling events from the cleared calendar must not underflow.
-        for event in events:
-            event.cancel()
-        assert len(queue) == 0
-
     def test_pop_decrements_live_count(self):
         queue = EventQueue()
         queue.push(Event(time=1.0, action=_noop))
         queue.push(Event(time=2.0, action=_noop))
-        queue.pop()
+        queue.pop_due()
         assert len(queue) == 1
 
     @given(
@@ -164,7 +170,7 @@ class TestEventQueue:
                 event.cancel()
         expected = sum(1 for _, cancel in entries if not cancel)
         assert len(queue) == expected
-        while queue.pop() is not None:
+        while queue.pop_due() is not None:
             expected -= 1
             assert len(queue) == expected
         assert len(queue) == 0
@@ -208,9 +214,9 @@ class TestPopDue:
             staged.push(Event(time=t, action=_noop))
         while True:
             via_fused = fused.pop_due(horizon)
-            next_time = staged.peek_time()
+            next_time = _peek_time(staged)
             via_staged = (
-                staged.pop()
+                staged.pop_due()
                 if next_time is not None and next_time <= horizon
                 else None
             )
@@ -238,7 +244,7 @@ class TestPopDue:
                 expected.append(t)
         popped = []
         while True:
-            event = queue.pop()
+            event = queue.pop_due()
             if event is None:
                 break
             popped.append(event.time)
