@@ -9,12 +9,14 @@ scenario spec through named, individually overridable phases::
 workload's interest model at construction time.)  Every phase resolves its
 components — placement, contention model, workload, protocol, failure and
 mobility models — through a :class:`~repro.build.registry.ComponentRegistry`,
-so a scenario can use any registered plugin without the builder (or the
-:class:`~repro.experiments.runner.ExperimentRunner` on top of it) changing.
+so a scenario can use any registered plugin without the builder changing.
 
-Subclasses override individual ``build_<phase>`` methods to swap one layer
-while inheriting the rest; the phase list itself is the class attribute
-:attr:`SimulationBuilder.PHASES`.
+The builder is the only code that wires a simulation:
+:class:`~repro.experiments.runner.ExperimentRunner` and
+:class:`~repro.experiments.sandbox.Sandbox` subclass it and add only how the
+built simulation runs.  Subclasses may also override individual
+``build_<phase>`` methods to swap one layer while inheriting the rest; the
+phase list itself is the class attribute :attr:`SimulationBuilder.PHASES`.
 """
 
 from __future__ import annotations
@@ -167,7 +169,6 @@ class SimulationBuilder:
             zone_map=self.zone_map,
             energy_model=self.energy_model,
             energy_ledger=self.metrics.energy,
-            mac_delay=self.mac_delay,
             charge_energy=self.spec.charge_initial_routing,
         )
         self.routing.build()

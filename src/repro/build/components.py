@@ -19,11 +19,15 @@ kind                  factory signature
 ``workload``          ``(builder, **options) -> Workload``.  The builder
                       exposes ``config``, ``field``, ``zone_map`` and
                       ``sim``; options come from the spec's
-                      ``workload_options``.
+                      ``workload_options``.  ``explicit`` schedules nothing:
+                      the caller fills its ``ExplicitInterest`` and
+                      originates items by hand (see ``Sandbox``).
 ``placement``         ``(config, rng, **options) -> List[NodeInfo]`` where
                       *rng* is a :class:`random.Random` dedicated to
                       placement (only drawn from by stochastic placements,
                       so deterministic layouts stay byte-identical).
+                      ``explicit`` takes option ``positions``: one
+                      ``(x, y)`` pair per node, node ids in list order.
 ``mobility``          ``(builder, mobility_config) -> model`` exposing
                       ``apply_epoch(rng)`` (see ``StepMobilityModel``).
 ``failure``           ``(failure_config) -> model`` consumed by
@@ -55,6 +59,7 @@ from repro.build.registry import (
 )
 from repro.core.flooding import FloodingNode
 from repro.core.gossip import GossipNode
+from repro.core.interests import ExplicitInterest
 from repro.core.spin import SpinNode
 from repro.core.spms import SpmsNode
 from repro.faults.models import TransientFailureModel
@@ -65,8 +70,9 @@ from repro.mac.contention import (
 )
 from repro.mobility.step import StepMobilityModel
 from repro.mobility.waypoint import RandomWaypointModel
-from repro.topology.placement import grid_placement, random_placement
+from repro.topology.placement import explicit_placement, grid_placement, random_placement
 from repro.workload.all_to_all import AllToAllWorkload
+from repro.workload.base import Workload
 from repro.workload.cluster import ClusterWorkload
 from repro.workload.poisson import PoissonArrivals
 from repro.workload.single_pair import SinglePairWorkload
@@ -173,6 +179,24 @@ def _make_single_pair(builder, **options) -> SinglePairWorkload:
     return SinglePairWorkload(**options)
 
 
+class _ExplicitWorkload(Workload):
+    """No scheduled traffic: the caller sets interest and originates items."""
+
+    def __init__(self) -> None:
+        self._interest = ExplicitInterest({})
+
+    def generate(self, rng) -> List:
+        return []
+
+    def interest_model(self) -> ExplicitInterest:
+        return self._interest
+
+
+@register(WORKLOAD, "explicit")
+def _make_explicit_workload(builder) -> _ExplicitWorkload:
+    return _ExplicitWorkload()
+
+
 # ----------------------------------------------------------------- placements
 
 
@@ -186,6 +210,11 @@ def _make_grid(config, rng, **options) -> List:
 def _make_random(config, rng, **options) -> List:
     options.setdefault("spacing_m", config.grid_spacing_m)
     return random_placement(config.num_nodes, rng=rng, **options)
+
+
+@register(PLACEMENT, "explicit")
+def _make_explicit(config, rng, positions) -> List:
+    return explicit_placement(config.num_nodes, positions)
 
 
 # ------------------------------------------------------- mobility and failures

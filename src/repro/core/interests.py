@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from abc import ABC, abstractmethod
-from typing import Dict, Iterable, List, Set
+from typing import Dict, Iterable, Set
 
 from repro.core.metadata import DataDescriptor
 
@@ -26,16 +26,6 @@ class InterestModel(ABC):
     @abstractmethod
     def is_interested(self, node_id: int, descriptor: DataDescriptor, source: int) -> bool:
         """Whether *node_id* wants data *descriptor* produced by *source*."""
-
-    def interested_nodes(
-        self, node_ids: Iterable[int], descriptor: DataDescriptor, source: int
-    ) -> List[int]:
-        """All nodes among *node_ids* interested in *descriptor*."""
-        return [
-            node_id
-            for node_id in node_ids
-            if node_id != source and self.is_interested(node_id, descriptor, source)
-        ]
 
 
 class AllInterested(InterestModel):

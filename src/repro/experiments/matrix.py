@@ -176,13 +176,6 @@ class ScenarioMatrix:
         combos = itertools.product(*(list(self.axes[n]) for n in names))
         return [dict(zip(names, combo)) for combo in combos]
 
-    def job_count(self) -> int:
-        """Number of jobs :meth:`expand` will produce."""
-        total = 1
-        for values in self.axes.values():
-            total *= len(list(values))
-        return total * len(list(self.protocols))
-
     def expand(self) -> List[SweepJob]:
         """Expand the grid into independent, seed-derived jobs."""
         jobs: List[SweepJob] = []

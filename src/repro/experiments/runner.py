@@ -1,13 +1,14 @@
 """Builds and runs one scenario end to end.
 
-Construction is delegated to :class:`repro.build.builder.SimulationBuilder`,
-which assembles the stack through named, overridable phases:
+:class:`ExperimentRunner` is a :class:`repro.build.builder.SimulationBuilder`:
+it inherits construction, which assembles the stack through named,
+overridable phases:
 
     field -> radio -> mac -> network -> routing -> workload -> nodes -> faults
 
 and resolves every component (placement, contention, workload, protocol,
 failure/mobility models) through the pluggable component registry.  The
-runner owns the *execution* of the built simulation: scheduling traffic,
+runner adds only the *execution* of the built simulation: scheduling traffic,
 driving mobility epochs, starting failure injection and collecting results.
 
 Mobility runs are executed as a sequence of traffic *bursts*: the origination
@@ -26,22 +27,14 @@ from typing import Dict, List, Mapping, Optional
 
 from repro.build.builder import SimulationBuilder
 from repro.build.registry import ComponentRegistry
-from repro.core.network import Network
-from repro.core.node_base import ProtocolNode
-from repro.experiments.config import SimulationConfig
 from repro.experiments.scenarios import ScenarioSpec
 from repro.results import RunRecord, spec_fingerprint
 from repro.faults.injector import FailureInjector
-from repro.metrics.collector import MetricsCollector
-from repro.routing.manager import RoutingManager
-from repro.sim.engine import Simulator
-from repro.topology.field import SensorField
-from repro.topology.zone import ZoneMap
-from repro.workload.base import ScheduledItem, Workload
+from repro.workload.base import ScheduledItem
 
 
-class ExperimentRunner:
-    """Owns every object of one scenario run.
+class ExperimentRunner(SimulationBuilder):
+    """Builds one scenario run (inherited) and executes it.
 
     Args:
         spec: The scenario to run.
@@ -52,39 +45,8 @@ class ExperimentRunner:
     def __init__(
         self, spec: ScenarioSpec, registry: Optional[ComponentRegistry] = None
     ) -> None:
-        self.spec = spec
-        self.config: SimulationConfig = spec.config
-        self.builder = SimulationBuilder(spec, registry=registry)
-        self.protocol = self.builder.protocol
-        self.sim: Optional[Simulator] = None
-        self.field: Optional[SensorField] = None
-        self.zone_map: Optional[ZoneMap] = None
-        self.network: Optional[Network] = None
-        self.routing: Optional[RoutingManager] = None
-        self.metrics: Optional[MetricsCollector] = None
-        self.nodes: Dict[int, ProtocolNode] = {}
-        self.workload: Optional[Workload] = None
-        self.schedule: List[ScheduledItem] = []
+        super().__init__(spec, registry=registry)
         self.injector: Optional[FailureInjector] = None
-        self._built = False
-
-    # -------------------------------------------------------------------- build
-
-    def build(self) -> None:
-        """Construct the full simulation via the phase builder (idempotent)."""
-        if self._built:
-            return
-        builder = self.builder.build()
-        self.sim = builder.sim
-        self.field = builder.field
-        self.zone_map = builder.zone_map
-        self.network = builder.network
-        self.routing = builder.routing
-        self.metrics = builder.metrics
-        self.nodes = builder.nodes
-        self.workload = builder.workload
-        self.schedule = builder.schedule
-        self._built = True
 
     # ---------------------------------------------------------------------- run
 
@@ -141,7 +103,7 @@ class ExperimentRunner:
         if self.spec.failures is None:
             return
         assert self.sim is not None and self.network is not None and self.field is not None
-        model = self.builder.failure_model
+        model = self.failure_model
         assert model is not None
         self.injector = FailureInjector(
             sim=self.sim,
@@ -156,7 +118,7 @@ class ExperimentRunner:
         assert self.sim is not None and self.field is not None and self.zone_map is not None
         mobility = self.spec.mobility
         assert mobility is not None
-        model = self.builder.mobility_model
+        model = self.mobility_model
         assert model is not None
         bursts = self._split_bursts(self.schedule, mobility.num_epochs + 1)
         for index, burst in enumerate(bursts):

@@ -3,42 +3,23 @@
 The experiment runner builds grids and bulk workloads; the sandbox builds a
 small network from *explicit* node positions so that protocol behaviour can be
 examined packet by packet — the paper's walk-through topologies (Sections 3.3
-and 3.5), unit tests, and the fault-tolerance example all use it.
+and 3.5), unit tests, and the fault-tolerance example all use it.  A sandbox
+is a scenario spec with the ``explicit`` placement and workload, built by
+:class:`~repro.build.builder.SimulationBuilder` like every other run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.build import PROTOCOL, default_registry, normalize_protocol_name
-from repro.core.interests import ExplicitInterest
+from repro.build.builder import SimulationBuilder
 from repro.core.metadata import DataDescriptor, DataItem
-from repro.core.network import Network
-from repro.core.node_base import ProtocolNode
-from repro.mac.delay import MacDelayModel
-from repro.metrics.collector import MetricsCollector
-from repro.radio.energy import EnergyModel
-from repro.radio.power import build_power_table_for_radius
-from repro.routing.manager import RoutingManager
-from repro.sim.engine import Simulator
-from repro.topology.field import SensorField
-from repro.topology.node import NodeInfo, Position
-from repro.topology.zone import ZoneMap
+from repro.experiments.config import SimulationConfig
+from repro.experiments.scenarios import ScenarioSpec
 
 
-@dataclass
-class Sandbox:
-    """A fully wired micro-network with explicit interest control."""
-
-    sim: Simulator
-    field: SensorField
-    zone_map: ZoneMap
-    network: Network
-    routing: RoutingManager
-    metrics: MetricsCollector
-    nodes: Dict[int, ProtocolNode]
-    interest: ExplicitInterest
+class Sandbox(SimulationBuilder):
+    """A built micro-network whose traffic the caller originates by hand."""
 
     def item(self, name: str, source: int, size_bytes: int = 40) -> DataItem:
         """Create a data item produced by *source*."""
@@ -51,7 +32,7 @@ class Sandbox:
 
     def set_interest(self, name: str, destinations: Sequence[int]) -> None:
         """Declare which nodes want the item called *name*."""
-        self.interest.set_interest(name, destinations)
+        self.workload.interest_model().set_interest(name, destinations)
 
     def originate(self, name: str, source: int, destinations: Sequence[int]) -> DataItem:
         """Register interest and metrics bookkeeping, then originate the item."""
@@ -79,7 +60,7 @@ def build_sandbox(
     trace: bool = False,
     protocol_options: Optional[dict] = None,
 ) -> Sandbox:
-    """Wire the full stack around explicit node positions.
+    """Build the full stack around explicit node positions.
 
     Args:
         positions: ``(x, y)`` coordinates in metres; node ids follow list order.
@@ -89,66 +70,33 @@ def build_sandbox(
         random_backoff: Enable the random slotted backoff (off by default so
             micro-scenarios are deterministic).
         trace: Record a packet-level trace in ``sandbox.sim.trace_log``.
-        protocol_options: Extra keyword arguments for the node constructor.
+        protocol_options: Extra keyword arguments for the node constructor;
+            they override the ``SimulationConfig`` values the protocol
+            forwards (packet sizes, timeouts).
 
-    Every protocol factory receives the routing manager; factories that do
-    not route ignore it (see :mod:`repro.build.components`).
+    Routing is built only for protocols registered with ``needs_routing``,
+    as for every other spec.
     """
-    registry = default_registry()
-    canonical = normalize_protocol_name(protocol, registry=registry)
-    sim = Simulator(seed=seed, trace=trace)
-    field = SensorField(
-        [NodeInfo(node_id=i, position=Position(x, y)) for i, (x, y) in enumerate(positions)]
+    config = SimulationConfig(
+        num_nodes=len(positions),
+        transmission_radius_m=radius_m,
+        # The explicit placement never reads the spacing; the config only
+        # requires it not to exceed the radius.
+        grid_spacing_m=radius_m,
+        seed=seed,
+        random_backoff=random_backoff,
     )
-    power_table = build_power_table_for_radius(radius_m, num_levels=5, alpha=2.0)
-    zone_map = ZoneMap(field, radius_m)
-    metrics = MetricsCollector()
-    energy_model = EnergyModel(power_table, rx_power_mw=0.0125)
-    mac = MacDelayModel(rng=sim.rng if random_backoff else None)
-    network = Network(
-        sim=sim,
-        field=field,
-        power_table=power_table,
-        zone_map=zone_map,
-        energy_model=energy_model,
-        mac_delay=mac,
-        metrics=metrics,
+    spec = ScenarioSpec(
+        name="sandbox",
+        protocol=protocol,
+        config=config,
+        workload="explicit",
+        protocol_options=dict(protocol_options or {}),
+        placement="explicit",
+        placement_options={"positions": list(positions)},
         trace=trace,
     )
-    routing = RoutingManager(
-        field=field,
-        power_table=power_table,
-        zone_map=zone_map,
-        energy_model=energy_model,
-        energy_ledger=metrics.energy,
-        mac_delay=mac,
-        charge_energy=False,
-    )
-    routing.build()
-    interest = ExplicitInterest({})
-    nodes: Dict[int, ProtocolNode] = {}
-    for node_id in field.node_ids:
-        node = registry.create(
-            PROTOCOL,
-            canonical,
-            node_id,
-            network,
-            interest,
-            routing=routing,
-            **(protocol_options or {}),
-        )
-        network.register_node(node)
-        nodes[node_id] = node
-    return Sandbox(
-        sim=sim,
-        field=field,
-        zone_map=zone_map,
-        network=network,
-        routing=routing,
-        metrics=metrics,
-        nodes=nodes,
-        interest=interest,
-    )
+    return Sandbox(spec).build()
 
 
 def line_positions(count: int, spacing_m: float = 5.0) -> List[Tuple[float, float]]:

@@ -162,10 +162,13 @@ def _worker_main(conn, chaos: Optional[ChaosSpec]) -> None:
     payload shipped back per job is the compact run record or the exception
     text — the supervisor never unpickles collectors.
 
-    A worker ignores SIGINT: Ctrl-C reaches the whole process group, and the
-    parent alone turns it into a graceful shutdown that SIGKILLs workers.
+    A worker ignores SIGINT and SIGTERM: Ctrl-C (or a SIGTERM) can reach the
+    whole process group, and the parent alone turns it into a graceful
+    shutdown that SIGKILLs workers.  Each worker would otherwise inherit the
+    parent's SIGTERM-to-``KeyboardInterrupt`` handler from the fork.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
     while True:
         try:
             task = conn.recv()

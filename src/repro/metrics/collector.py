@@ -33,10 +33,6 @@ class MetricsCollector:
         """Count a packet transmission by type (``"ADV"``, ``"REQ"``, ``"DATA"``)."""
         self.packets_sent[packet_type] += 1
 
-    def record_receive(self, packet_type: str) -> None:
-        """Count a packet reception by type."""
-        self.packets_received[packet_type] += 1
-
     def record_drop(self, reason: str) -> None:
         """Count a dropped packet by reason (failed receiver, no route, ...)."""
         self.packets_dropped[reason] += 1

@@ -117,28 +117,6 @@ class EnergyModel:
             self._rx_memo[size_bytes] = cost
         return cost
 
-    # ----------------------------------------------------------- batch (numpy)
-
-    def tx_energies_uj(
-        self, size_bytes: int, powers_mw: np.ndarray
-    ) -> np.ndarray:
-        """Vectorised transmit energy for one packet size at many power levels.
-
-        ``powers_mw`` is typically a row of
-        :meth:`repro.radio.power.PowerTable.power_for_distances`; ``nan``
-        entries (out of range) propagate so callers can mask them.
-        """
-        airtime = self.airtime_ms(size_bytes)
-        return np.asarray(powers_mw, dtype=float) * airtime
-
-    def rx_costs_uj(self, sizes_bytes: Sequence[int]) -> np.ndarray:
-        """Vectorised receive energy for many packet sizes (microjoules)."""
-        sizes = np.asarray(sizes_bytes, dtype=float)
-        if np.any(sizes <= 0):
-            raise ValueError("packet sizes must be positive")
-        airtimes_ms = sizes * self.t_tx_per_byte_ms  # airtime_ms, vectorised
-        return self.rx_power_mw * airtimes_ms
-
 
 class EnergyLedger:
     """Accumulates energy usage per node and per accounting category.

@@ -129,36 +129,6 @@ class PowerTable:
             powers = np.where(distances <= level.range_m + 1e-12, level.power_mw, powers)
         return powers
 
-    def truncated_to_radius(self, radius_m: float) -> "PowerTable":
-        """Return a table whose maximum range equals *radius_m*.
-
-        The experiments sweep the transmission radius (Figures 7, 9, 11, 12,
-        13).  A sweep value of e.g. 20 m means the maximum power level used by
-        the protocols covers 20 m; lower levels keep their native ranges.  If
-        no native level has exactly that range, the maximum level is rescaled
-        (power scaled by the path-loss law is handled by
-        :func:`build_power_table_for_radius`, which is the preferred entry
-        point); here we simply drop levels whose range exceeds *radius_m* and,
-        if necessary, add a synthetic level at *radius_m*.
-        """
-        kept = [lv for lv in self._levels if lv.range_m <= radius_m + 1e-9]
-        if not kept:
-            raise ValueError(
-                f"radius {radius_m} m is below the shortest native range "
-                f"{self.min_level.range_m} m"
-            )
-        if abs(kept[0].range_m - radius_m) > 1e-9:
-            reference = self._levels[0]
-            scale = (radius_m / reference.range_m) ** 3.5
-            synthetic = PowerLevel(
-                index=0,
-                power_mw=reference.power_mw * scale,
-                range_m=radius_m,
-            )
-            if synthetic.power_mw > kept[0].power_mw:
-                kept = [synthetic] + kept
-        return PowerTable(kept)
-
 
 #: The five MICA2 levels from Table 1 of the paper.
 MICA2_POWER_TABLE = PowerTable(

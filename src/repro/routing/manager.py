@@ -12,7 +12,6 @@ from typing import Dict, Optional, Set
 
 import numpy as np
 
-from repro.mac.delay import MacDelayModel
 from repro.radio.energy import EnergyLedger, EnergyModel
 from repro.radio.power import PowerTable
 from repro.routing.bellman_ford import ConvergenceStats, DistributedBellmanFord
@@ -33,7 +32,6 @@ class RoutingManager:
         zone_map: Zone membership at the maximum transmission radius.
         energy_model: Used to convert distance-vector traffic into energy.
         energy_ledger: Where routing energy is charged (``"routing"`` category).
-        mac_delay: Used to estimate the wall-clock convergence time.
         charge_energy: When false (SPIN, analytical runs) no energy is charged.
     """
 
@@ -44,7 +42,6 @@ class RoutingManager:
         zone_map: ZoneMap,
         energy_model: Optional[EnergyModel] = None,
         energy_ledger: Optional[EnergyLedger] = None,
-        mac_delay: Optional[MacDelayModel] = None,
         charge_energy: bool = True,
     ) -> None:
         self.field = field
@@ -52,13 +49,10 @@ class RoutingManager:
         self.zone_map = zone_map
         self.energy_model = energy_model
         self.energy_ledger = energy_ledger
-        self.mac_delay = mac_delay
         self.charge_energy = charge_energy
         self.tables: Dict[int, RoutingTable] = {}
         self.total_stats = ConvergenceStats()
-        self.last_stats: Optional[ConvergenceStats] = None
         self.rebuilds = 0
-        self._built_for_version = -1
 
     # ------------------------------------------------------------------ build
 
@@ -74,18 +68,11 @@ class RoutingManager:
         )
         tables, stats = dbf.compute()
         self.tables = tables
-        self.last_stats = stats
         self.total_stats.merge(stats)
         self.rebuilds += 1
-        self._built_for_version = self.field.topology_version
         if self.charge_energy:
             self._charge(stats)
         return stats
-
-    def ensure_built(self) -> None:
-        """Build tables if they are missing or stale."""
-        if not self.tables or self._built_for_version != self.field.topology_version:
-            self.build()
 
     def _charge(self, stats: ConvergenceStats) -> None:
         if self.energy_model is None or self.energy_ledger is None:
@@ -134,21 +121,3 @@ class RoutingManager:
     def route_cost(self, node_id: int, destination: int) -> Optional[float]:
         """Cost of the best route from *node_id* to *destination*."""
         return self.table(node_id).cost(destination)
-
-    # --------------------------------------------------------------- timings
-
-    def convergence_time_ms(self, stats: Optional[ConvergenceStats] = None) -> float:
-        """Estimated wall-clock time for the last (or given) DBF execution.
-
-        Each round every broadcasting node pays one channel access plus the
-        airtime of its vector; rounds are sequential, broadcasts within a
-        round are concurrent, so the round time is the slowest broadcast.  We
-        approximate with the average vector size and the average zone size.
-        """
-        stats = stats if stats is not None else self.last_stats
-        if stats is None or stats.rounds == 0 or self.mac_delay is None:
-            return 0.0
-        avg_bytes = stats.bytes_sent / stats.messages if stats.messages else 1
-        contenders = max(1, round(self.zone_map.average_zone_size()) + 1)
-        timing = self.mac_delay.timing(max(1, round(avg_bytes)), contenders)
-        return stats.rounds * timing.total_ms

@@ -6,7 +6,8 @@ number of nodes grows, the field area grows with it.  This package provides:
 * :class:`~repro.topology.node.NodeInfo` — identity plus position.
 * :class:`~repro.topology.field.SensorField` — a set of placed nodes with
   distance queries and neighbourhood look-ups; constructed by the placement
-  helpers in :mod:`repro.topology.placement` (uniform grid or uniform random).
+  helpers in :mod:`repro.topology.placement` (uniform grid, uniform random
+  or explicit positions).
 * :mod:`repro.topology.zone` — a node's *zone* is the set of nodes reachable
   at its maximum transmission power; zones drive both SPIN's neighbourhood and
   SPMS's routing scope.

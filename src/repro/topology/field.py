@@ -81,13 +81,6 @@ class SensorField:
             and center.distance_to(other.position) <= radius_m + 1e-9
         ]
 
-    def nodes_within(self, node_id: int, radius_m: float) -> int:
-        """Number of nodes within *radius_m* of *node_id*, **including** it.
-
-        This is the contender count ``n`` of the MAC model.
-        """
-        return len(self.neighbors_within(node_id, radius_m)) + 1
-
     def positions_array(self) -> Tuple[List[int], np.ndarray]:
         """``(sorted_node_ids, (n, 2) position array)`` for vectorised geometry.
 

@@ -5,13 +5,15 @@ The paper keeps the node density uniform: more nodes means a bigger field.
 experiments use 169 = 13 x 13 nodes at the default radius of 20 m).
 ``random_placement`` keeps the same average density but scatters the nodes
 uniformly at random, which the tests use to check the protocols do not depend
-on grid regularity.
+on grid regularity.  ``explicit_placement`` puts each node where the caller
+says: the hand-placed walk-through topologies of Sections 3.3 and 3.5.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, List, Optional
+from numbers import Real
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.sim.rng import RandomStreams
 from repro.topology.node import NodeInfo, Position
@@ -99,3 +101,36 @@ def random_placement(
         NodeInfo(node_id=i, position=Position(rng.uniform(0, side), rng.uniform(0, side)))
         for i in range(num_nodes)
     ]
+
+
+def explicit_placement(num_nodes: int, positions: Sequence) -> List[NodeInfo]:
+    """Place node ``i`` at ``positions[i]``, an ``(x, y)`` pair in metres.
+
+    The positions can come from a hand-written JSON spec, so they are
+    checked before any geometry sees them.
+
+    Raises:
+        ValueError: Unless *positions* holds exactly *num_nodes* entries, each
+            a pair of finite numbers.
+    """
+    if not isinstance(positions, (list, tuple)):
+        raise ValueError(
+            f"positions must be a list of (x, y) pairs, got {type(positions).__name__}"
+        )
+    if len(positions) != num_nodes:
+        raise ValueError(f"need {num_nodes} positions, one per node, got {len(positions)}")
+    nodes = []
+    for node_id, entry in enumerate(positions):
+        if not (
+            isinstance(entry, (list, tuple))
+            and len(entry) == 2
+            and all(
+                isinstance(c, Real) and not isinstance(c, bool) and math.isfinite(c)
+                for c in entry
+            )
+        ):
+            raise ValueError(
+                f"position {node_id} must be an (x, y) pair of finite numbers, got {entry!r}"
+            )
+        nodes.append(NodeInfo(node_id=node_id, position=Position(*entry)))
+    return nodes

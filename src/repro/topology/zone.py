@@ -72,12 +72,6 @@ class ZoneMap:
         """Whether *other_id* is a zone neighbour of *node_id*."""
         return other_id in self._zones[node_id]
 
-    def average_zone_size(self) -> float:
-        """Mean zone size across the field."""
-        if not self._zones:
-            return 0.0
-        return sum(len(z) for z in self._zones.values()) / len(self._zones)
-
     def isolated_nodes(self) -> List[int]:
         """Nodes with no zone neighbours (cannot participate in dissemination)."""
         return sorted(node_id for node_id, zone in self._zones.items() if not zone)

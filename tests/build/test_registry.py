@@ -118,8 +118,8 @@ class TestComponentRegistry:
 class TestDefaultRegistry:
     def test_builtin_components_are_registered(self):
         assert available(PROTOCOL) == ["flooding", "gossip", "spin", "spms"]
-        assert available(WORKLOAD) == ["all_to_all", "cluster", "single_pair"]
-        assert available(PLACEMENT) == ["grid", "random"]
+        assert available(WORKLOAD) == ["all_to_all", "cluster", "explicit", "single_pair"]
+        assert available(PLACEMENT) == ["explicit", "grid", "random"]
         assert "mobility" in default_registry().kinds()
         assert "failure" in default_registry().kinds()
         assert "contention" in default_registry().kinds()

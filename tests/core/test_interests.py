@@ -13,10 +13,6 @@ class TestAllInterested:
         assert model.is_interested(1, d, source=0)
         assert not model.is_interested(0, d, source=0)
 
-    def test_interested_nodes_excludes_source(self):
-        model = AllInterested()
-        assert model.interested_nodes([0, 1, 2], DataDescriptor("x"), source=1) == [0, 2]
-
 
 class TestProbabilisticInterest:
     def test_probability_zero_means_only_forced_nodes(self):

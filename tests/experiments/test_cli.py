@@ -326,6 +326,41 @@ class TestRunCommand:
         assert lines[0].startswith("scenario failed to build: ")
         assert "bogus" in lines[0]
 
+    CHAIN = {
+        "schema_version": 2,
+        "name": "cli-test/chain",
+        "protocol": "spms",
+        "workload": "single_pair",
+        "workload_options": {"source": 0, "destinations": [3]},
+        "placement": "explicit",
+        "placement_options": {"positions": [[0, 0], [5, 0], [10, 0], [15, 0]]},
+        "config": {"num_nodes": 4, "seed": 3},
+    }
+
+    def test_run_hand_placed_spec(self, capture, tmp_path):
+        lines, out = capture
+        path = self._write_spec(tmp_path, self.CHAIN)
+        assert main(["run", "--spec", path, "--json"], out=out) == 0
+        assert json.loads("\n".join(lines))["delivery_ratio"] == 1.0
+
+    @pytest.mark.parametrize(
+        "positions",
+        [
+            [[0, 0], [5, 0], [10, 0]],
+            [[0, 0], [5, 0], [10], [15, 0]],
+            [[0, 0], [5, 0], [float("nan"), 0], [15, 0]],
+            [[0, 0], [5, 0], [10, float("inf")], [15, 0]],
+        ],
+        ids=["wrong-count", "malformed-entry", "nan", "inf"],
+    )
+    def test_run_bad_positions_fail_cleanly(self, capture, tmp_path, positions):
+        lines, out = capture
+        bad = {**self.CHAIN, "placement_options": {"positions": positions}}
+        assert main(["run", "--spec", self._write_spec(tmp_path, bad)], out=out) == 2
+        assert len(lines) == 1
+        assert lines[0].startswith("scenario failed to build: ")
+        assert "position" in lines[0]
+
     def test_run_reads_stdin(self, capture, monkeypatch):
         import io
 
@@ -527,6 +562,16 @@ class TestFleetInterrupt:
         # workers included; only the parent may react to it.
         err = self._interrupt_fleet(
             tmp_path, lambda fleet: os.killpg(fleet.pid, signal.SIGINT)
+        )
+        assert "Traceback" not in err
+        assert "Process ForkProcess" not in err
+
+    def test_sigterm_to_the_process_group_leaves_no_worker_traceback(self, tmp_path):
+        # A service manager may SIGTERM the whole process group.  The parent
+        # turns SIGTERM into the same shutdown as Ctrl-C; the workers, which
+        # inherit that handler from the fork, must ignore the signal.
+        err = self._interrupt_fleet(
+            tmp_path, lambda fleet: os.killpg(fleet.pid, signal.SIGTERM)
         )
         assert "Traceback" not in err
         assert "Process ForkProcess" not in err

@@ -1,10 +1,9 @@
 """Utilities for building small hand-crafted protocol scenarios in tests.
 
-``build_network`` is :func:`repro.experiments.sandbox.build_sandbox` with the
-``SimulationConfig`` protocol timeouts (``tout_adv_ms`` 2 ms, ``tout_dat_ms``
-25 ms) instead of the node constructors' defaults, so behaviour tests
-reproduce the paper's walk-through topologies (Sections 3.3 and 3.5) at the
-simulated timings.
+``build_network`` is :func:`repro.experiments.sandbox.build_sandbox` for the
+SPMS and SPIN behaviour tests, which reproduce the paper's walk-through
+topologies (Sections 3.3 and 3.5).  A timeout a test leaves unset comes from
+``SimulationConfig``, as in every built scenario.
 """
 
 from __future__ import annotations
@@ -21,8 +20,8 @@ def build_network(
     radius_m: float = 20.0,
     seed: int = 3,
     random_backoff: bool = False,
-    tout_adv_ms: float = 2.0,
-    tout_dat_ms: float = 25.0,
+    tout_adv_ms: Optional[float] = None,
+    tout_dat_ms: Optional[float] = None,
     spms_options: Optional[dict] = None,
     spin_options: Optional[dict] = None,
 ) -> Sandbox:
@@ -34,18 +33,20 @@ def build_network(
         radius_m: Maximum transmission radius (zone radius).
         seed: Simulator seed.
         random_backoff: Keep False for deterministic timing in tests.
-        tout_adv_ms / tout_dat_ms: Protocol timeouts (SPIN takes only
-            ``tout_dat_ms``).
+        tout_adv_ms / tout_dat_ms: Protocol timeouts overriding the config's
+            (SPIN takes only ``tout_dat_ms``).
         spms_options / spin_options: Extra node-constructor options.
     """
     if protocol == "spms":
-        options = {"tout_adv_ms": tout_adv_ms, "tout_dat_ms": tout_dat_ms}
-        options.update(spms_options or {})
+        timeouts = {"tout_adv_ms": tout_adv_ms, "tout_dat_ms": tout_dat_ms}
+        extra = spms_options
     elif protocol == "spin":
-        options = {"tout_dat_ms": tout_dat_ms}
-        options.update(spin_options or {})
+        timeouts = {"tout_dat_ms": tout_dat_ms}
+        extra = spin_options
     else:
         raise ValueError(f"unsupported protocol {protocol!r} in test harness")
+    options = {key: value for key, value in timeouts.items() if value is not None}
+    options.update(extra or {})
     return build_sandbox(
         positions,
         protocol=protocol,

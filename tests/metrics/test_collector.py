@@ -35,7 +35,7 @@ class TestMetricsCollector:
         metrics = MetricsCollector()
         metrics.record_send("ADV")
         metrics.record_send("ADV")
-        metrics.record_receive("ADV")
+        metrics.packets_received["ADV"] += 1  # as Network counts a reception
         metrics.record_drop("receiver_failed")
         summary = metrics.traffic_summary()
         assert summary["sent"]["ADV"] == 2

@@ -106,13 +106,3 @@ class TestBuildForRadius:
         assert level.reaches(distance)
         weaker = [lv for lv in table if lv.power_mw < level.power_mw]
         assert all(not lv.reaches(distance) for lv in weaker)
-
-
-class TestTruncatedToRadius:
-    def test_keeps_only_levels_within_radius(self):
-        table = MICA2_POWER_TABLE.truncated_to_radius(25.0)
-        assert all(lv.range_m <= 25.0 + 1e-9 for lv in table)
-
-    def test_below_minimum_range_raises(self):
-        with pytest.raises(ValueError):
-            MICA2_POWER_TABLE.truncated_to_radius(1.0)

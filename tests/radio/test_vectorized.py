@@ -98,20 +98,6 @@ class TestEnergyBatch:
         table = build_power_table_for_radius(20.0, num_levels=5, alpha=2.0)
         return EnergyModel(table, t_tx_per_byte_ms=0.05, rx_power_mw=0.0125)
 
-    def test_tx_energies_match_scalar_costs(self, model):
-        powers = np.array([lv.power_mw for lv in model.power_table])
-        energies = model.tx_energies_uj(40, powers)
-        for level, energy in zip(model.power_table, energies):
-            assert energy == model.tx_cost(40, level).energy_uj
-
-    def test_rx_costs_match_scalar(self, model):
-        sizes = [2, 40, 100]
-        assert list(model.rx_costs_uj(sizes)) == [model.rx_cost(s) for s in sizes]
-
-    def test_rx_costs_reject_non_positive_sizes(self, model):
-        with pytest.raises(ValueError):
-            model.rx_costs_uj([40, 0])
-
     def test_charge_batch_equivalent_to_charge_loop(self, model):
         batched, looped = EnergyLedger(), EnergyLedger()
         node_ids = [1, 2, 3]

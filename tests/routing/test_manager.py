@@ -1,6 +1,5 @@
 """Tests for the routing manager."""
 
-from repro.mac.delay import MacDelayModel
 from repro.radio.energy import EnergyLedger, EnergyModel
 from repro.radio.power import build_power_table_for_radius
 from repro.routing.manager import ROUTING_CATEGORY, RoutingManager
@@ -21,7 +20,6 @@ def make_manager(charge_energy=True, num_nodes=9, radius=20.0):
         zone_map=zones,
         energy_model=EnergyModel(table, rx_power_mw=0.0125),
         energy_ledger=ledger,
-        mac_delay=MacDelayModel(),
         charge_energy=charge_energy,
     )
     return manager, field, ledger
@@ -70,30 +68,11 @@ class TestRoutingManager:
         assert manager.rebuilds == 2
         assert after < before
 
-    def test_ensure_built_is_idempotent_until_topology_changes(self):
-        manager, field, _ = make_manager()
-        manager.ensure_built()
-        assert manager.rebuilds == 1
-        manager.ensure_built()
-        assert manager.rebuilds == 1
-        field.move_node(0, Position(1.0, 1.0))
-        manager.ensure_built()
-        assert manager.rebuilds == 2
-
     def test_exclude_failed_nodes(self):
         manager, _, _ = make_manager()
         manager.build(exclude_nodes={4})
         # The centre node is excluded; routes avoid it.
         assert manager.next_hop(0, 8) != 4
-
-    def test_convergence_time_positive(self):
-        manager, _, _ = make_manager()
-        manager.build()
-        assert manager.convergence_time_ms() > 0.0
-
-    def test_convergence_time_zero_without_stats(self):
-        manager, _, _ = make_manager()
-        assert manager.convergence_time_ms() == 0.0
 
     def test_table_for_unknown_node_is_empty(self):
         manager, _, _ = make_manager()

@@ -42,9 +42,6 @@ class TestSensorField:
         neighbors = small_field.neighbors_within(4, 7.08)
         assert len(neighbors) == 8
 
-    def test_nodes_within_counts_self(self, small_field):
-        assert small_field.nodes_within(4, 5.0) == 5
-
     def test_negative_radius_rejected(self, small_field):
         with pytest.raises(ValueError):
             small_field.neighbors_within(0, -1.0)

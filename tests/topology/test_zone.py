@@ -29,11 +29,6 @@ class TestZoneMap:
             for b in zones.zone_neighbors(a):
                 assert zones.in_zone(b, a)
 
-    def test_average_zone_size(self, small_field):
-        zones = ZoneMap(small_field, 5.0)
-        # 4 corners with 2, 4 edges with 3, 1 centre with 4 = 24 / 9.
-        assert zones.average_zone_size() == pytest.approx(24 / 9)
-
     def test_isolated_nodes(self):
         field = SensorField(grid_placement(4, spacing_m=50.0))
         zones = ZoneMap(field, 10.0)
