@@ -176,7 +176,14 @@ def _make_cluster(builder, **options) -> ClusterWorkload:
 @register(WORKLOAD, "single_pair", aliases=("single-pair",))
 def _make_single_pair(builder, **options) -> SinglePairWorkload:
     options.setdefault("data_size_bytes", builder.config.data_size_bytes)
-    return SinglePairWorkload(**options)
+    workload = SinglePairWorkload(**options)
+    for node in (workload.source, *workload.destinations):
+        if node not in builder.field:
+            raise ValueError(
+                f"single_pair node {node!r} is not a node of the "
+                f"{len(builder.field)}-node field"
+            )
+    return workload
 
 
 class _ExplicitWorkload(Workload):

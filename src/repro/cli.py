@@ -56,9 +56,9 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
 
-from repro.build import BUILTIN_KINDS, default_registry
+from repro.build import BUILTIN_KINDS, PROTOCOL, SimulationBuilder, default_registry
 from repro.experiments import figures
 from repro.experiments.claims import delay_ratio, energy_saving_percent
 from repro.experiments.config import (
@@ -77,6 +77,7 @@ from repro.experiments.scenarios import (
     cluster_scenario,
 )
 from repro.results import HEADLINE_METRICS, RunRecord, RunStore, RunStoreError
+from repro.routing.manager import RoutingManager
 
 #: Exit code of a run that finished but could not complete every job: a
 #: sweep with quarantined failures or an interrupt-shortened pool, and
@@ -307,8 +308,22 @@ def _cmd_run(args: argparse.Namespace, out: Callable[[str], None]) -> int:
     return _run_spec_batch(args, store, out)
 
 
-def _build(spec: ScenarioSpec) -> Tuple[Optional[ExperimentRunner], str]:
-    """*spec*'s runner with its simulation built, or ``(None, reason)``.
+class _Preflight(SimulationBuilder):
+    """Every build phase that can reject a spec, without routing tables.
+
+    A fleet's pre-flight check: Bellman-Ford is most of a large spec's build
+    and cannot reject a spec, so the tables are left to the run.
+    """
+
+    def build_routing(self) -> None:
+        if self.registry.metadata(PROTOCOL, self.protocol).get("needs_routing"):
+            self.routing = RoutingManager(self.field, self.power_table, self.zone_map)
+
+
+def _build(
+    spec: ScenarioSpec, builder: Type[SimulationBuilder] = ExperimentRunner
+) -> Tuple[Optional[SimulationBuilder], str]:
+    """*spec* built by *builder*, or ``(None, reason)``.
 
     Only construction errors (unknown components, bad option values, option
     keys a component does not take) are a spec problem worth a clean exit
@@ -316,11 +331,10 @@ def _build(spec: ScenarioSpec) -> Tuple[Optional[ExperimentRunner], str]:
     surface with their traceback.
     """
     try:
-        runner = ExperimentRunner(spec)
-        runner.build()
+        built = builder(spec).build()
     except (KeyError, TypeError, ValueError) as exc:
         return None, str(exc)
-    return runner, ""
+    return built, ""
 
 
 def _run_single_spec(
@@ -412,12 +426,12 @@ def _run_spec_batch(
     fleet = _load_spec_fleet(args, out)
     if fleet is None:
         return 2
-    # Build every spec once before the pool spins up, as `run --spec` does:
-    # a spec that cannot be built fails the fleet with exit 2 instead of
-    # being retried and quarantined in a worker.
+    # Check every spec before the pool spins up: a spec that cannot be built
+    # fails the fleet with exit 2 instead of being retried and quarantined
+    # in a worker.
     for name, spec in fleet:
-        runner, error = _build(spec)
-        if runner is None:
+        built, error = _build(spec, _Preflight)
+        if built is None:
             out(f"scenario {name!r} failed to build: {error}")
             return 2
     jobs = [

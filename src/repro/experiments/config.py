@@ -9,38 +9,17 @@ scale.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Mapping, Optional, Type, TypeVar
+from typing import Any, Dict, Mapping, Optional
 
+from repro.codec import decode
 from repro.radio.power import MICA2_POWER_TABLE, PowerTable, build_power_table_for_radius
-
-_T = TypeVar("_T")
 
 
 class SpecValidationError(ValueError):
     """A serialized spec/config dictionary failed validation."""
 
-
-def dataclass_from_mapping(cls: Type[_T], data: Mapping[str, Any], what: str) -> _T:
-    """Construct dataclass *cls* from *data*, rejecting unknown keys.
-
-    The shared deserialization path of every config/spec ``from_dict``:
-    unknown keys raise :class:`SpecValidationError` (typo protection for
-    hand-written JSON specs), known keys pass through the dataclass
-    constructor, whose ``__post_init__`` validation still applies.
-    """
-    if not isinstance(data, Mapping):
-        raise SpecValidationError(f"{what} must be a mapping, got {type(data).__name__}")
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise SpecValidationError(
-            f"unknown {what} keys {unknown}; known keys: {sorted(known)}"
-        )
-    try:
-        return cls(**dict(data))
-    except (TypeError, ValueError) as exc:
-        raise SpecValidationError(f"invalid {what}: {exc}") from exc
 
 #: Table 1 of the paper, kept verbatim for the parameter-table benchmark and
 #: the configuration tests.
@@ -80,8 +59,8 @@ class FailureConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FailureConfig":
-        """Inverse of :meth:`to_dict`; rejects unknown keys."""
-        return dataclass_from_mapping(cls, data, "failure configuration")
+        """Inverse of :meth:`to_dict` (strict: see :mod:`repro.codec`)."""
+        return decode(cls, data, SpecValidationError, "failure configuration")
 
 
 @dataclass(frozen=True)
@@ -108,8 +87,8 @@ class MobilityConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "MobilityConfig":
-        """Inverse of :meth:`to_dict`; rejects unknown keys."""
-        return dataclass_from_mapping(cls, data, "mobility configuration")
+        """Inverse of :meth:`to_dict` (strict: see :mod:`repro.codec`)."""
+        return decode(cls, data, SpecValidationError, "mobility configuration")
 
 
 @dataclass(frozen=True)
@@ -184,6 +163,12 @@ class SimulationConfig:
     max_sim_time_ms: float = 1_000_000.0
 
     def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+        if self.max_sim_time_ms <= 0:
+            raise ValueError(f"max_sim_time_ms must be positive, got {self.max_sim_time_ms}")
         if self.num_nodes < 2:
             raise ValueError(f"need at least two nodes, got {self.num_nodes}")
         if self.transmission_radius_m <= 0:
@@ -228,5 +213,5 @@ class SimulationConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SimulationConfig":
-        """Inverse of :meth:`to_dict`; rejects unknown keys."""
-        return dataclass_from_mapping(cls, data, "simulation configuration")
+        """Inverse of :meth:`to_dict` (strict: see :mod:`repro.codec`)."""
+        return decode(cls, data, SpecValidationError, "simulation configuration")

@@ -20,12 +20,12 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Sequence
 
+from repro.codec import decode, loads
 from repro.experiments.config import (
     FailureConfig,
     MobilityConfig,
     SimulationConfig,
     SpecValidationError,
-    dataclass_from_mapping,
 )
 
 #: Version of the serialized spec schema.  Bumped whenever the dictionary
@@ -120,48 +120,15 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
-        """Inverse of :meth:`to_dict`.
+        """Inverse of :meth:`to_dict` (strict: see :mod:`repro.codec`).
 
         Raises:
             SpecValidationError: On a wrong/absent schema version, unknown
-                keys at any level, missing required fields, or values the
-                config validators reject.
+                keys at any level, missing required fields, a value of the
+                wrong type, or values the config validators reject.
         """
-        if not isinstance(data, Mapping):
-            raise SpecValidationError(
-                f"scenario spec must be a mapping, got {type(data).__name__}"
-            )
-        payload = dict(data)
-        version = payload.pop(SCHEMA_KEY, None)
-        if version != SPEC_SCHEMA_VERSION:
-            raise SpecValidationError(
-                f"unsupported spec schema version {version!r}; "
-                f"this build reads version {SPEC_SCHEMA_VERSION} "
-                f"(set {SCHEMA_KEY!r} explicitly)"
-            )
-        for required in ("name", "protocol", "config"):
-            if required not in payload:
-                raise SpecValidationError(f"scenario spec is missing {required!r}")
-        if "config" in payload:
-            payload["config"] = SimulationConfig.from_dict(payload["config"])
-        if payload.get("failures") is not None:
-            payload["failures"] = FailureConfig.from_dict(payload["failures"])
-        if payload.get("mobility") is not None:
-            payload["mobility"] = MobilityConfig.from_dict(payload["mobility"])
-        for options_key in (
-            "workload_options",
-            "protocol_options",
-            "placement_options",
-            "labels",
-        ):
-            if options_key in payload:
-                options = payload[options_key]
-                if not isinstance(options, Mapping):
-                    raise SpecValidationError(
-                        f"{options_key} must be a mapping, got {type(options).__name__}"
-                    )
-                payload[options_key] = dict(options)
-        return dataclass_from_mapping(cls, payload, "scenario spec")
+        schema = (SCHEMA_KEY, SPEC_SCHEMA_VERSION)
+        return decode(cls, data, SpecValidationError, "scenario spec", schema)
 
     def to_json(self, indent: Optional[int] = None) -> str:
         """Canonical JSON rendering (stable key order)."""
@@ -170,11 +137,7 @@ class ScenarioSpec:
     @classmethod
     def from_json(cls, text: str) -> "ScenarioSpec":
         """Inverse of :meth:`to_json`."""
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SpecValidationError(f"spec is not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
+        return cls.from_dict(loads(text, SpecValidationError, "scenario spec"))
 
 
 def all_to_all_scenario(

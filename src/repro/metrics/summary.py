@@ -16,16 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Mapping, Sequence
 
-
-def _strict_fields(cls, data: Mapping[str, Any], what: str) -> Dict[str, Any]:
-    """Validate *data* against the dataclass fields of *cls* (typo protection)."""
-    if not isinstance(data, Mapping):
-        raise ValueError(f"{what} must be a mapping, got {type(data).__name__}")
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise ValueError(f"unknown {what} keys {unknown}; known keys: {sorted(known)}")
-    return dict(data)
+from repro.codec import decode
 
 
 @dataclass(frozen=True)
@@ -54,8 +45,8 @@ class DistributionSummary:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "DistributionSummary":
-        """Inverse of :meth:`to_dict`; rejects unknown keys."""
-        return cls(**_strict_fields(cls, data, "distribution summary"))
+        """Inverse of :meth:`to_dict` (strict: see :mod:`repro.codec`)."""
+        return decode(cls, data, ValueError, "distribution summary")
 
     @classmethod
     def empty(cls) -> "DistributionSummary":
@@ -196,8 +187,5 @@ class MetricsSummary:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "MetricsSummary":
-        """Inverse of :meth:`to_dict`; rejects unknown keys at both levels."""
-        payload = _strict_fields(cls, data, "metrics summary")
-        if "delay" in payload:
-            payload["delay"] = DistributionSummary.from_dict(payload["delay"])
-        return cls(**payload)
+        """Inverse of :meth:`to_dict` (strict: see :mod:`repro.codec`)."""
+        return decode(cls, data, ValueError, "metrics summary")

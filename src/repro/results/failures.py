@@ -21,6 +21,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Tuple
 
+from repro.codec import decode, loads
+
 #: Version of the serialized job-failure layout (``failures.jsonl`` lines).
 #: Bumped whenever the serialized shape changes; writes always emit this.
 FAILURE_SCHEMA_VERSION = 1
@@ -72,18 +74,8 @@ class JobAttempt:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "JobAttempt":
-        _reject_unknown_keys(
-            payload, ("attempt", "outcome", "detail", "elapsed_s"), "attempt"
-        )
-        try:
-            return cls(
-                attempt=int(payload["attempt"]),
-                outcome=str(payload["outcome"]),
-                detail=str(payload["detail"]),
-                elapsed_s=float(payload["elapsed_s"]),
-            )
-        except KeyError as exc:
-            raise FailureValidationError(f"attempt missing key {exc}") from exc
+        """Inverse of :meth:`to_dict` (strict: see :mod:`repro.codec`)."""
+        return decode(cls, payload, FailureValidationError, "attempt")
 
 
 @dataclass(frozen=True)
@@ -132,49 +124,11 @@ class JobFailure:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "JobFailure":
-        version = payload.get(FAILURE_SCHEMA_KEY)
-        if version != FAILURE_SCHEMA_VERSION:
-            raise FailureValidationError(
-                f"unsupported failure schema version {version!r}; "
-                f"this build reads {FAILURE_SCHEMA_VERSION}"
-            )
-        _reject_unknown_keys(
-            payload,
-            (FAILURE_SCHEMA_KEY, "key", "index", "matrix", "protocol", "attempts"),
-            "failure",
-        )
-        attempts = payload.get("attempts", [])
-        if not isinstance(attempts, (list, tuple)):
-            raise FailureValidationError(
-                f"failure 'attempts' must be a list, got {type(attempts).__name__}"
-            )
-        try:
-            return cls(
-                key=str(payload["key"]),
-                index=int(payload["index"]),
-                matrix=str(payload["matrix"]),
-                protocol=str(payload["protocol"]),
-                attempts=tuple(JobAttempt.from_dict(a) for a in attempts),
-            )
-        except KeyError as exc:
-            raise FailureValidationError(f"failure missing key {exc}") from exc
+        """Inverse of :meth:`to_dict` (strict: see :mod:`repro.codec`)."""
+        schema = (FAILURE_SCHEMA_KEY, FAILURE_SCHEMA_VERSION)
+        return decode(cls, payload, FailureValidationError, "failure", schema)
 
     @classmethod
     def from_json(cls, text: str) -> "JobFailure":
-        try:
-            payload = json.loads(text)
-        except ValueError as exc:
-            raise FailureValidationError(f"failure is not valid JSON: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise FailureValidationError(
-                f"failure must be a JSON object, got {type(payload).__name__}"
-            )
-        return cls.from_dict(payload)
-
-
-def _reject_unknown_keys(
-    payload: Mapping[str, Any], known: Tuple[str, ...], what: str
-) -> None:
-    unknown = sorted(set(payload) - set(known))
-    if unknown:
-        raise FailureValidationError(f"{what} has unknown keys: {', '.join(unknown)}")
+        """Inverse of :meth:`to_json`."""
+        return cls.from_dict(loads(text, FailureValidationError, "failure"))

@@ -21,6 +21,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional
 
+from repro.codec import decode, loads
 from repro.metrics.summary import MetricsSummary
 
 #: Version of the serialized run-record / run-store schema.  Bumped whenever
@@ -194,38 +195,15 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunRecord":
-        """Inverse of :meth:`to_dict`.
+        """Inverse of :meth:`to_dict` (strict: see :mod:`repro.codec`).
 
         Raises:
             RecordValidationError: On a wrong/absent schema version, unknown
-                keys at any level, or missing required fields.
+                keys at any level, missing required fields, or a value of the
+                wrong type.
         """
-        if not isinstance(data, Mapping):
-            raise RecordValidationError(
-                f"run record must be a mapping, got {type(data).__name__}"
-            )
-        payload = dict(data)
-        version = payload.pop(RECORD_SCHEMA_KEY, None)
-        if version != RESULTS_SCHEMA_VERSION:
-            raise RecordValidationError(
-                f"unsupported run-record schema version {version!r}; "
-                f"this build reads version {RESULTS_SCHEMA_VERSION}"
-            )
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise RecordValidationError(
-                f"unknown run record keys {unknown}; known keys: {sorted(known)}"
-            )
-        if "summary" in payload:
-            try:
-                payload["summary"] = MetricsSummary.from_dict(payload["summary"])
-            except ValueError as exc:
-                raise RecordValidationError(f"invalid run record: {exc}") from exc
-        try:
-            return cls(**payload)
-        except TypeError as exc:
-            raise RecordValidationError(f"invalid run record: {exc}") from exc
+        schema = (RECORD_SCHEMA_KEY, RESULTS_SCHEMA_VERSION)
+        return decode(cls, data, RecordValidationError, "run record", schema)
 
     def to_json(self) -> str:
         """Canonical JSON rendering (stable key order, byte-reproducible)."""
@@ -234,11 +212,7 @@ class RunRecord:
     @classmethod
     def from_json(cls, text: str) -> "RunRecord":
         """Inverse of :meth:`to_json`."""
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise RecordValidationError(f"run record is not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
+        return cls.from_dict(loads(text, RecordValidationError, "run record"))
 
     def canonical_dict(self) -> Dict[str, object]:
         """:meth:`to_dict` minus the volatile execution fields.

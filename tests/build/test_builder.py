@@ -6,7 +6,7 @@ from repro.build import PLACEMENT, PROTOCOL, SimulationBuilder, UnknownComponent
 from repro.core.spin import SpinNode
 from repro.experiments.config import FailureConfig, MobilityConfig, SimulationConfig
 from repro.experiments.runner import ExperimentRunner, run_scenario
-from repro.experiments.scenarios import all_to_all_scenario
+from repro.experiments.scenarios import ScenarioSpec, all_to_all_scenario
 
 from tests.helpers import clone_default_registry
 
@@ -65,6 +65,22 @@ class TestPhases:
 
         Spy(all_to_all_scenario("spin", config)).build()
         assert calls == ["radio"]
+
+
+class TestSinglePairNodes:
+    @pytest.mark.parametrize(
+        "options",
+        [{"source": 99, "destinations": [3]}, {"source": 0, "destinations": [3, 99]}],
+        ids=["source", "destination"],
+    )
+    def test_node_ids_outside_the_field_are_rejected(self, config, options):
+        spec = ScenarioSpec(
+            name="pair", protocol="spin", config=config, workload="single_pair",
+            workload_options=options,
+        )
+        message = "^single_pair node 99 is not a node of the 9-node field$"
+        with pytest.raises(ValueError, match=message):
+            SimulationBuilder(spec).build()
 
 
 class TestPlacements:

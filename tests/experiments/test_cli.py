@@ -1,20 +1,27 @@
 """Tests for the command-line interface."""
 
+import copy
 import json
+import math
 import os
 import re
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from repro.cli import ANALYTICAL_FIGURES, build_parser, main
 from repro.experiments import figures
-from repro.experiments.config import MobilityConfig
+from repro.experiments.config import MobilityConfig, SpecValidationError
 from repro.experiments.figures import FIGURES, FigureScale
+from repro.experiments.scenarios import ScenarioSpec
+from repro.routing.manager import RoutingManager
 
 
 @pytest.fixture
@@ -344,22 +351,32 @@ class TestRunCommand:
         assert json.loads("\n".join(lines))["delivery_ratio"] == 1.0
 
     @pytest.mark.parametrize(
-        "positions",
+        "positions, prefix, needle",
         [
-            [[0, 0], [5, 0], [10, 0]],
-            [[0, 0], [5, 0], [10], [15, 0]],
-            [[0, 0], [5, 0], [float("nan"), 0], [15, 0]],
-            [[0, 0], [5, 0], [10, float("inf")], [15, 0]],
+            ([[0, 0], [5, 0], [10, 0]], "scenario failed to build: ", "position"),
+            ([[0, 0], [5, 0], [10], [15, 0]], "scenario failed to build: ", "position"),
+            # json.dumps writes these as the non-standard NaN and Infinity,
+            # which the spec reader rejects before anything is built.
+            (
+                [[0, 0], [5, 0], [float("nan"), 0], [15, 0]],
+                "invalid spec: ",
+                "NaN is not a JSON number",
+            ),
+            (
+                [[0, 0], [5, 0], [10, float("inf")], [15, 0]],
+                "invalid spec: ",
+                "Infinity is not a JSON number",
+            ),
         ],
         ids=["wrong-count", "malformed-entry", "nan", "inf"],
     )
-    def test_run_bad_positions_fail_cleanly(self, capture, tmp_path, positions):
+    def test_run_bad_positions_fail_cleanly(self, capture, tmp_path, positions, prefix, needle):
         lines, out = capture
         bad = {**self.CHAIN, "placement_options": {"positions": positions}}
         assert main(["run", "--spec", self._write_spec(tmp_path, bad)], out=out) == 2
         assert len(lines) == 1
-        assert lines[0].startswith("scenario failed to build: ")
-        assert "position" in lines[0]
+        assert lines[0].startswith(prefix)
+        assert needle in lines[0]
 
     def test_run_reads_stdin(self, capture, monkeypatch):
         import io
@@ -387,6 +404,106 @@ class TestRunCommand:
         (record,) = list(RunStore(run_dir).records())
         assert record.protocol == "spin"
         assert record.key == "cli-test/spin"
+
+
+#: The 4-node chain spec of CI's hand-placed step, with a schedule of two
+#: items, as the base of the malformed-spec tests.
+CHAIN_SPEC = {
+    **TestRunCommand.CHAIN,
+    "workload_options": {"source": 0, "destinations": [3], "num_items": 2, "interval_ms": 5.0},
+}
+
+
+def _replaced(spec, path, value):
+    """A copy of *spec* with the value at *path* (keys and list indices) replaced."""
+    spec = copy.deepcopy(spec)
+    *parents, last = path
+    target = spec
+    for step in parents:
+        target = target[step]
+    target[last] = value
+    return spec
+
+
+def _value_paths(value, prefix=()):
+    """The path of every value nested in *value*, containers included."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, item in items:
+        yield prefix + (key,)
+        if isinstance(item, (dict, list)):
+            yield from _value_paths(item, prefix + (key,))
+
+
+class TestMalformedSpec:
+    """A malformed spec exits 2 with one line naming the field or value."""
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("protocol",), 5, "invalid spec: scenario spec field 'protocol' must be a string"),
+            (("workload",), None, "invalid spec: scenario spec field 'workload' must be a string"),
+            (("config", "contention"), 3, "field 'config.contention' must be a string, got 3"),
+            (("settle_margin_ms",), "x", "field 'settle_margin_ms' must be a finite number"),
+            (("mobility",), {"num_epochs": "two"}, "'mobility.num_epochs' must be an integer"),
+            (("config", "random_backoff"), 0, "'config.random_backoff' must be true or false"),
+            (("config", "num_nodes"), "4", "field 'config.num_nodes' must be an integer, got '4'"),
+            # json.dumps writes the non-standard NaN, which no spec may hold.
+            (("config", "transmission_radius_m"), math.nan, "NaN is not a JSON number"),
+            (("workload_options", "interval_ms"), math.nan, "NaN is not a JSON number"),
+            (("config", "max_sim_time_ms"), -5, "max_sim_time_ms must be positive, got -5"),
+            (("workload_options", "source"), 99, "failed to build: single_pair node 99 is not"),
+            (("workload_options", "destinations"), [99], "single_pair node 99 is not a node"),
+        ],
+        ids=[
+            "protocol-int", "workload-null", "contention-int", "settle-margin-str",
+            "epochs-str", "bool-as-int", "int-as-str", "nan-radius", "nan-interval",
+            "negative-max-sim-time", "source-outside-field", "destination-outside-field",
+        ],
+    )
+    def test_exits_2_naming_the_value(self, capture, tmp_path, path, value, message):
+        lines, out = capture
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(_replaced(CHAIN_SPEC, path, value)))
+        assert main(["run", "--spec", str(spec_path)], out=out) == 2
+        assert len(lines) == 1
+        assert message in lines[0]
+
+    def test_the_base_spec_runs(self, capture, tmp_path):
+        lines, out = capture
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(CHAIN_SPEC))
+        assert main(["run", "--spec", str(spec_path), "--json"], out=out) == 0
+        assert json.loads("\n".join(lines))["deliveries_completed"] == 2
+
+    @given(
+        path=st.sampled_from(list(_value_paths(CHAIN_SPEC))),
+        value=st.one_of(
+            st.none(),
+            st.booleans(),
+            st.integers(-3, 3),
+            st.floats(-3, 3, allow_nan=False),
+            st.text(max_size=3),
+            st.lists(st.integers(0, 3), max_size=2),
+            st.dictionaries(st.text(max_size=3), st.integers(0, 3), max_size=1),
+        ),
+    )
+    @example(path=("protocol",), value=5)
+    @settings(max_examples=150, deadline=None)
+    def test_a_value_of_another_type_is_rejected_or_runs(self, path, value):
+        # Only types change, never magnitudes: no example builds a large network.
+        target = CHAIN_SPEC
+        for step in path:
+            target = target[step]
+        assume(type(value) is not type(target))
+        spec = _replaced(CHAIN_SPEC, path, value)
+        try:
+            ScenarioSpec.from_dict(spec)
+        except SpecValidationError:
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            spec_path = Path(tmp) / "spec.json"
+            spec_path.write_text(json.dumps(spec))
+            assert main(["run", "--spec", str(spec_path)], out=lambda line: None) in (0, 2)
 
 
 class TestBatchRunCommand:
@@ -502,6 +619,30 @@ class TestBatchRunCommand:
     def test_spec_and_spec_dir_are_mutually_exclusive(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--spec", "a.json", "--spec-dir", "d"])
+
+    def test_fleet_builds_each_routing_table_once(self, capture, tmp_path, monkeypatch):
+        # The parent checks every spec without routing tables; only the run
+        # computes them.
+        builds = []
+        real_build = RoutingManager.build
+
+        def counting_build(self, *args, **kwargs):
+            builds.append(self)
+            return real_build(self, *args, **kwargs)
+
+        monkeypatch.setattr(RoutingManager, "build", counting_build)
+        paths = []
+        for seed in (1, 2, 3):
+            payload = {
+                **TestRunCommand.SPEC,
+                "protocol": "spms",
+                "config": {**TestRunCommand.SPEC["config"], "seed": seed},
+            }
+            paths.append(tmp_path / f"spms_{seed}.json")
+            paths[-1].write_text(json.dumps(payload))
+        lines, out = capture
+        assert main(["run", "--specs", *map(str, paths), "--workers", "1"], out=out) == 0
+        assert len(builds) == 3
 
 
 class TestFleetInterrupt:

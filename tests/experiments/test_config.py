@@ -1,5 +1,7 @@
 """Tests for the simulation configuration and the Table 1 constants."""
 
+import math
+
 import pytest
 
 from repro.build import SimulationBuilder
@@ -87,6 +89,17 @@ class TestSimulationConfig:
             SimulationConfig(packets_per_node=0)
         with pytest.raises(ValueError):
             SimulationConfig(data_size_bytes=0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", ["transmission_radius_m", "t_proc_ms", "csma_g"])
+    def test_float_fields_must_be_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            SimulationConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [0, -5, 0.0])
+    def test_max_sim_time_must_be_positive(self, value):
+        with pytest.raises(ValueError, match=f"^max_sim_time_ms must be positive, got {value}$"):
+            SimulationConfig(max_sim_time_ms=value)
 
     def test_failure_and_mobility_config_defaults(self):
         failures = FailureConfig()

@@ -16,6 +16,7 @@ Three guarantees are pinned here:
 """
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,13 +28,16 @@ from repro.experiments.config import (
     SimulationConfig,
     SpecValidationError,
 )
-from repro.experiments.matrix import get_matrix
+from repro.experiments.figures import paper_scale
+from repro.experiments.matrix import available_matrices, get_matrix
 from repro.results import CACHE_SCHEMA_VERSION, spec_fingerprint
 from repro.experiments.scenarios import (
     SCHEMA_KEY,
     SPEC_SCHEMA_VERSION,
     ScenarioSpec,
 )
+
+EXAMPLE_SPECS = sorted((Path(__file__).resolve().parents[2] / "examples").glob("*.json"))
 
 # --------------------------------------------------------------- strategies
 
@@ -130,6 +134,24 @@ class TestRoundTrip:
         mob = MobilityConfig(num_epochs=3, max_displacement_m=None)
         assert MobilityConfig.from_dict(mob.to_dict()) == mob
 
+    @pytest.mark.parametrize("scale", ["bench", "paper"])
+    @pytest.mark.parametrize("matrix", available_matrices())
+    def test_registered_matrix_specs_round_trip(self, matrix, scale):
+        jobs = get_matrix(matrix, scale=paper_scale() if scale == "paper" else None).expand()
+        for job in jobs:
+            text = job.spec.to_json()
+            decoded = ScenarioSpec.from_json(text)
+            assert decoded == job.spec, job.key
+            assert decoded.to_json() == text, job.key
+            assert ScenarioSpec.from_dict(job.spec.to_dict()) == job.spec, job.key
+
+    @pytest.mark.parametrize("path", EXAMPLE_SPECS, ids=lambda path: path.name)
+    def test_example_specs_round_trip(self, path):
+        spec = ScenarioSpec.from_json(path.read_text())
+        decoded = ScenarioSpec.from_json(spec.to_json())
+        assert decoded == spec
+        assert decoded.to_json() == spec.to_json()
+
 
 class TestValidation:
     def _payload(self, **overrides):
@@ -140,7 +162,7 @@ class TestValidation:
         return payload
 
     def test_unknown_top_level_key_rejected(self):
-        with pytest.raises(SpecValidationError, match="unknown scenario spec keys"):
+        with pytest.raises(SpecValidationError, match="scenario spec has unknown keys: workloadd"):
             ScenarioSpec.from_dict(self._payload(workloadd="all_to_all"))
 
     def test_unknown_config_key_rejected(self):

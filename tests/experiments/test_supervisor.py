@@ -7,6 +7,8 @@ fault-free run**, because injected faults fire before the simulation builds
 and jobs are independently seeded.
 """
 
+import os
+import signal
 from multiprocessing import connection as mp_connection
 
 import pytest
@@ -183,6 +185,34 @@ class TestSupervisedPoolFaults:
         stream.close()
         # close() runs the supervisor's finally: every worker killed+joined.
         assert len(multiprocessing.active_children()) <= before
+
+
+class TestWorkerSignals:
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc/<pid>/status")
+    def test_workers_ignore_sigint_and_sigterm(self, grid_jobs):
+        # Ctrl-C or SIGTERM to the process group must reach only the parent.
+        # Read the worker's ignored-signal mask instead of waiting for a
+        # traceback it may not print before the teardown SIGKILL.  The parent
+        # itself handles both signals here, so a worker ignores them only if
+        # it says so.
+        previous = {
+            signal.SIGINT: signal.signal(signal.SIGINT, signal.default_int_handler),
+            signal.SIGTERM: signal.signal(signal.SIGTERM, signal.SIG_DFL),
+        }
+        pool = SupervisedPool(workers=1)
+        stream = pool.run(grid_jobs[:1])
+        try:
+            assert next(stream).ok
+            with open(f"/proc/{pool._pool[0].process.pid}/status") as status:
+                ignored = next(
+                    int(line.split()[1], 16) for line in status if line.startswith("SigIgn:")
+                )
+        finally:
+            stream.close()
+            for signum, handler in previous.items():
+                signal.signal(signum, handler)
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            assert ignored >> (signum - 1) & 1, f"worker does not ignore {signum.name}"
 
 
 class TestWakeUps:
