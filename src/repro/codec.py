@@ -13,7 +13,9 @@ fingerprints hash them).  ``Optional[T]``, ``Dict[str, T]``,
 ``__post_init__``.
 
 Every failure raises the caller's error class with one line that names the
-field.  :func:`loads` reads JSON text with the same errors; it rejects the
+field and spells the bad value as JSON (``null``, ``true``, ``"4"``) with
+:func:`spell`, which component constructors use for their messages too.
+:func:`loads` reads JSON text with the same errors; it rejects the
 non-standard ``NaN``/``Infinity`` constants, which no format here writes,
 and numbers beyond a float's range.  The module imports nothing from the
 package, so any module may use it.
@@ -38,6 +40,14 @@ _SCALARS = {
     str: ((str,), "a string"),
 }
 _MAX = sys.float_info.max
+
+
+def spell(item: Any) -> str:
+    """*item* as a payload spells it: JSON, or ``repr`` for a non-JSON value."""
+    try:
+        return json.dumps(item)
+    except (TypeError, ValueError):
+        return repr(item)
 
 
 @functools.lru_cache(maxsize=None)  # one entry per decoded dataclass
@@ -86,14 +96,14 @@ def decode(
 
     def mapping(item: Any, path: str) -> Mapping[str, Any]:
         if not isinstance(item, Mapping):
-            raise fail(path, f"must be a mapping (JSON object), got {item!r}")
+            raise fail(path, f"must be a mapping (JSON object), got {spell(item)}")
         return item
 
     def value(hint: Any, item: Any, path: str) -> Any:
         if hint in _SCALARS:
             types, expected = _SCALARS[hint]
             if type(item) not in types or (hint is float and not -_MAX <= item <= _MAX):
-                raise fail(path, f"must be {expected}, got {item!r}")
+                raise fail(path, f"must be {expected}, got {spell(item)}")
             return item
         if hint is object:
             return item
@@ -106,7 +116,7 @@ def decode(
             return {k: value(args[1], v, f"{path}.{k}") for k, v in mapping(item, path).items()}
         if origin is tuple:
             if not isinstance(item, (list, tuple)):
-                raise fail(path, f"must be a list, got {item!r}")
+                raise fail(path, f"must be a list, got {spell(item)}")
             return tuple(value(args[0], v, f"{path}[{i}]") for i, v in enumerate(item))
         raise TypeError(f"cannot decode a field annotated {hint!r}")
 
@@ -131,7 +141,7 @@ def decode(
         found = mapping(data, "").get(key)
         if type(found) is not type(version) or found != version:
             raise error(
-                f"unsupported {what} schema version {found!r}; "
+                f"unsupported {what} schema version {spell(found)}; "
                 f"this build reads version {version} (key {key!r})"
             )
         data = {k: v for k, v in data.items() if k != key}

@@ -14,6 +14,11 @@ nodes.  It
 * charges transmit energy to the sender and receive energy to each receiver,
 * respects transient failures: failed nodes neither transmit nor receive,
 * schedules the actual delivery (``ProtocolNode.on_packet``) on the simulator.
+
+Everything a transmission needs except its backoff draw depends only on
+``(sender, power level, packet size)`` and the node positions, so it comes
+from one link-table lookup (:meth:`Network._link`); the table is cleared
+whenever a node moves.
 """
 
 from __future__ import annotations
@@ -21,17 +26,40 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from typing import Any, Callable, Collection, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Collection, Dict, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.core.packets import BROADCAST, Packet, PacketType
 from repro.mac.channel import ChannelReservation
 from repro.mac.delay import MacDelayModel
 from repro.metrics.collector import MetricsCollector
-from repro.radio.energy import EnergyModel
+from repro.radio.energy import EnergyModel, checked_energy
 from repro.radio.power import PowerLevel, PowerTable
 from repro.sim.engine import Simulator
 from repro.topology.field import SensorField
 from repro.topology.zone import ZoneMap
+
+
+class _Link(NamedTuple):
+    """Everything one kind of transmission needs except its backoff draw.
+
+    A link-table entry, per (sender, power level, packet size).
+    ``reserved`` is the nodes inside the used radius, then the sender: they
+    set the contention and, with a channel model, have their medium
+    reserved for the airtime.  ``window`` is the MAC's backoff window and
+    ``bits`` its bit length, 0 when the window draws nothing.
+    ``energy_uj`` is the transmit energy, validated once, and ``tx_key``
+    the sender's ``(node, "tx")`` ledger key.
+    """
+
+    reserved: Tuple[int, ...]
+    contention_ms: float
+    window: int
+    bits: int
+    slot_ms: float
+    airtime_ms: float
+    processing_ms: float
+    energy_uj: float
+    tx_key: Tuple[int, str]
 
 
 class Network:
@@ -56,7 +84,7 @@ class Network:
     #: harness (tests/protocols) can flip them for a whole oracle run; both
     #: paths must produce byte-identical metrics and RNG stream positions.
     ADV_FAST_PATH = True
-    UNICAST_LEVEL_CACHE = True
+    LINK_TABLE = True
 
     #: Cache sentinel distinguishing "never computed" from "out of range".
     _LEVEL_MISSING = object()
@@ -87,20 +115,22 @@ class Network:
         # cannot vouch for them); the ADV fan-out skips a holder's handler.
         self._held_names: Dict[int, Collection[str]] = {}
         self._failed: Set[int] = set()
-        self._range_cache: Dict[Tuple[int, float], List[int]] = {}
-        self._range_cache_version = -1
-        # Registered receivers per broadcast sender; recomputing the zone
-        # membership filter on every broadcast dominates `broadcast` once the
-        # zones are big.  Invalidated when any node moves (topology version)
-        # or when registration changes.
+        # Caches derived from node positions, all cleared when the field's
+        # topology version moves (_sync_topology): per broadcast sender its
+        # registered zone neighbours (also cleared when registration
+        # changes), per (sender, receiver) the unicast power level (``None``:
+        # out of range), and per (sender, level index, packet size) the link
+        # table's entry (_link).
+        self._topology_version = -1
         self._receiver_cache: Dict[int, Tuple[int, ...]] = {}
-        self._receiver_cache_version = -1
-        # Unicast power-level choice per (sender, receiver): a pure function
-        # of the two positions and the power table, recomputed per packet
-        # before PR 5 (distance + level scan on every REQ/DATA hop).  ``None``
-        # marks an out-of-range pair.  Invalidated when any node moves.
         self._unicast_levels: Dict[Tuple[int, int], Optional[PowerLevel]] = {}
-        self._unicast_levels_version = -1
+        self._links: Dict[Tuple[int, int, int], _Link] = {}
+        # Receive energy per packet size (_rx_cost); the backoff stream's
+        # getrandbits, resolved by the first link that draws (reset()
+        # re-seeds the stream in place); the ledger's accumulators.
+        self._rx_costs: Dict[int, float] = {}
+        self._getrandbits: Optional[Callable[[int], int]] = None
+        self._accounts = metrics.energy.hot_path_accounts()
         # The delivery event name is interned once per packet type instead
         # of rebuilt per transmission.
         self._deliver_names = {t.label: f"deliver.{t.label}" for t in PacketType}
@@ -151,19 +181,14 @@ class Network:
         """Snapshot of currently failed nodes."""
         return set(self._failed)
 
-    # ------------------------------------------------------------ geometry cache
+    # ---------------------------------------------------------- position caches
 
-    def _neighbors_within(self, sender: int, range_m: float) -> List[int]:
-        """Cached neighbour lookup (invalidated when any node moves)."""
-        if self._range_cache_version != self.field.topology_version:
-            self._range_cache.clear()
-            self._range_cache_version = self.field.topology_version
-        key = (sender, range_m)
-        neighbors = self._range_cache.get(key)
-        if neighbors is None:
-            neighbors = self.field.neighbors_within(sender, range_m)
-            self._range_cache[key] = neighbors
-        return neighbors
+    def _sync_topology(self) -> None:
+        """Clear every position-derived cache; a node has moved."""
+        self._receiver_cache.clear()
+        self._unicast_levels.clear()
+        self._links.clear()
+        self._topology_version = self.field.topology_version
 
     def _broadcast_receivers(self, sender: int) -> Tuple[int, ...]:
         """Registered zone neighbours of *sender*, cached per sender.
@@ -172,9 +197,6 @@ class Network:
         freshly-computed broadcasts deliver in the identical receiver
         sequence (metrics stay byte-identical).
         """
-        if self._receiver_cache_version != self.field.topology_version:
-            self._receiver_cache.clear()
-            self._receiver_cache_version = self.field.topology_version
         receivers = self._receiver_cache.get(sender)
         if receivers is None:
             nodes = self._nodes
@@ -190,6 +212,39 @@ class Network:
         if self.trace:
             self.sim.trace_log.record(self.sim.now, "packet", label, detail)
 
+    def _link(self, sender: int, level: PowerLevel, size_bytes: int) -> _Link:
+        """Make and store the link-table entry of *sender* at *level* and *size_bytes*."""
+        reserved = (*self.field.neighbors_within(sender, level.range_m), sender)
+        mac = self.mac_delay
+        contenders = len(reserved)
+        contention_ms, airtime_ms, processing_ms = mac.delay_parts(size_bytes, contenders)
+        window = mac.backoff_window(contenders)
+        bits = window.bit_length() if window > 1 else 0
+        if bits and self._getrandbits is None:
+            self._getrandbits = mac.rng.stream(mac.BACKOFF_STREAM).getrandbits
+        energy_uj = checked_energy(self.energy_model.tx_cost(size_bytes, level).energy_uj)
+        link = _Link(
+            reserved,
+            contention_ms,
+            window,
+            bits,
+            mac.slot_time_ms,
+            airtime_ms,
+            processing_ms,
+            energy_uj,
+            (sender, "tx"),
+        )
+        self._links[(sender, level.index, size_bytes)] = link
+        return link
+
+    def _rx_cost(self, size_bytes: int) -> float:
+        """Receive energy of one *size_bytes* packet, validated and memoised."""
+        cost = self._rx_costs.get(size_bytes)
+        if cost is None:
+            cost = checked_energy(self.energy_model.rx_cost(size_bytes))
+            self._rx_costs[size_bytes] = cost
+        return cost
+
     # ------------------------------------------------------------ transmission
 
     def _transmit(
@@ -204,30 +259,65 @@ class Network:
 
         Charges and counts the transmission, then schedules
         ``deliver(target, packet)`` for its arrival; a *deliver* of ``None``
-        transmits to no receiver.
+        transmits to no receiver.  The caller has synced the position caches.
+
+        With :attr:`LINK_TABLE` a transmission is one link-table lookup plus
+        its backoff draw.  Without it (the differential oracle) the same
+        values are recomputed per packet through the neighbour scan,
+        :meth:`MacDelayModel.timing`, :meth:`EnergyModel.tx_cost` and
+        :meth:`EnergyLedger.charge`; both make the same RNG draws and the
+        same float operations in the same order.
         """
         size_bytes = packet.size_bytes
-        mac = self.mac_delay
-        # Nodes inside the used radius: they set the contention and, with a
-        # channel model, have their medium reserved for the airtime.
-        neighbors = self._neighbors_within(sender, level.range_m)
-        contenders = len(neighbors) + 1
-        # The memoised deterministic parts plus exactly one backoff draw —
-        # the same RNG call sequence as MacDelayModel.timing, without
-        # constructing a TransmissionTiming per transmission.
-        contention_ms, airtime_ms, processing_ms = mac.delay_parts(size_bytes, contenders)
+        type_label = packet.packet_type.label
         now = self.sim.now
-        ready_at = now + contention_ms + mac.backoff_ms(contenders)
-        if self.channel is not None:
-            start = self.channel.earliest_start(sender, ready_at)
-            self.channel.record_wait(start - ready_at)
-            end = self.channel.reserve(neighbors + [sender], start, airtime_ms)
+        if self.LINK_TABLE:
+            link = self._links.get((sender, level.index, size_bytes))
+            if link is None:
+                link = self._link(sender, level, size_bytes)
+            (
+                reserved,
+                contention_ms,
+                window,
+                bits,
+                slot_ms,
+                airtime_ms,
+                processing_ms,
+                energy_uj,
+                tx_key,
+            ) = link
+            backoff_ms = 0.0
+            if bits:
+                # The draw Random.randrange(window) makes (CPython's
+                # _randbelow_with_getrandbits): k-bit draws until one falls
+                # below the window.  tests/mac/test_delay.py holds the two
+                # equal, stream state included, for every window.
+                getrandbits = self._getrandbits
+                slot = getrandbits(bits)
+                while slot >= window:
+                    slot = getrandbits(bits)
+                backoff_ms = slot * slot_ms
+            per_node, per_category, per_node_category = self._accounts
+            per_node[sender] += energy_uj
+            per_category["tx"] += energy_uj
+            per_node_category[tx_key] += energy_uj
+            self.metrics.packets_sent[type_label] += 1
+        else:
+            reserved = self.field.neighbors_within(sender, level.range_m) + [sender]
+            timing = self.mac_delay.timing(size_bytes, len(reserved))
+            contention_ms, backoff_ms = timing.contention_ms, timing.backoff_ms
+            airtime_ms, processing_ms = timing.airtime_ms, timing.processing_ms
+            cost = self.energy_model.tx_cost(size_bytes, level)
+            self.metrics.energy.charge(sender, cost.energy_uj, "tx")
+            self.metrics.record_send(type_label)
+        ready_at = now + contention_ms + backoff_ms
+        channel = self.channel
+        if channel is not None:
+            start = channel.earliest_start(sender, ready_at)
+            channel.record_wait(start - ready_at)
+            end = channel.reserve(reserved, start, airtime_ms)
         else:
             end = ready_at + airtime_ms
-        cost = self.energy_model.tx_cost(size_bytes, level)
-        self.metrics.energy.charge(sender, cost.energy_uj, "tx")
-        type_label = packet.packet_type.label
-        self.metrics.record_send(type_label)
         if deliver is None:
             return
         # One delivery event per transmission (not one per receiver): every
@@ -246,9 +336,11 @@ class Network:
 
         Returns False (and drops the packet) when the sender is down.
         """
-        if self.is_failed(sender):
+        if sender in self._failed:
             self.metrics.record_drop("sender_failed")
             return False
+        if self._topology_version != self.field.topology_version:
+            self._sync_topology()
         receivers = self._broadcast_receivers(sender)
         if self.trace:
             self._trace(f"broadcast {packet.label()}")
@@ -283,40 +375,34 @@ class Network:
         receiver out of range); the receiver being down is only discovered at
         delivery time, exactly as for a real radio.
         """
-        if self.is_failed(sender):
+        if sender in self._failed:
             self.metrics.record_drop("sender_failed")
             return False
-        if self.UNICAST_LEVEL_CACHE:
-            if self._unicast_levels_version != self.field.topology_version:
-                self._unicast_levels.clear()
-                self._unicast_levels_version = self.field.topology_version
+        if self._topology_version != self.field.topology_version:
+            self._sync_topology()
+        if self.LINK_TABLE:
             key = (sender, receiver)
             level = self._unicast_levels.get(key, self._LEVEL_MISSING)
             if level is self._LEVEL_MISSING:
-                distance = self.field.distance(sender, receiver)
-                if distance > self.power_table.max_range_m + 1e-9:
-                    level = None
-                else:
-                    level = self.power_table.level_for_distance(distance)
-                self._unicast_levels[key] = level
-            if level is None:
-                self.metrics.record_drop("out_of_range")
-                return False
-            if force_max_power:
-                level = self.power_table.max_level
+                level = self._unicast_levels[key] = self._unicast_level(sender, receiver)
         else:
-            distance = self.field.distance(sender, receiver)
-            if distance > self.power_table.max_range_m + 1e-9:
-                self.metrics.record_drop("out_of_range")
-                return False
-            if force_max_power:
-                level = self.power_table.max_level
-            else:
-                level = self.power_table.level_for_distance(distance)
+            level = self._unicast_level(sender, receiver)
+        if level is None:
+            self.metrics.record_drop("out_of_range")
+            return False
+        if force_max_power:
+            level = self.power_table.max_level
         if self.trace:
             self._trace(f"unicast {packet.label()} @level{level.index}")
         self._transmit(sender, packet, level, self._deliver_one, receiver)
         return True
+
+    def _unicast_level(self, sender: int, receiver: int) -> Optional[PowerLevel]:
+        """The lowest level reaching *receiver*, or ``None`` out of range."""
+        distance = self.field.distance(sender, receiver)
+        if distance > self.power_table.max_range_m + 1e-9:
+            return None
+        return self.power_table.level_for_distance(distance)
 
     # ------------------------------------------------------------------ deliver
 
@@ -337,7 +423,14 @@ class Network:
         if node is None:
             metrics.record_drop("unknown_receiver")
             return
-        metrics.energy.charge(receiver, self.energy_model.rx_cost(packet.size_bytes), "rx")
+        if self.LINK_TABLE:
+            rx_cost = self._rx_cost(packet.size_bytes)
+            per_node, per_category, per_node_category = self._accounts
+            per_node[receiver] += rx_cost
+            per_category["rx"] += rx_cost
+            per_node_category[(receiver, "rx")] += rx_cost
+        else:
+            metrics.energy.charge(receiver, self.energy_model.rx_cost(packet.size_bytes), "rx")
         metrics.packets_received[packet.packet_type.label] += 1
         node.on_packet(packet.received_copy(receiver))
 
@@ -375,8 +468,8 @@ class Network:
                 # reach the canonical record.
                 return
             receivers = live
-        per_node, per_category, per_node_category = metrics.energy.hot_path_accounts()
-        rx_cost = self.energy_model.rx_cost(packet.size_bytes)
+        per_node, per_category, per_node_category = self._accounts
+        rx_cost = self._rx_cost(packet.size_bytes)
         for receiver in receivers:
             per_node[receiver] += rx_cost
             per_node_category[(receiver, "rx")] += rx_cost

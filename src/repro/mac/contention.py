@@ -16,10 +16,11 @@ class ContentionModel(ABC):
     """Maps the number of contending nodes to an expected access delay (ms).
 
     Contract: :meth:`access_delay_ms` must be a **pure function** of
-    *contenders* — no internal state, clock or RNG dependence.  The MAC delay
-    model memoises its value per ``(size, contenders)`` on the simulation's
-    hottest path (:meth:`repro.mac.delay.MacDelayModel.timing`), so a
-    stateful plugin model would silently be evaluated once and frozen.
+    *contenders* — no internal state, clock or RNG dependence.  The
+    network's link table keeps its value per (sender, power level, packet
+    size) on the simulation's hottest path (``repro.core.network``), so a
+    stateful plugin model would silently be evaluated once per link and
+    frozen.
     Randomness belongs in the backoff (which is drawn fresh on every call),
     not in the contention model.
     """

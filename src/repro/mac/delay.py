@@ -13,7 +13,7 @@ plus, in the simulation, a random slotted backoff drawn uniformly from
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.mac.contention import ContentionModel, QuadraticContention
 from repro.sim.rng import RandomStreams
@@ -78,46 +78,37 @@ class MacDelayModel:
         self.t_tx_per_byte_ms = t_tx_per_byte_ms
         self.t_proc_ms = t_proc_ms
         self.rng = rng
-        # The same handful of (size, contenders) pairs recurs across every
-        # transmission of a run, so the deterministic timing components are
-        # memoised.  The random backoff is *never* memoised: each call must
-        # draw from the RNG stream exactly as an unmemoised model would, or
-        # metrics stop being byte-identical.
-        self._deterministic_memo: Dict[Tuple[int, int], Tuple[float, float, float]] = {}
-        self._timing_memo: Dict[Tuple[int, int], TransmissionTiming] = {}
-        # The backoff stream object, resolved once: every backoff draws from
-        # the same named stream, so the registry lookup is paid only on the
-        # first draw.  Safe across RandomStreams.reset(), which re-seeds
-        # stream objects in place.
-        self._backoff_stream = None
 
-    def backoff_ms(self, contenders: Optional[int] = None) -> float:
-        """Draw a random slotted backoff (0 when no RNG is attached).
+    def backoff_window(self, contenders: Optional[int] = None) -> int:
+        """How many slots the backoff draws from; 1 means it draws nothing.
 
         The contention window scales with the number of contenders — a node
         alone on the channel barely backs off, a node in a crowded zone backs
         off over the full window — mirroring how CSMA/CA windows grow under
         congestion and consistent with the paper's ``G n**2`` access-delay
-        reasoning.  The window never exceeds ``num_slots``.
+        reasoning.  The window never exceeds ``num_slots``, and is 1 when no
+        RNG is attached.
         """
         if self.rng is None:
-            return 0.0
+            return 1
         if contenders is None:
-            window = self.num_slots
-        else:
-            if contenders < 0:
-                raise ValueError(f"contenders must be non-negative, got {contenders}")
-            window = max(1, min(self.num_slots, contenders))
+            return self.num_slots
+        if contenders < 0:
+            raise ValueError(f"contenders must be non-negative, got {contenders}")
+        return max(1, min(self.num_slots, contenders))
+
+    def backoff_ms(self, contenders: Optional[int] = None) -> float:
+        """Draw a random slotted backoff over :meth:`backoff_window` slots.
+
+        A one-slot window (which includes having no RNG) draws nothing and
+        returns 0.
+        """
+        window = self.backoff_window(contenders)
         if window <= 1:
             return 0.0
-        stream = self._backoff_stream
-        if stream is None:
-            stream = self.rng.stream(self.BACKOFF_STREAM)
-            self._backoff_stream = stream
         # ``randrange(window)`` and ``randint(0, window - 1)`` both make one
-        # ``_randbelow(window)`` draw, so the stream advances identically;
-        # randrange skips randint's extra frame.
-        return stream.randrange(window) * self.slot_time_ms
+        # ``_randbelow(window)`` draw, so the stream advances identically.
+        return self.rng.stream(self.BACKOFF_STREAM).randrange(window) * self.slot_time_ms
 
     def airtime_ms(self, size_bytes: int) -> float:
         """Time on air for *size_bytes*."""
@@ -126,53 +117,29 @@ class MacDelayModel:
         return size_bytes * self.t_tx_per_byte_ms
 
     def delay_parts(self, size_bytes: int, contenders: int) -> Tuple[float, float, float]:
-        """Memoised ``(contention_ms, airtime_ms, processing_ms)`` tuple.
-
-        The deterministic components of :meth:`timing` without the random
-        backoff and without constructing a :class:`TransmissionTiming` — the
-        transmission hot path draws the backoff separately (exactly one
-        :meth:`backoff_ms` call, preserving the RNG stream) and adds the
-        parts inline.
-        """
-        key = (size_bytes, contenders)
-        parts = self._deterministic_memo.get(key)
-        if parts is None:
-            parts = (
-                self.contention.access_delay_ms(contenders),
-                self.airtime_ms(size_bytes),
-                self.t_proc_ms,
-            )
-            self._deterministic_memo[key] = parts
-        return parts
-
-    def timing(self, size_bytes: int, contenders: int) -> TransmissionTiming:
-        """Latency breakdown for one transmission (memoised hot path).
+        """``(contention_ms, airtime_ms, processing_ms)``: :meth:`timing` without a backoff.
 
         Contention and airtime are pure functions of ``(size_bytes,
-        contenders)`` — purity is part of the
-        :class:`~repro.mac.contention.ContentionModel` contract — and are
-        cached after the first computation; with no RNG attached the whole
-        (immutable) breakdown is cached.  With an RNG the backoff is drawn
-        fresh on every call, preserving the exact draw sequence of an
-        unmemoised model.
+        contenders)`` (purity is part of the
+        :class:`~repro.mac.contention.ContentionModel` contract), so the
+        network's link table reads them once per (sender, power level, packet
+        size) and draws each backoff itself over :meth:`backoff_window`
+        slots, the same draw :meth:`backoff_ms` makes.
+        """
+        return (
+            self.contention.access_delay_ms(contenders),
+            self.airtime_ms(size_bytes),
+            self.t_proc_ms,
+        )
+
+    def timing(self, size_bytes: int, contenders: int) -> TransmissionTiming:
+        """Latency breakdown for one transmission, with a fresh backoff draw.
 
         Args:
             size_bytes: Packet size.
             contenders: Number of nodes within the transmission radius used,
                 i.e. the nodes competing for the channel.
         """
-        key = (size_bytes, contenders)
-        if self.rng is None:
-            cached = self._timing_memo.get(key)
-            if cached is None:
-                cached = TransmissionTiming(
-                    contention_ms=self.contention.access_delay_ms(contenders),
-                    backoff_ms=self.backoff_ms(contenders),
-                    airtime_ms=self.airtime_ms(size_bytes),
-                    processing_ms=self.t_proc_ms,
-                )
-                self._timing_memo[key] = cached
-            return cached
         contention_ms, airtime_ms, processing_ms = self.delay_parts(size_bytes, contenders)
         return TransmissionTiming(
             contention_ms=contention_ms,

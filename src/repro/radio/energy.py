@@ -27,6 +27,13 @@ import numpy as np
 from repro.radio.power import PowerLevel, PowerTable
 
 
+def checked_energy(energy_uj: float) -> float:
+    """*energy_uj* itself; ``ValueError`` unless it is non-negative and finite."""
+    if not 0.0 <= energy_uj < math.inf:
+        raise ValueError(f"energy must be non-negative and finite, got {energy_uj}")
+    return energy_uj
+
+
 @dataclass(frozen=True, slots=True)
 class TransmissionCost:
     """Energy and airtime of a single transmission.
@@ -72,13 +79,6 @@ class EnergyModel:
             raise ValueError(
                 f"rx power must be non-negative and finite, got {self.rx_power_mw}"
             )
-        # Costs depend only on (size, level) and both are immutable, so the
-        # per-packet accounting on the simulation's hottest path (one charge
-        # per transmission and per reception) is memoised.  The level's power
-        # is part of the key so ad-hoc levels that reuse an index (tests,
-        # hand-built tables) can never alias a cached entry.
-        self._tx_memo: Dict[tuple, TransmissionCost] = {}
-        self._rx_memo: Dict[int, float] = {}
 
     def airtime_ms(self, size_bytes: int) -> float:
         """Time on air for a packet of *size_bytes*."""
@@ -88,17 +88,10 @@ class EnergyModel:
 
     def tx_cost(self, size_bytes: int, level: PowerLevel) -> TransmissionCost:
         """Energy/airtime to transmit *size_bytes* at *level*."""
-        key = (size_bytes, level.index, level.power_mw)
-        cost = self._tx_memo.get(key)
-        if cost is None:
-            airtime = self.airtime_ms(size_bytes)
-            cost = TransmissionCost(
-                energy_uj=level.power_mw * airtime,
-                airtime_ms=airtime,
-                power_level=level,
-            )
-            self._tx_memo[key] = cost
-        return cost
+        airtime = self.airtime_ms(size_bytes)
+        return TransmissionCost(
+            energy_uj=level.power_mw * airtime, airtime_ms=airtime, power_level=level
+        )
 
     def tx_cost_for_distance(self, size_bytes: int, distance_m: float) -> TransmissionCost:
         """Energy/airtime using the lowest-power level that reaches *distance_m*."""
@@ -111,11 +104,7 @@ class EnergyModel:
 
     def rx_cost(self, size_bytes: int) -> float:
         """Energy to receive a packet of *size_bytes* (microjoules)."""
-        cost = self._rx_memo.get(size_bytes)
-        if cost is None:
-            cost = self.rx_power_mw * self.airtime_ms(size_bytes)
-            self._rx_memo[size_bytes] = cost
-        return cost
+        return self.rx_power_mw * self.airtime_ms(size_bytes)
 
 
 class EnergyLedger:
@@ -135,8 +124,7 @@ class EnergyLedger:
 
     def charge(self, node_id: int, energy_uj: float, category: str = "tx") -> None:
         """Add *energy_uj* to *node_id* under *category*."""
-        if not 0.0 <= energy_uj < math.inf:
-            raise ValueError(f"energy must be non-negative and finite, got {energy_uj}")
+        checked_energy(energy_uj)
         self._per_node[node_id] += energy_uj
         self._per_category[category] += energy_uj
         self._per_node_category[(node_id, category)] += energy_uj
@@ -144,11 +132,14 @@ class EnergyLedger:
     def hot_path_accounts(self):
         """The ``(per_node, per_category, per_node_category)`` accumulators.
 
-        For the network's ADV fan-out only: a batch charging one receive
-        cost per receiver updates the mappings directly instead of paying
-        one :meth:`charge` call per reception.  The cost is not re-validated
-        here; :class:`EnergyModel` only builds non-negative, finite costs.
-        Every accumulated float must stay bit-identical to per-call charging.
+        For the network's per-packet charges only (each transmission, each
+        reception and the ADV fan-out): they update the mappings directly, in
+        :meth:`charge`'s order, instead of paying one :meth:`charge` call per
+        packet.  The network validates each cost with :func:`checked_energy`
+        once, when it memoises it, so nothing is re-validated here.  Every
+        accumulated float must stay bit-identical to per-call charging.  The
+        mappings live as long as the ledger (:meth:`reset` clears them in
+        place), so the network fetches them once.
 
         The ADV fan-out (``Network._deliver_adv_batch``) charges a whole
         batch before it calls any handler, where per-call charging would

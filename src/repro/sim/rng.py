@@ -88,8 +88,9 @@ class RandomStreams:
 
         Streams are re-seeded *in place* (``Random.seed`` resets the state a
         fresh ``Random(seed)`` would have) so that callers holding a stream
-        object — e.g. the MAC delay model's cached backoff stream — observe
-        the reset instead of drawing from a stale generator.
+        object — e.g. the network, which keeps the backoff stream's
+        ``getrandbits`` — observe the reset instead of drawing from a stale
+        generator.
         """
         for name, stream in self._streams.items():
             stream.seed(self._derive_seed(name))

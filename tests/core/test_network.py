@@ -9,8 +9,9 @@ from repro.core.interests import AllInterested
 from repro.core.node_base import ProtocolNode
 from repro.core.packets import BROADCAST, Packet, PacketType
 from repro.sim.events import EventQueue
+from repro.topology.node import Position
 
-from tests.helpers import build_network, chain_positions
+from tests.helpers import RecordingChannel, build_network, chain_positions
 
 
 class RecorderNode(ProtocolNode):
@@ -239,6 +240,39 @@ class TestUnicast:
         harness.run()
         assert harness.metrics.packets_sent["DATA"] == 1
         assert harness.metrics.packets_received["DATA"] == 1
+
+
+class TestLinkTable:
+    def test_a_moved_node_changes_the_next_transmission(self):
+        # Levels of the 20 m table reach 20, 10, 5, 2.5 and 1.25 m.
+        harness = build_recorder_harness(chain_positions(3, spacing=5.0), radius=20.0)
+        network = harness.network
+        network.channel = channel = RecordingChannel()
+        ledger = harness.metrics.energy
+        tx_uj = []
+
+        def send():
+            before = ledger.node_category_total(0, "tx")
+            network.unicast(0, 1, data_packet(0, 1))
+            tx_uj.append(ledger.node_category_total(0, "tx") - before)
+
+        send()
+        send()  # a link-table hit
+        harness.field.move_node(2, Position(4.0, 0.0))
+        send()  # the same link, now with node 2 inside the 5 m level
+        harness.field.move_node(1, Position(15.0, 0.0))
+        send()
+        # Node 1, 5 m away, is reached by the 5 m level, which first reserves
+        # only it and the sender, then node 2 too once node 2 is 4 m away;
+        # 15 m away, node 1 takes the 20 m level.  Contention is
+        # G * contenders**2 with no backoff, at time 0.
+        assert channel.reserved == [(1, 0), (1, 0), (1, 2, 0), (1, 2, 0)]
+        assert channel.ready_times == [0.01 * 2**2] * 2 + [0.01 * 3**2] * 2
+        cost = {
+            level.range_m: network.energy_model.tx_cost(40, level).energy_uj
+            for level in network.power_table
+        }
+        assert tx_uj == pytest.approx([cost[5.0]] * 3 + [cost[20.0]], rel=1e-12)
 
 
 class TestRegistration:

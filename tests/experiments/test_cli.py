@@ -441,23 +441,39 @@ class TestMalformedSpec:
         "path, value, message",
         [
             (("protocol",), 5, "invalid spec: scenario spec field 'protocol' must be a string"),
-            (("workload",), None, "invalid spec: scenario spec field 'workload' must be a string"),
+            (
+                ("workload",),
+                None,
+                "invalid spec: scenario spec field 'workload' must be a string, got null",
+            ),
             (("config", "contention"), 3, "field 'config.contention' must be a string, got 3"),
             (("settle_margin_ms",), "x", "field 'settle_margin_ms' must be a finite number"),
             (("mobility",), {"num_epochs": "two"}, "'mobility.num_epochs' must be an integer"),
             (("config", "random_backoff"), 0, "'config.random_backoff' must be true or false"),
-            (("config", "num_nodes"), "4", "field 'config.num_nodes' must be an integer, got '4'"),
+            (("config", "num_nodes"), "4", "'config.num_nodes' must be an integer, got \"4\""),
             # json.dumps writes the non-standard NaN, which no spec may hold.
             (("config", "transmission_radius_m"), math.nan, "NaN is not a JSON number"),
             (("workload_options", "interval_ms"), math.nan, "NaN is not a JSON number"),
             (("config", "max_sim_time_ms"), -5, "max_sim_time_ms must be positive, got -5"),
             (("workload_options", "source"), 99, "failed to build: single_pair node 99 is not"),
             (("workload_options", "destinations"), [99], "single_pair node 99 is not a node"),
+            # Each of these used to exit 0, with delivery_ratio 1.0000 (or
+            # 0.5000 for the repeated destination).
+            (("workload_options", "destinations"), [], "build: single_pair needs at least one"),
+            (("workload_options", "num_items"), True, "build: single_pair num_items must be an"),
+            (("workload_options", "source"), 0.0, "build: single_pair source must be an integer"),
+            (("workload_options", "destinations"), [3, 3], "build: single_pair destinations repeat"),
+            (("workload_options", "data_size_bytes"), True, "single_pair data_size_bytes must be"),
+            (("workload_options", "interval_ms"), True, "single_pair interval_ms must be a"),
+            (("workload_options", "destinations"), "3", "single_pair destinations must be a list"),
+            (("workload_options", "num_items"), None, "single_pair num_items must be an integer"),
         ],
         ids=[
             "protocol-int", "workload-null", "contention-int", "settle-margin-str",
             "epochs-str", "bool-as-int", "int-as-str", "nan-radius", "nan-interval",
             "negative-max-sim-time", "source-outside-field", "destination-outside-field",
+            "no-destination", "bool-item-count", "float-source", "repeated-destination",
+            "bool-data-size", "bool-interval", "string-destinations", "null-item-count",
         ],
     )
     def test_exits_2_naming_the_value(self, capture, tmp_path, path, value, message):

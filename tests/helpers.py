@@ -12,6 +12,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.build import BUILTIN_KINDS, ComponentRegistry, default_registry
 from repro.experiments.sandbox import Sandbox, build_sandbox, line_positions
+from repro.mac.channel import ChannelReservation
 
 
 def build_network(
@@ -60,6 +61,23 @@ def build_network(
 def chain_positions(count: int, spacing: float = 5.0) -> List[Tuple[float, float]]:
     """Positions of *count* nodes in a straight line, *spacing* metres apart."""
     return line_positions(count, spacing_m=spacing)
+
+
+class RecordingChannel(ChannelReservation):
+    """A channel that records each transmission's ready time and reserved nodes."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.ready_times: List[float] = []
+        self.reserved: List[Tuple[int, ...]] = []
+
+    def earliest_start(self, sender: int, ready_at_ms: float) -> float:
+        self.ready_times.append(ready_at_ms)
+        return super().earliest_start(sender, ready_at_ms)
+
+    def reserve(self, affected_nodes, start_ms: float, airtime_ms: float) -> float:
+        self.reserved.append(tuple(affected_nodes))
+        return super().reserve(affected_nodes, start_ms, airtime_ms)
 
 
 def clone_default_registry() -> ComponentRegistry:

@@ -2,9 +2,41 @@
 
 import pytest
 
+from repro.core.metadata import DataDescriptor
+from repro.core.packets import BROADCAST, Packet, PacketType
 from repro.mac.contention import QuadraticContention
 from repro.mac.delay import MacDelayModel
 from repro.sim.rng import RandomStreams
+
+from tests.helpers import RecordingChannel, build_network
+
+ADV_BYTES = 2
+
+
+def _broadcasts_with_contenders(contenders, count):
+    """*count* ADV broadcasts from a node with *contenders* - 1 neighbours.
+
+    Returns the network and the ready time of each transmission; a node
+    far outside the zone keeps the field at two nodes or more.
+    """
+    positions = [(0.5 * i, 0.0) for i in range(contenders)] + [(1000.0, 0.0)]
+    sandbox = build_network(positions, radius_m=20.0, seed=7, random_backoff=True)
+    network = sandbox.network
+    network.channel = channel = RecordingChannel()
+    for _ in range(count):
+        network.broadcast(
+            0,
+            Packet(
+                packet_type=PacketType.ADV,
+                descriptor=DataDescriptor("x"),
+                sender=0,
+                receiver=BROADCAST,
+                origin=0,
+                final_target=BROADCAST,
+                size_bytes=ADV_BYTES,
+            ),
+        )
+    return network, channel.ready_times
 
 
 class TestMacDelayModel:
@@ -37,8 +69,10 @@ class TestMacDelayModel:
         assert max(draws) > 1.0
 
     def test_backoff_draws_as_randint_for_every_window(self):
-        # backoff_ms draws with randrange(window); it must advance the
-        # stream exactly as randint(0, window - 1) on a twin stream does.
+        # backoff_ms draws with randrange(window), and the network's link
+        # table with getrandbits(window.bit_length()) until a draw falls
+        # below the window.  Both must draw what randrange(window) and
+        # randint(0, window - 1) draw on a twin stream, and leave its state.
         model = MacDelayModel(rng=RandomStreams(7), slot_time_ms=0.1, num_slots=20)
         twin = RandomStreams(7).stream(MacDelayModel.BACKOFF_STREAM)
         for window in range(1, model.num_slots + 1):
@@ -48,6 +82,15 @@ class TestMacDelayModel:
             ]
             assert [model.backoff_ms(contenders=window) for _ in range(50)] == expected
         assert model.rng.stream(MacDelayModel.BACKOFF_STREAM).getstate() == twin.getstate()
+        for window in range(1, model.num_slots + 1):
+            network, ready_times = _broadcasts_with_contenders(window, count=50)
+            mac = network.mac_delay
+            contention_ms, _, _ = mac.delay_parts(ADV_BYTES, window)
+            twin = RandomStreams(network.sim.rng.master_seed).stream(mac.BACKOFF_STREAM)
+            slots = [twin.randrange(window) if window > 1 else 0 for _ in range(50)]
+            # Simulator.now is 0.0: the ready time is now + contention + backoff.
+            assert ready_times == [0.0 + contention_ms + slot * 0.1 for slot in slots]
+            assert network.sim.rng.stream(mac.BACKOFF_STREAM).getstate() == twin.getstate()
 
     def test_negative_contenders_rejected(self):
         model = MacDelayModel(rng=RandomStreams(1))

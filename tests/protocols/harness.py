@@ -15,8 +15,13 @@ positions, and byte-identical ``RunRecord.canonical_json()``.
 * ``Network.ADV_FAST_PATH`` — zone-batched ADV fan-out through the lean
   ``on_adv`` hook reverts to per-receiver ``received_copy`` + ``on_packet``
   dispatch;
-* ``Network.UNICAST_LEVEL_CACHE`` — the per-(sender, receiver) power-level
-  cache reverts to a distance computation + level scan per unicast;
+* ``Network.LINK_TABLE`` — the per-(sender, receiver) power-level cache and
+  the link table (per sender, power level and packet size: the reserved
+  nodes, contention, backoff window, airtime, processing delay and transmit
+  energy) revert to a per-packet distance computation and level scan,
+  ``SensorField.neighbors_within``, ``MacDelayModel.timing`` (whose
+  ``randrange`` backoff the table's ``getrandbits`` loop must match draw for
+  draw), ``EnergyModel.tx_cost``/``rx_cost`` and ``EnergyLedger.charge``;
 * the indexed :class:`~repro.core.cache.DataCache` — protocol nodes are
   built with :class:`~repro.core.cache.NaiveDataCache` (the retained
   pre-optimisation implementation: linear coverage scans, no memo);
@@ -45,7 +50,7 @@ from __future__ import annotations
 import contextlib
 import inspect
 from dataclasses import dataclass
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.core import node_base as node_base_module
 from repro.core.cache import NaiveDataCache
@@ -65,7 +70,7 @@ def _construct_fresh(cls, name, region=None):
 #: disables; the owner is the class or module that defines the attribute.
 ORACLE_SWITCHES: Tuple[Tuple[Any, str, Any], ...] = (
     (Network, "ADV_FAST_PATH", False),
-    (Network, "UNICAST_LEVEL_CACHE", False),
+    (Network, "LINK_TABLE", False),
     (node_base_module, "DataCache", NaiveDataCache),
     (DataDescriptor, "intern", classmethod(_construct_fresh)),
     (routing_manager_module, "DistributedBellmanFord", NaiveDistributedBellmanFord),
@@ -164,6 +169,7 @@ class Observation:
     origin_times: Dict[str, float]
     deliveries: Dict[Tuple[str, int], float]
     rng_states: Dict[str, tuple]
+    channel_waits: Optional[Tuple[float, int]]
 
 
 def observe(spec: ScenarioSpec) -> Observation:
@@ -194,6 +200,12 @@ def observe(spec: ScenarioSpec) -> Observation:
         # skips or reorders a single draw fails here even if the metrics
         # happen to agree.
         rng_states={name: stream.getstate() for name, stream in sim.rng._streams.items()},
+        # With a channel model: how long transmissions waited for the medium.
+        channel_waits=(
+            None
+            if runner.channel is None
+            else (runner.channel.total_wait_ms, runner.channel.deferred_transmissions)
+        ),
     )
 
 

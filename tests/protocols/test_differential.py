@@ -27,6 +27,7 @@ from repro.experiments.scenarios import (
     cluster_scenario,
     single_pair_scenario,
 )
+from repro.mac.delay import MacDelayModel
 from repro.routing import manager as routing_manager_module
 from repro.routing.bellman_ford import (
     DistributedBellmanFord,
@@ -56,11 +57,11 @@ class TestOracleModeActuallyDisables:
     """Guard the harness itself: a silently no-op oracle proves nothing."""
 
     def test_network_fast_paths_flipped_and_restored(self):
-        assert Network.ADV_FAST_PATH and Network.UNICAST_LEVEL_CACHE
+        assert Network.ADV_FAST_PATH and Network.LINK_TABLE
         with oracle_mode():
             assert not Network.ADV_FAST_PATH
-            assert not Network.UNICAST_LEVEL_CACHE
-        assert Network.ADV_FAST_PATH and Network.UNICAST_LEVEL_CACHE
+            assert not Network.LINK_TABLE
+        assert Network.ADV_FAST_PATH and Network.LINK_TABLE
 
     def test_nodes_get_naive_cache(self):
         class _Probe(ProtocolNode):
@@ -99,7 +100,7 @@ class TestOracleModeActuallyDisables:
         with pytest.raises(RuntimeError):
             with oracle_mode():
                 raise RuntimeError("boom")
-        assert Network.ADV_FAST_PATH and Network.UNICAST_LEVEL_CACHE
+        assert Network.ADV_FAST_PATH and Network.LINK_TABLE
         assert DataDescriptor.intern("item/y") is DataDescriptor.intern("item/y")
         assert routing_manager_module.DistributedBellmanFord is DistributedBellmanFord
 
@@ -129,7 +130,7 @@ class TestAllToAllDifferential:
 
 class TestFaultAndMobilityDifferential:
     """Failures exercise the failed-receiver branch of the batched fan-out;
-    mobility exercises receiver-cache and unicast-level-cache invalidation."""
+    mobility exercises receiver-cache and link-table invalidation."""
 
     def test_spms_with_failures_matches_oracle(self, config):
         spec = all_to_all_scenario("spms", config, failures=FailureConfig())
@@ -175,6 +176,38 @@ class TestOtherWorkloadsDifferential:
     def test_single_pair_matches_oracle(self, config):
         spec = single_pair_scenario("spms", source=0, destinations=[8], config=config)
         optimized, oracle = run_differential(spec)
+        assert_identical(optimized, oracle)
+
+
+class TestMacVariantsDifferential:
+    """Branches fig06 never takes: the channel model reserves each link's
+    precomputed node list, and without random backoff nothing is drawn."""
+
+    @pytest.mark.parametrize("protocol", ["spms", "spin"])
+    def test_channel_reservation_matches_oracle(self, protocol, config):
+        spec = all_to_all_scenario(
+            protocol, dataclasses.replace(config, channel_reservation=True)
+        )
+        optimized, oracle = run_differential(spec)
+        assert optimized.channel_waits[1] > 0  # some transmissions waited
+        assert_identical(optimized, oracle)
+
+    def test_channel_reservation_with_mobility_matches_oracle(self, config):
+        # Every epoch moves nodes, so the link table is rebuilt per epoch.
+        spec = all_to_all_scenario(
+            "spms",
+            dataclasses.replace(config, channel_reservation=True),
+            mobility=MobilityConfig(num_epochs=2),
+        )
+        optimized, oracle = run_differential(spec)
+        assert optimized.channel_waits[1] > 0
+        assert_identical(optimized, oracle)
+
+    @pytest.mark.parametrize("protocol", ["spms", "spin"])
+    def test_no_random_backoff_matches_oracle(self, protocol, config):
+        spec = all_to_all_scenario(protocol, dataclasses.replace(config, random_backoff=False))
+        optimized, oracle = run_differential(spec)
+        assert MacDelayModel.BACKOFF_STREAM not in optimized.rng_states
         assert_identical(optimized, oracle)
 
 

@@ -80,7 +80,7 @@ class TestRealTree:
     def test_every_sim_layer_toggle_is_flipped(self):
         toggles = sim_layer_toggles()
         names = {f"{owner.__name__}.{attr}" for owner, attr in toggles}
-        assert {"Network.ADV_FAST_PATH", "Network.UNICAST_LEVEL_CACHE"} <= names
+        assert {"Network.ADV_FAST_PATH", "Network.LINK_TABLE"} <= names
         assert unflipped(toggles) == []
 
     def test_every_class_swap_matches_its_twin(self):

@@ -1,8 +1,8 @@
-"""Cached per-packet energy costs must equal their uncached oracles.
+"""Per-packet energy costs must equal their formula on a fresh model.
 
-`EnergyModel.tx_cost`/`rx_cost` memoise by packet size and power level; the
-oracle recomputes `power * airtime` from scratch on a fresh model for every
-call, so a stale or aliased cache entry fails equality.
+The oracle recomputes `power * airtime` from scratch on a fresh model for
+every call, so a cost that depends on earlier calls, or one level's cost
+returned for another, fails equality.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -20,15 +20,15 @@ CALLS = st.lists(
 )
 
 
-class TestEnergyMemoEquivalence:
+class TestEnergyEqualsFormula:
     @given(calls=CALLS)
     @settings(max_examples=50)
-    def test_cached_tx_cost_equals_uncached_oracle(self, calls):
-        cached = EnergyModel(MICA2_POWER_TABLE)
+    def test_tx_cost_equals_formula(self, calls):
+        model = EnergyModel(MICA2_POWER_TABLE)
         for size_bytes, level_index in calls + calls:
             level = MICA2_POWER_TABLE[level_index]
-            got = cached.tx_cost(size_bytes, level)
-            fresh = EnergyModel(MICA2_POWER_TABLE)  # no memo state at all
+            got = model.tx_cost(size_bytes, level)
+            fresh = EnergyModel(MICA2_POWER_TABLE)
             expected_airtime = size_bytes * fresh.t_tx_per_byte_ms
             assert got.energy_uj == level.power_mw * expected_airtime
             assert got.airtime_ms == expected_airtime
@@ -37,10 +37,10 @@ class TestEnergyMemoEquivalence:
 
     @given(sizes=st.lists(st.integers(min_value=1, max_value=2000), min_size=1, max_size=40))
     @settings(max_examples=50)
-    def test_cached_rx_cost_equals_uncached_oracle(self, sizes):
-        cached = EnergyModel(MICA2_POWER_TABLE)
+    def test_rx_cost_equals_formula(self, sizes):
+        model = EnergyModel(MICA2_POWER_TABLE)
         for size_bytes in sizes + sizes:
-            got = cached.rx_cost(size_bytes)
+            got = model.rx_cost(size_bytes)
             fresh = EnergyModel(MICA2_POWER_TABLE)
             assert got == fresh.rx_power_mw * (size_bytes * fresh.t_tx_per_byte_ms)
             assert got == fresh.rx_cost(size_bytes)
