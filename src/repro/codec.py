@@ -17,8 +17,8 @@ field and spells the bad value as JSON (``null``, ``true``, ``"4"``) with
 :func:`spell`, which component constructors use for their messages too.
 :func:`loads` reads JSON text with the same errors; it rejects the
 non-standard ``NaN``/``Infinity`` constants, which no format here writes,
-and numbers beyond a float's range.  The module imports nothing from the
-package, so any module may use it.
+numbers beyond a float's range and integers longer than ``int()`` parses.
+The module imports nothing from the package, so any module may use it.
 """
 
 from __future__ import annotations
@@ -76,6 +76,13 @@ def loads(text: str, error: Type[Exception], what: str) -> Any:
         return json.loads(text, parse_constant=reject, parse_float=number)
     except json.JSONDecodeError as exc:
         raise error(f"{what} is not valid JSON: {exc}") from exc
+    except error:
+        raise
+    except ValueError as exc:  # int() refuses a literal past its digit limit
+        raise error(
+            f"{what} is not valid JSON: an integer has more than "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from exc
 
 
 def decode(

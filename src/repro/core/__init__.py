@@ -5,10 +5,11 @@ Public surface:
 * :class:`~repro.core.metadata.DataDescriptor` / :class:`~repro.core.metadata.DataItem`
   — meta-data naming of sensor data, the basis of SPIN/SPMS negotiation.
 * :class:`~repro.core.packets.Packet` — ADV / REQ / DATA packets.
-* :class:`~repro.core.cache.DataCache` — per-node data store consulted during
-  negotiation.
+* :class:`~repro.core.cache.DataCache` — per-node data store, keyed by
+  meta-data name, consulted during negotiation.
 * :class:`~repro.core.interests.InterestModel` implementations — which nodes
-  want which data (all-to-all, probabilistic, cluster-head collection).
+  want which data (all-to-all, or an explicit set per item for cluster-head
+  collection).
 * :class:`~repro.core.network.Network` — the glue object that wires the
   simulator, field, radio, MAC and failure state together and delivers
   packets between protocol nodes.
@@ -29,7 +30,6 @@ from repro.core.interests import (
     AllInterested,
     ExplicitInterest,
     InterestModel,
-    ProbabilisticInterest,
 )
 from repro.core.metadata import DataDescriptor, DataItem
 from repro.core.network import Network
@@ -50,7 +50,6 @@ __all__ = [
     "Network",
     "Packet",
     "PacketType",
-    "ProbabilisticInterest",
     "ProtocolNode",
     "SpinNode",
     "SpmsNode",

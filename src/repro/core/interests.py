@@ -7,13 +7,11 @@ paper's two communication patterns correspond to two interest models:
   (:class:`AllInterested`);
 * cluster-based hierarchical — the cluster head of the producing node always
   wants the data, other nodes in the source's zone want it with 5 %
-  probability (:class:`ExplicitInterest` built by the cluster workload, with
-  :class:`ProbabilisticInterest` as the generic building block).
+  probability (:class:`ExplicitInterest`, built by the cluster workload).
 """
 
 from __future__ import annotations
 
-import hashlib
 from abc import ABC, abstractmethod
 from typing import Dict, Iterable, Set
 
@@ -33,34 +31,6 @@ class AllInterested(InterestModel):
 
     def is_interested(self, node_id: int, descriptor: DataDescriptor, source: int) -> bool:
         return node_id != source
-
-
-class ProbabilisticInterest(InterestModel):
-    """A node wants an item with fixed probability, decided deterministically.
-
-    The decision hashes ``(node, descriptor)`` so that repeated queries agree
-    and runs are reproducible without threading an RNG through the protocol.
-
-    Args:
-        probability: Interest probability in ``[0, 1]``.
-        always_interested: Node ids that want everything regardless (e.g.
-            cluster heads, sink nodes).
-    """
-
-    def __init__(self, probability: float, always_interested: Iterable[int] = ()) -> None:
-        if not 0.0 <= probability <= 1.0:
-            raise ValueError(f"probability must be in [0, 1], got {probability}")
-        self.probability = probability
-        self.always_interested: Set[int] = set(always_interested)
-
-    def is_interested(self, node_id: int, descriptor: DataDescriptor, source: int) -> bool:
-        if node_id == source:
-            return False
-        if node_id in self.always_interested:
-            return True
-        digest = hashlib.sha256(f"{node_id}:{descriptor.name}".encode("utf-8")).digest()
-        draw = int.from_bytes(digest[:8], "big") / float(1 << 64)
-        return draw < self.probability
 
 
 class ExplicitInterest(InterestModel):

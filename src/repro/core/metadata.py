@@ -5,26 +5,17 @@ SPIN (and therefore SPMS) names data with application-level descriptors
 A :class:`DataDescriptor` is the meta-data; a :class:`DataItem` is the actual
 (sized) piece of sensor data it describes.
 
-Descriptors also model *overlap*: two sensors observing overlapping regions
-produce items whose descriptors compare equal for the overlapping part, so a
-node that already holds one never requests the other.
-
 Descriptors are *hash-consed*: :meth:`DataDescriptor.intern` returns one
-canonical instance per ``(name, region)``, so every packet, cache entry and
-protocol-state key for the same meta-data is the *same object*.  Equality and
-hashing stay value-based (a hand-built descriptor still compares equal to the
-interned one), but the hot paths — dict lookups in the protocol state
-machines, :meth:`covers`/:meth:`overlaps` checks in the cache — short-circuit
-on identity and reuse the precomputed hash.
+canonical instance per name, so every packet and cache entry for the same
+meta-data holds the *same object*.  Equality and hashing stay value-based (a
+hand-built descriptor still compares equal to the interned one), but
+comparisons on the protocol hot path short-circuit on identity.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Optional, Tuple
-
-Region = Tuple[float, float, float, float]
 
 
 class DataDescriptor:
@@ -32,38 +23,33 @@ class DataDescriptor:
 
     Immutable and slotted.  Attributes:
         name: Opaque identifier, e.g. ``"temp/region-3/t=120"``.
-        region: Optional coverage region ``(x_min, y_min, x_max, y_max)``
-            allowing overlap detection between descriptors.
     """
 
-    __slots__ = ("name", "region", "_hash", "__weakref__")
+    __slots__ = ("name", "__weakref__")
 
     #: Hash-consing table for :meth:`intern`.  Weak values: descriptors are
     #: kept alive by the items/packets that reference them, so finished runs
     #: release their entries instead of accumulating across a sweep.
-    _interned: "weakref.WeakValueDictionary[Tuple[str, Optional[Region]], DataDescriptor]" = (
+    _interned: "weakref.WeakValueDictionary[str, DataDescriptor]" = (
         weakref.WeakValueDictionary()
     )
 
-    def __init__(self, name: str, region: Optional[Region] = None) -> None:
+    def __init__(self, name: str) -> None:
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "region", region)
-        object.__setattr__(self, "_hash", hash((name, region)))
 
     @classmethod
-    def intern(cls, name: str, region: Optional[Region] = None) -> "DataDescriptor":
-        """The canonical (hash-consed) descriptor for ``(name, region)``.
+    def intern(cls, name: str) -> "DataDescriptor":
+        """The canonical (hash-consed) descriptor named *name*.
 
-        Repeated calls with the same arguments return the identical object,
+        Repeated calls with the same name return the identical object,
         making descriptor comparisons along the protocol hot path identity
         checks.  Interning is an optimisation only — interned and plain
         descriptors are interchangeable value-wise.
         """
-        key = (name, region)
-        cached = cls._interned.get(key)
+        cached = cls._interned.get(name)
         if cached is None:
-            cached = cls(name, region)
-            cls._interned[key] = cached
+            cached = cls(name)
+            cls._interned[name] = cached
         return cached
 
     # ------------------------------------------------------------- immutability
@@ -80,53 +66,28 @@ class DataDescriptor:
         if self is other:
             return True
         if isinstance(other, DataDescriptor):
-            return self.name == other.name and self.region == other.region
+            return self.name == other.name
         return NotImplemented
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.name)
 
     def __repr__(self) -> str:
-        return f"DataDescriptor(name={self.name!r}, region={self.region!r})"
+        return f"DataDescriptor(name={self.name!r})"
 
     def __reduce__(self):
         # Pickle by value; interning is per-process.
-        return (DataDescriptor, (self.name, self.region))
-
-    # ---------------------------------------------------------------- geometry
-
-    def covers(self, other: "DataDescriptor") -> bool:
-        """Whether this descriptor's region fully contains *other*'s region.
-
-        Descriptors without regions only cover identical names.
-        """
-        if self is other or self.name == other.name:
-            return True
-        if self.region is None or other.region is None:
-            return False
-        sx0, sy0, sx1, sy1 = self.region
-        ox0, oy0, ox1, oy1 = other.region
-        return sx0 <= ox0 and sy0 <= oy0 and sx1 >= ox1 and sy1 >= oy1
-
-    def overlaps(self, other: "DataDescriptor") -> bool:
-        """Whether the two descriptors describe intersecting regions."""
-        if self is other or self.name == other.name:
-            return True
-        if self.region is None or other.region is None:
-            return False
-        sx0, sy0, sx1, sy1 = self.region
-        ox0, oy0, ox1, oy1 = other.region
-        return not (sx1 < ox0 or ox1 < sx0 or sy1 < oy0 or oy1 < sy0)
+        return (DataDescriptor, (self.name,))
 
 
-def intern_descriptor(name: str, region: Optional[Region] = None) -> DataDescriptor:
+def intern_descriptor(name: str) -> DataDescriptor:
     """Module-level alias of :meth:`DataDescriptor.intern` (workload hot path).
 
     The differential-testing oracle (:mod:`tests.protocols`) patches
     :meth:`DataDescriptor.intern` — and therefore this alias — to plain
     construction to prove interning never changes results.
     """
-    return DataDescriptor.intern(name, region)
+    return DataDescriptor.intern(name)
 
 
 @dataclass(frozen=True)

@@ -111,8 +111,8 @@ class Network:
         self.channel = channel
         self.trace = trace
         self._nodes: Dict[int, "ProtocolNode"] = {}
-        # Per node, the live names its cache holds (empty when the cache
-        # cannot vouch for them); the ADV fan-out skips a holder's handler.
+        # Per node, the live names its cache holds; the ADV fan-out skips a
+        # holder's handler.
         self._held_names: Dict[int, Collection[str]] = {}
         self._failed: Set[int] = set()
         # Caches derived from node positions, all cleared when the field's
@@ -144,8 +144,7 @@ class Network:
         if node.node_id in self._nodes:
             raise ValueError(f"node {node.node_id} registered twice")
         self._nodes[node.node_id] = node
-        held = node.cache.held_names()
-        self._held_names[node.node_id] = () if held is None else held
+        self._held_names[node.node_id] = node.cache.held_names()
         self._receiver_cache.clear()
 
     def node(self, node_id: int) -> "ProtocolNode":

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
-from typing import Optional
 
+from repro.codec import spell
 from repro.core.cache import DataCache
 from repro.core.interests import InterestModel
 from repro.core.metadata import DataDescriptor, DataItem
@@ -29,9 +30,8 @@ class ProtocolNode(ABC):
         node_id: This node's identifier in the sensor field.
         network: The shared network object.
         interest_model: Decides whether this node wants an advertised item.
-        adv_size_bytes: ADV packet size.
-        req_size_bytes: REQ packet size.
-        cache_capacity: Optional bound on the data cache.
+        adv_size_bytes: ADV packet size, a positive integer.
+        req_size_bytes: REQ packet size, a positive integer.
     """
 
     def __init__(
@@ -41,14 +41,18 @@ class ProtocolNode(ABC):
         interest_model: InterestModel,
         adv_size_bytes: int = DEFAULT_ADV_SIZE_BYTES,
         req_size_bytes: int = DEFAULT_REQ_SIZE_BYTES,
-        cache_capacity: Optional[int] = None,
     ) -> None:
+        for name, size in (("adv_size_bytes", adv_size_bytes), ("req_size_bytes", req_size_bytes)):
+            if isinstance(size, bool) or not isinstance(size, int) or size <= 0:
+                raise ValueError(
+                    f"{type(self).__name__} {name} must be a positive integer, got {spell(size)}"
+                )
         self.node_id = node_id
         self.network = network
         self.interest_model = interest_model
         self.adv_size_bytes = adv_size_bytes
         self.req_size_bytes = req_size_bytes
-        self.cache = DataCache(capacity=cache_capacity)
+        self.cache = DataCache()
         self.items_originated = 0
         self.items_received = 0
 
@@ -85,9 +89,8 @@ class ProtocolNode(ABC):
         The network does not call this hook on a receiver whose cache holds
         the advertised name (:meth:`DataCache.held_names`); the reception is
         still charged and counted.  A handler must therefore do nothing when
-        ``self.cache`` already holds the item by name, as SPIN's and SPMS's
-        return at their first check, ``cache.has``.  A holder by regioned
-        coverage only is still called.
+        ``self.cache`` already holds the item, as SPIN's and SPMS's return at
+        their first check, ``cache.has``.
         """
         self.on_packet(packet.received_copy(self.node_id))
 
@@ -98,6 +101,20 @@ class ProtocolNode(ABC):
         """Hook invoked when this node comes back up."""
 
     # --------------------------------------------------------------- helpers
+
+    def checked_timeout(self, name: str, timeout_ms: float) -> float:
+        """*timeout_ms* if it is a :class:`~repro.sim.timers.Timer` duration:
+        a finite number >= 0 that is not a bool."""
+        if (
+            isinstance(timeout_ms, bool)
+            or not isinstance(timeout_ms, (int, float))
+            or not 0 <= timeout_ms < math.inf
+        ):
+            raise ValueError(
+                f"{type(self).__name__} {name} must be a finite number >= 0, "
+                f"got {spell(timeout_ms)}"
+            )
+        return timeout_ms
 
     def wants(self, descriptor: DataDescriptor, source: int) -> bool:
         """Whether this node is interested in *descriptor* and lacks it."""

@@ -51,11 +51,12 @@ class SpinNode(ProtocolNode):
         node_id: This node's id.
         network: Shared network.
         interest_model: Which data this node wants.
-        tout_dat_ms: Retry timeout after sending a REQ.  It fires whenever
-            the data takes longer than this to arrive, failures or not: a
-            max-power REQ and its DATA can spend more than ``tout_dat_ms`` on
-            channel access alone in a dense zone, so failure-free runs retry
-            too (ROADMAP.md, direction 1, cause #1).
+        tout_dat_ms: Retry timeout after sending a REQ, a finite number
+            >= 0.  It fires whenever the data takes longer than this to
+            arrive, failures or not: a max-power REQ and its DATA can spend
+            more than ``tout_dat_ms`` on channel access alone in a dense
+            zone, so failure-free runs retry too (ROADMAP.md, direction 1,
+            cause #1).
         max_retries: How many times a REQ is retried before giving up until
             the next ADV is heard.
     """
@@ -77,7 +78,7 @@ class SpinNode(ProtocolNode):
             adv_size_bytes=adv_size_bytes,
             req_size_bytes=req_size_bytes,
         )
-        self.tout_dat_ms = tout_dat_ms
+        self.tout_dat_ms = self.checked_timeout("tout_dat_ms", tout_dat_ms)
         self.max_retries = max_retries
         self._pending: Dict[str, _PendingRequest] = {}
         self._advertised: set = set()

@@ -81,15 +81,12 @@ class SpmsNode(ProtocolNode):
         interest_model: Which data this node wants.
         routing: Zone routing manager (shared by all nodes).
         tout_adv_ms: ``tau_ADV`` timeout — how long to wait for a closer relay
-            to advertise before requesting over the multi-hop route.
+            to advertise before requesting over the multi-hop route (a finite
+            number >= 0).
         tout_dat_ms: ``tau_DAT`` timeout — how long to wait for requested data
-            before escalating to the backup originator.
+            before escalating to the backup originator (a finite number >= 0).
         max_attempts: Upper bound on request attempts per item before the node
             goes back to IDLE (a later ADV restarts negotiation).
-        serve_from_cache: Future-work extension — when true a relay holding a
-            cached copy answers a routed REQ instead of forwarding it.
-        cache_relay_data: Future-work extension — when true relays keep a copy
-            of the DATA they forward.
         readvertise_received: The protocol requires every node to advertise
             received data once in its zone (Section 3.2); disabling it is an
             ablation that shows how dissemination stalls beyond the source's
@@ -107,8 +104,6 @@ class SpmsNode(ProtocolNode):
         tout_adv_ms: float = DEFAULT_TOUT_ADV_MS,
         tout_dat_ms: float = DEFAULT_TOUT_DAT_MS,
         max_attempts: int = 4,
-        serve_from_cache: bool = False,
-        cache_relay_data: bool = False,
         readvertise_received: bool = True,
     ) -> None:
         super().__init__(
@@ -119,11 +114,9 @@ class SpmsNode(ProtocolNode):
             req_size_bytes=req_size_bytes,
         )
         self.routing = routing
-        self.tout_adv_ms = tout_adv_ms
-        self.tout_dat_ms = tout_dat_ms
+        self.tout_adv_ms = self.checked_timeout("tout_adv_ms", tout_adv_ms)
+        self.tout_dat_ms = self.checked_timeout("tout_dat_ms", tout_dat_ms)
         self.max_attempts = max_attempts
-        self.serve_from_cache = serve_from_cache
-        self.cache_relay_data = cache_relay_data
         self.readvertise_received = readvertise_received
         self._states: Dict[str, _ItemState] = {}
         self._advertised: set = set()
@@ -349,10 +342,8 @@ class SpmsNode(ProtocolNode):
     # ------------------------------------------------------------------- REQ
 
     def _on_req(self, packet: Packet) -> None:
-        descriptor = packet.descriptor
-        i_am_target = packet.final_target == self.node_id
-        cached = self.cache.get(descriptor)
-        if i_am_target or (self.serve_from_cache and cached is not None):
+        if packet.final_target == self.node_id:
+            cached = self.cache.get(packet.descriptor)
             if cached is None:
                 # We were asked for data we do not hold (e.g. the requester
                 # guessed wrong after failures); nothing useful to send.
@@ -412,9 +403,6 @@ class SpmsNode(ProtocolNode):
         if packet.hop_count >= MAX_FORWARD_HOPS:
             self.metrics.record_drop("spms_data_ttl_exceeded")
             return
-        if self.cache_relay_data and not self.cache.has(packet.descriptor):
-            self.store_item(packet.item)
-            self._advertise(packet.descriptor)
         next_hop = self.routing.next_hop(
             self.node_id, packet.final_target, exclude={packet.sender}
         )

@@ -57,7 +57,7 @@ class ScenarioSpec:
             (e.g. ``source``/``destinations`` for "single_pair",
             ``packets_per_member`` for "cluster").
         protocol_options: Extra keyword arguments for the protocol node
-            constructor (e.g. ``serve_from_cache=True``).
+            constructor (e.g. ``tout_dat_ms=6.0``).
         placement: Name of a registered placement ("grid", "random", or any
             plugin) controlling where the nodes sit.
         placement_options: Extra keyword arguments for the placement factory.

@@ -160,10 +160,10 @@ class TestDefaultRegistry:
             AllInterested(),
             routing=harness.routing,
             tout_adv_ms=9.0,
-            serve_from_cache=True,
+            readvertise_received=False,
         )
         assert node.tout_adv_ms == 9.0
-        assert node.serve_from_cache is True
+        assert node.readvertise_received is False
 
 
 class TestProtocolNormalization:

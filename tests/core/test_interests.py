@@ -1,8 +1,6 @@
 """Tests for interest models."""
 
-import pytest
-
-from repro.core.interests import AllInterested, ExplicitInterest, ProbabilisticInterest
+from repro.core.interests import AllInterested, ExplicitInterest
 from repro.core.metadata import DataDescriptor
 
 
@@ -12,41 +10,6 @@ class TestAllInterested:
         d = DataDescriptor("x")
         assert model.is_interested(1, d, source=0)
         assert not model.is_interested(0, d, source=0)
-
-
-class TestProbabilisticInterest:
-    def test_probability_zero_means_only_forced_nodes(self):
-        model = ProbabilisticInterest(0.0, always_interested=[7])
-        d = DataDescriptor("x")
-        assert model.is_interested(7, d, source=0)
-        assert not model.is_interested(3, d, source=0)
-
-    def test_probability_one_means_everyone(self):
-        model = ProbabilisticInterest(1.0)
-        assert model.is_interested(3, DataDescriptor("x"), source=0)
-
-    def test_source_never_interested(self):
-        model = ProbabilisticInterest(1.0, always_interested=[0])
-        assert not model.is_interested(0, DataDescriptor("x"), source=0)
-
-    def test_decision_is_deterministic(self):
-        model = ProbabilisticInterest(0.5)
-        d = DataDescriptor("item/1")
-        first = model.is_interested(3, d, source=0)
-        assert all(model.is_interested(3, d, source=0) == first for _ in range(10))
-
-    def test_empirical_rate_close_to_probability(self):
-        model = ProbabilisticInterest(0.05)
-        hits = sum(
-            model.is_interested(node, DataDescriptor(f"item/{i}"), source=10_000)
-            for node in range(100)
-            for i in range(20)
-        )
-        assert 40 <= hits <= 170  # 2000 draws at p=0.05 -> ~100 expected
-
-    def test_invalid_probability(self):
-        with pytest.raises(ValueError):
-            ProbabilisticInterest(1.5)
 
 
 class TestExplicitInterest:

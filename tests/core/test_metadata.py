@@ -6,31 +6,9 @@ from repro.core.metadata import DataDescriptor, DataItem
 
 
 class TestDataDescriptor:
-    def test_same_name_covers(self):
-        a = DataDescriptor("temp/1")
-        b = DataDescriptor("temp/1")
-        assert a.covers(b) and b.covers(a)
-
-    def test_different_names_without_regions_do_not_cover(self):
-        assert not DataDescriptor("a").covers(DataDescriptor("b"))
-
-    def test_region_containment(self):
-        big = DataDescriptor("big", region=(0, 0, 10, 10))
-        small = DataDescriptor("small", region=(2, 2, 4, 4))
-        assert big.covers(small)
-        assert not small.covers(big)
-
-    def test_region_overlap(self):
-        a = DataDescriptor("a", region=(0, 0, 5, 5))
-        b = DataDescriptor("b", region=(4, 4, 8, 8))
-        c = DataDescriptor("c", region=(6, 6, 9, 9))
-        assert a.overlaps(b)
-        assert not a.overlaps(c)
-
-    def test_overlap_same_name_regardless_of_region(self):
-        a = DataDescriptor("x", region=(0, 0, 1, 1))
-        b = DataDescriptor("x", region=(5, 5, 6, 6))
-        assert a.overlaps(b)
+    def test_same_name_is_equal(self):
+        assert DataDescriptor("temp/1") == DataDescriptor("temp/1")
+        assert DataDescriptor("a") != DataDescriptor("b")
 
     def test_descriptor_is_hashable(self):
         assert len({DataDescriptor("x"), DataDescriptor("x")}) == 1

@@ -17,8 +17,8 @@ from tests.helpers import RecordingChannel, build_network, chain_positions
 class RecorderNode(ProtocolNode):
     """Protocol node that just records what it receives."""
 
-    def __init__(self, node_id, network, interest_model, cache_capacity=None):
-        super().__init__(node_id, network, interest_model, cache_capacity=cache_capacity)
+    def __init__(self, node_id, network, interest_model):
+        super().__init__(node_id, network, interest_model)
         self.received = []
 
     def originate(self, item):  # pragma: no cover - not used
@@ -28,25 +28,23 @@ class RecorderNode(ProtocolNode):
         self.received.append(packet)
 
 
-def build_recorder_harness(positions, radius=20.0, cache_capacity=None):
+def build_recorder_harness(positions, radius=20.0):
     harness = build_network(positions, protocol="spms", radius_m=radius)
     # Replace the protocol nodes with passive recorders.
     harness.network._nodes.clear()
     nodes = {}
     for node_id in harness.field.node_ids:
-        node = RecorderNode(
-            node_id, harness.network, AllInterested(), cache_capacity=cache_capacity
-        )
+        node = RecorderNode(node_id, harness.network, AllInterested())
         harness.network.register_node(node)
         nodes[node_id] = node
     harness.nodes = nodes
     return harness
 
 
-def adv_packet(sender: int, descriptor: DataDescriptor = DataDescriptor("x")) -> Packet:
+def adv_packet(sender: int) -> Packet:
     return Packet(
         packet_type=PacketType.ADV,
-        descriptor=descriptor,
+        descriptor=DataDescriptor("x"),
         sender=sender,
         receiver=BROADCAST,
         origin=sender,
@@ -120,21 +118,11 @@ class TestAdvFanOut:
         assert ledger.category_total("rx") == rx_cost + rx_cost
         assert harness.metrics.packets_received["ADV"] == 2
 
-    def test_bounded_cache_holder_is_still_called(self):
-        # A bounded cache's `has` touches LRU recency, so its handler runs.
-        harness = build_recorder_harness(chain_positions(2, spacing=5.0), cache_capacity=4)
-        harness.nodes[1].cache.add(DataItem(descriptor=DataDescriptor("x"), source=0))
-        harness.network.broadcast(0, adv_packet(0))
-        harness.run()
-        assert len(harness.nodes[1].received) == 1
-
-    def test_holder_by_regioned_coverage_only_is_still_called(self):
+    def test_holder_of_another_name_is_still_called(self):
+        # The skip is by exact name: holding "y" says nothing about "x".
         harness = build_recorder_harness(chain_positions(2, spacing=5.0))
-        area = DataDescriptor("area", region=(0.0, 0.0, 10.0, 10.0))
-        harness.nodes[1].cache.add(DataItem(descriptor=area, source=0))
-        inside = DataDescriptor("x", region=(1.0, 1.0, 2.0, 2.0))
-        assert harness.nodes[1].cache.has(inside)
-        harness.network.broadcast(0, adv_packet(0, inside))
+        harness.nodes[1].cache.add(DataItem(descriptor=DataDescriptor("y"), source=0))
+        harness.network.broadcast(0, adv_packet(0))
         harness.run()
         assert len(harness.nodes[1].received) == 1
 

@@ -70,3 +70,52 @@ class TestPacketBuilders:
         assert data.item is item
         assert data.size_bytes == 40
         assert data.final_target == 2
+
+
+class TestConstructorChecks:
+    """Timeouts and packet sizes are checked when a node is built, so a bad
+    protocol option fails the build instead of the run."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [0, -2, True, 1.5, "48", None],
+        ids=["zero", "negative", "bool", "float", "string", "none"],
+    )
+    @pytest.mark.parametrize("option", ["adv_size_bytes", "req_size_bytes"])
+    def test_a_packet_size_must_be_a_positive_integer(self, option, value):
+        with pytest.raises(ValueError, match=f"SpmsNode {option} must be a positive integer"):
+            build_network(chain_positions(2), protocol="spms", spms_options={option: value})
+
+    def test_spin_checks_packet_sizes_too(self):
+        with pytest.raises(ValueError, match="SpinNode req_size_bytes must be a positive"):
+            build_network(chain_positions(2), protocol="spin", spin_options={"req_size_bytes": 0})
+
+    @pytest.mark.parametrize(
+        "value",
+        [-5, -0.5, True, float("nan"), float("inf"), "5", None],
+        ids=["negative-int", "negative-float", "bool", "nan", "inf", "string", "none"],
+    )
+    @pytest.mark.parametrize(
+        "protocol, option",
+        [("spms", "tout_adv_ms"), ("spms", "tout_dat_ms"), ("spin", "tout_dat_ms")],
+        ids=["spms-tau-adv", "spms-tau-dat", "spin-tau-dat"],
+    )
+    def test_a_timeout_must_be_a_finite_number_at_least_zero(self, protocol, option, value):
+        node_type = "SpmsNode" if protocol == "spms" else "SpinNode"
+        with pytest.raises(ValueError, match=f"{node_type} {option} must be a finite number >= 0"):
+            build_network(
+                chain_positions(2), protocol=protocol, **{f"{protocol}_options": {option: value}}
+            )
+
+    @pytest.mark.parametrize("value", [0, 0.0, 2.5], ids=["zero", "zero-float", "fraction"])
+    @pytest.mark.parametrize(
+        "protocol, option",
+        [("spms", "tout_adv_ms"), ("spms", "tout_dat_ms"), ("spin", "tout_dat_ms")],
+        ids=["spms-tau-adv", "spms-tau-dat", "spin-tau-dat"],
+    )
+    def test_any_timer_duration_is_accepted(self, protocol, option, value):
+        # The rule is the Timer's own, so no timeout that ran before is refused.
+        harness = build_network(
+            chain_positions(2), protocol=protocol, **{f"{protocol}_options": {option: value}}
+        )
+        assert getattr(harness.nodes[1], option) == value

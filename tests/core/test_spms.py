@@ -79,16 +79,21 @@ class TestCaseIIRelayNotInterested:
         tau_adv = harness.nodes[2]._states["item"].tau_adv
         assert tau_adv is not None and tau_adv.expirations == 1
 
-    def test_relay_caching_extension_serves_future_requests(self):
-        harness = build_network(
-            chain_positions(3, spacing=5.0),
-            protocol="spms",
-            radius_m=15.0,
-            spms_options={"cache_relay_data": True},
-        )
-        harness.originate("item", source=0, destinations=[2])
+    def test_relay_holding_a_copy_forwards_a_routed_request(self):
+        # Only a REQ's final target answers it.  B holds the item without
+        # having advertised it, so C's request goes on to the dead source
+        # and C starves.
+        harness = abc_harness()
+        item = harness.item("item", source=0)
+        harness.nodes[1].cache.add(item)
+        harness.set_interest("item", [2])
+        harness.metrics.record_item_generated("item", 0.0, [2])
+        harness.nodes[0].originate(item)
+        harness.sim.schedule(0.05, lambda: harness.network.fail_node(0))
         harness.run()
-        assert harness.nodes[1].cache.has(harness.nodes[2].cache.items()[0].descriptor)
+        assert not harness.delivered("item", 2)
+        assert harness.nodes[1].relayed_packets >= 1
+        assert harness.metrics.packets_sent["DATA"] == 0
 
 
 class TestNegotiation:
@@ -164,3 +169,17 @@ class TestMultiHopChain:
         harness.run()
         assert harness.metrics.delivery_ratio == 1.0
         assert harness.metrics.average_delay_ms > 0.0
+
+    def test_no_readvertisement_flag_limits_dissemination(self):
+        harness = build_network(
+            chain_positions(4, spacing=5.0),
+            protocol="spms",
+            radius_m=10.0,
+            spms_options={"readvertise_received": False},
+        )
+        harness.originate("item", source=0, destinations=[1, 2, 3])
+        harness.run()
+        # Node 3 (15 m away, outside the 10 m zone) never hears an ADV.
+        assert harness.delivered("item", 1)
+        assert harness.delivered("item", 2)
+        assert not harness.delivered("item", 3)

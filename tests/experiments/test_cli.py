@@ -484,6 +484,52 @@ class TestMalformedSpec:
         assert len(lines) == 1
         assert message in lines[0]
 
+    @pytest.mark.parametrize(
+        "protocol, key, value, message",
+        [
+            # Each of these used to fail mid-run with a traceback (exit 1).
+            ("spms", "protocol_options", {"tout_dat_ms": -5}, "SpmsNode tout_dat_ms must be a"),
+            ("spms", "protocol_options", {"tout_adv_ms": -5}, "SpmsNode tout_adv_ms must be a"),
+            ("spms", "protocol_options", {"adv_size_bytes": 0}, "adv_size_bytes must be a"),
+            ("spms", "protocol_options", {"req_size_bytes": -2}, "req_size_bytes must be a"),
+            ("spin", "protocol_options", {"tout_dat_ms": -1}, "SpinNode tout_dat_ms must be a"),
+            # Forwarded to the node constructor from the config.
+            ("spms", "config", {**CHAIN_SPEC["config"], "tout_dat_ms": -5}, "got -5"),
+            # Each of these used to exit 0: a 1 ms tau_DAT, and two options
+            # that no longer exist.
+            ("spms", "protocol_options", {"tout_dat_ms": True}, "tout_dat_ms must be a finite"),
+            ("spms", "protocol_options", {"serve_from_cache": True}, "'serve_from_cache'"),
+            ("spms", "protocol_options", {"cache_relay_data": True}, "'cache_relay_data'"),
+        ],
+        ids=[
+            "negative-tau-dat", "negative-tau-adv", "zero-adv-size", "negative-req-size",
+            "negative-spin-timeout", "negative-config-tau-dat", "bool-tau-dat",
+            "serve-from-cache", "cache-relay-data",
+        ],
+    )
+    def test_a_bad_protocol_option_fails_the_build(
+        self, capture, tmp_path, protocol, key, value, message
+    ):
+        lines, out = capture
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({**CHAIN_SPEC, "protocol": protocol, key: value}))
+        run_dir = tmp_path / "run"
+        assert main(["run", "--spec", str(spec_path), "--run-dir", str(run_dir)], out=out) == 2
+        assert len(lines) == 1
+        assert lines[0].startswith("scenario failed to build: ")
+        assert message in lines[0]
+        assert not (run_dir / "records.jsonl").exists()
+
+    def test_an_integer_too_long_to_parse_exits_2(self, capture, tmp_path):
+        lines, out = capture
+        spec_path = tmp_path / "spec.json"
+        # Written as text: json.dumps cannot print a 5,000-digit int either.
+        text = json.dumps(CHAIN_SPEC).replace('"seed": 3', '"seed": ' + "7" * 5000)
+        spec_path.write_text(text)
+        assert main(["run", "--spec", str(spec_path)], out=out) == 2
+        assert len(lines) == 1
+        assert lines[0].startswith("invalid spec: scenario spec is not valid JSON: an integer")
+
     def test_the_base_spec_runs(self, capture, tmp_path):
         lines, out = capture
         spec_path = tmp_path / "spec.json"

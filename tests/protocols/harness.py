@@ -13,8 +13,9 @@ positions, and byte-identical ``RunRecord.canonical_json()``.
 :func:`oracle_mode` disables, for the duration of a ``with`` block:
 
 * ``Network.ADV_FAST_PATH`` — zone-batched ADV fan-out through the lean
-  ``on_adv`` hook reverts to per-receiver ``received_copy`` + ``on_packet``
-  dispatch;
+  ``on_adv`` hook, which skips receivers whose cache holds the advertised
+  name, reverts to per-receiver ``received_copy`` + ``on_packet`` dispatch,
+  holders included;
 * ``Network.LINK_TABLE`` — the per-(sender, receiver) power-level cache and
   the link table (per sender, power level and packet size: the reserved
   nodes, contention, backoff window, airtime, processing delay and transmit
@@ -22,9 +23,6 @@ positions, and byte-identical ``RunRecord.canonical_json()``.
   ``SensorField.neighbors_within``, ``MacDelayModel.timing`` (whose
   ``randrange`` backoff the table's ``getrandbits`` loop must match draw for
   draw), ``EnergyModel.tx_cost``/``rx_cost`` and ``EnergyLedger.charge``;
-* the indexed :class:`~repro.core.cache.DataCache` — protocol nodes are
-  built with :class:`~repro.core.cache.NaiveDataCache` (the retained
-  pre-optimisation implementation: linear coverage scans, no memo);
 * descriptor interning — :meth:`DataDescriptor.intern` constructs a fresh
   instance per call (which also routes ``intern_descriptor`` and every
   workload through plain construction), so nothing ever compares by
@@ -52,8 +50,6 @@ import inspect
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
-from repro.core import node_base as node_base_module
-from repro.core.cache import NaiveDataCache
 from repro.core.metadata import DataDescriptor
 from repro.core.network import Network
 from repro.experiments.runner import ExperimentRunner
@@ -62,8 +58,8 @@ from repro.routing import manager as routing_manager_module
 from repro.routing.bellman_ford import NaiveDistributedBellmanFord
 
 
-def _construct_fresh(cls, name, region=None):
-    return cls(name, region)
+def _construct_fresh(cls, name):
+    return cls(name)
 
 
 #: ``(owner, attribute, oracle value)`` for every fast path ``oracle_mode()``
@@ -71,7 +67,6 @@ def _construct_fresh(cls, name, region=None):
 ORACLE_SWITCHES: Tuple[Tuple[Any, str, Any], ...] = (
     (Network, "ADV_FAST_PATH", False),
     (Network, "LINK_TABLE", False),
-    (node_base_module, "DataCache", NaiveDataCache),
     (DataDescriptor, "intern", classmethod(_construct_fresh)),
     (routing_manager_module, "DistributedBellmanFord", NaiveDistributedBellmanFord),
 )

@@ -17,10 +17,8 @@ import dataclasses
 import pytest
 
 from repro.build import PROTOCOL, available
-from repro.core.cache import NaiveDataCache
 from repro.core.metadata import DataDescriptor
 from repro.core.network import Network
-from repro.core.node_base import ProtocolNode
 from repro.experiments.config import FailureConfig, MobilityConfig, SimulationConfig
 from repro.experiments.scenarios import (
     all_to_all_scenario,
@@ -63,20 +61,6 @@ class TestOracleModeActuallyDisables:
             assert not Network.LINK_TABLE
         assert Network.ADV_FAST_PATH and Network.LINK_TABLE
 
-    def test_nodes_get_naive_cache(self):
-        class _Probe(ProtocolNode):
-            def originate(self, item):  # pragma: no cover - abstract filler
-                pass
-
-            def on_packet(self, packet):  # pragma: no cover - abstract filler
-                pass
-
-        with oracle_mode():
-            probe = _Probe(0, network=_FakeNetwork(), interest_model=None)
-            assert isinstance(probe.cache, NaiveDataCache)
-        probe = _Probe(0, network=_FakeNetwork(), interest_model=None)
-        assert not isinstance(probe.cache, NaiveDataCache)
-
     def test_interning_disabled_value_semantics_kept(self):
         interned = DataDescriptor.intern("item/x")
         assert DataDescriptor.intern("item/x") is interned
@@ -103,13 +87,6 @@ class TestOracleModeActuallyDisables:
         assert Network.ADV_FAST_PATH and Network.LINK_TABLE
         assert DataDescriptor.intern("item/y") is DataDescriptor.intern("item/y")
         assert routing_manager_module.DistributedBellmanFord is DistributedBellmanFord
-
-
-class _FakeNetwork:
-    """Minimal stand-in so a ProtocolNode can be built without a simulator."""
-
-    sim = None
-    metrics = None
 
 
 class TestAllToAllDifferential:

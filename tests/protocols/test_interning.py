@@ -1,9 +1,9 @@
 """Property tests for descriptor interning (hash-consing) semantics.
 
 Interning is an optimisation only: an interned descriptor and a hand-built
-one must be interchangeable everywhere — equal, equal-hashing, identical
-geometry answers — and the interning table must not leak (weak values) nor
-be observable through pickling.
+one must be interchangeable everywhere — equal and equal-hashing — and the
+interning table must not leak (weak values) nor be observable through
+pickling.
 """
 
 import gc
@@ -15,87 +15,65 @@ from hypothesis import strategies as st
 
 from repro.core.metadata import DataDescriptor, intern_descriptor
 
-# Region coordinates snap to a small grid so overlapping/touching/equal
-# regions are actually generated instead of being measure-zero events.
-coords = st.integers(min_value=0, max_value=6).map(float)
-regions = st.tuples(coords, coords, coords, coords).map(
-    lambda r: (min(r[0], r[2]), min(r[1], r[3]), max(r[0], r[2]), max(r[1], r[3]))
-)
-maybe_regions = st.none() | regions
 names = st.sampled_from(["a", "b", "item/x", "item/y", "temp/r3"])
-descriptor_args = st.tuples(names, maybe_regions)
 
 
 class TestInternIdentity:
-    @given(descriptor_args)
-    def test_same_arguments_same_object(self, args):
-        name, region = args
-        assert DataDescriptor.intern(name, region) is DataDescriptor.intern(name, region)
+    @given(names)
+    def test_same_arguments_same_object(self, name):
+        assert DataDescriptor.intern(name) is DataDescriptor.intern(name)
 
-    @given(descriptor_args)
-    def test_module_level_alias_shares_the_table(self, args):
-        name, region = args
-        assert intern_descriptor(name, region) is DataDescriptor.intern(name, region)
+    @given(names)
+    def test_module_level_alias_shares_the_table(self, name):
+        assert intern_descriptor(name) is DataDescriptor.intern(name)
 
-    @given(descriptor_args, descriptor_args)
+    @given(names, names)
     def test_distinct_arguments_distinct_objects(self, a, b):
         if a == b:
             return
-        assert DataDescriptor.intern(*a) is not DataDescriptor.intern(*b)
+        assert DataDescriptor.intern(a) is not DataDescriptor.intern(b)
 
 
 class TestValueSemantics:
     """Interned and plain descriptors are interchangeable value-wise."""
 
-    @given(descriptor_args)
-    def test_plain_equals_interned_and_hashes_alike(self, args):
-        name, region = args
-        plain = DataDescriptor(name, region)
-        interned = DataDescriptor.intern(name, region)
+    @given(names)
+    def test_plain_equals_interned_and_hashes_alike(self, name):
+        plain = DataDescriptor(name)
+        interned = DataDescriptor.intern(name)
         assert plain == interned
         assert interned == plain
         assert hash(plain) == hash(interned)
 
-    @given(descriptor_args)
-    def test_interchangeable_as_dict_keys(self, args):
-        name, region = args
-        table = {DataDescriptor.intern(name, region): "value"}
-        assert table[DataDescriptor(name, region)] == "value"
-
-    @given(descriptor_args, descriptor_args)
-    def test_geometry_agrees_between_plain_and_interned(self, a, b):
-        plain_a, plain_b = DataDescriptor(*a), DataDescriptor(*b)
-        interned_a, interned_b = DataDescriptor.intern(*a), DataDescriptor.intern(*b)
-        assert plain_a.covers(plain_b) == interned_a.covers(interned_b)
-        assert plain_a.overlaps(plain_b) == interned_a.overlaps(interned_b)
-        # Mixed pairs too: the identity short-circuit must never flip an answer.
-        assert plain_a.covers(interned_b) == interned_a.covers(plain_b)
-        assert plain_a.overlaps(interned_b) == interned_a.overlaps(plain_b)
+    @given(names)
+    def test_interchangeable_as_dict_keys(self, name):
+        table = {DataDescriptor.intern(name): "value"}
+        assert table[DataDescriptor(name)] == "value"
 
     def test_equality_against_other_types(self):
         descriptor = DataDescriptor.intern("a")
         assert descriptor != "a"
-        assert descriptor != ("a", None)
+        assert descriptor != ("a",)
 
 
 class TestImmutability:
     def test_set_and_delete_rejected(self):
-        descriptor = DataDescriptor("a", None)
+        descriptor = DataDescriptor("a")
         with pytest.raises(AttributeError):
             descriptor.name = "b"
         with pytest.raises(AttributeError):
             del descriptor.name
 
     def test_slots_reject_new_attributes(self):
-        descriptor = DataDescriptor("a", None)
+        descriptor = DataDescriptor("a")
         with pytest.raises(AttributeError):
             descriptor.extra = 1
 
 
 class TestPickleAndLifetime:
-    @given(descriptor_args)
-    def test_pickle_round_trip_is_value_equal(self, args):
-        descriptor = DataDescriptor.intern(*args)
+    @given(names)
+    def test_pickle_round_trip_is_value_equal(self, name):
+        descriptor = DataDescriptor.intern(name)
         clone = pickle.loads(pickle.dumps(descriptor))
         assert clone == descriptor
         assert hash(clone) == hash(descriptor)
@@ -103,21 +81,21 @@ class TestPickleAndLifetime:
     def test_interning_table_is_weak(self):
         """Descriptors no longer referenced anywhere are released: a sweep of
         many runs must not accumulate every descriptor it ever saw."""
-        key = ("ephemeral/leak-check", None)
-        descriptor = DataDescriptor.intern(*key)
+        key = "ephemeral/leak-check"
+        descriptor = DataDescriptor.intern(key)
         assert key in DataDescriptor._interned
         del descriptor
         gc.collect()
         assert key not in DataDescriptor._interned
 
     def test_reinterning_after_release_works(self):
-        DataDescriptor.intern("ephemeral/second", None)
+        DataDescriptor.intern("ephemeral/second")
         gc.collect()
-        fresh = DataDescriptor.intern("ephemeral/second", None)
-        assert fresh is DataDescriptor.intern("ephemeral/second", None)
+        fresh = DataDescriptor.intern("ephemeral/second")
+        assert fresh is DataDescriptor.intern("ephemeral/second")
 
 
 class TestRepr:
     def test_repr_round_trips_through_eval(self):
-        descriptor = DataDescriptor.intern("a", (0.0, 0.0, 1.0, 1.0))
+        descriptor = DataDescriptor.intern("a")
         assert eval(repr(descriptor)) == descriptor

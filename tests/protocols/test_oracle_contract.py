@@ -24,9 +24,9 @@ from typing import Iterable, List, Tuple
 
 import pytest
 
-from repro.core.cache import NaiveDataCache
 from repro.core.network import Network
 from repro.lint.config import SIM_LAYERS
+from repro.routing.bellman_ford import NaiveDistributedBellmanFord
 from tests.protocols import harness
 from tests.protocols.harness import ORACLE_SWITCHES, check_twin, oracle_mode, patch_switch
 
@@ -69,7 +69,7 @@ def unflipped(toggles: Iterable[Toggle]) -> List[str]:
 
 
 class _Cache:
-    def add(self, item, region=None):
+    def add(self, item, tag=None):
         return item
 
     def get(self, name):
@@ -89,7 +89,7 @@ class TestRealTree:
             for owner, attr, value in ORACLE_SWITCHES
             if isinstance(value, type)
         ]
-        assert len(swaps) == 2
+        assert len(swaps) == 1
         for fast, naive in swaps:
             check_twin(fast, naive)
 
@@ -125,9 +125,9 @@ class TestRenamedSwitch:
             patch_switch(Network, "ADV_FAST_PATH", False)
 
     def test_module_attribute_gone(self):
-        owner = types.ModuleType("node_base")
-        with pytest.raises(AttributeError, match=r"node_base\.DataCache"):
-            patch_switch(owner, "DataCache", NaiveDataCache)
+        owner = types.ModuleType("manager")
+        with pytest.raises(AttributeError, match=r"manager\.DistributedBellmanFord"):
+            patch_switch(owner, "DistributedBellmanFord", NaiveDistributedBellmanFord)
 
     def test_failed_entry_restores_earlier_switches(self, monkeypatch):
         class Network:
@@ -144,7 +144,7 @@ class TestRenamedSwitch:
 class TestTwinDrift:
     def test_matching_twin_passes(self):
         class NaiveCache(_Cache):
-            def add(self, item, region=None):
+            def add(self, item, tag=None):
                 return self._scan(item)
 
             def _scan(self, item):  # private helpers are not surface
@@ -154,7 +154,7 @@ class TestTwinDrift:
 
     def test_missing_method(self):
         class NaiveCache:
-            def add(self, item, region=None):
+            def add(self, item, tag=None):
                 return item
 
         with pytest.raises(TypeError, match=r"NaiveCache is missing get\(\)"):

@@ -140,6 +140,11 @@ class TestLoads:
         with pytest.raises(Invalid, match=f"^thing is not valid JSON: {literal} is beyond"):
             loads('{"x": %s}' % literal, Invalid, "thing")
 
+    def test_rejects_integers_past_the_digit_limit(self):
+        # json parses integers with int(), which raises a bare ValueError.
+        with pytest.raises(Invalid, match="^thing is not valid JSON: an integer has more"):
+            loads('{"x": %s}' % ("7" * 5000), Invalid, "thing")
+
     def test_wraps_parse_errors(self):
         with pytest.raises(Invalid, match="^thing is not valid JSON: Expecting"):
             loads("{nope", Invalid, "thing")
