@@ -3,7 +3,7 @@
 Paper shape: delay grows with the number of nodes for both protocols, SPMS is
 consistently faster, and the gap widens with the field size.  (The paper
 reports up to a ~10x gap with its MAC model; our MAC model yields a smaller
-but consistently positive gap — see EXPERIMENTS.md.)
+but consistently positive gap — see ROADMAP.md, direction 1.)
 """
 
 from repro.experiments.claims import delay_ratios_across

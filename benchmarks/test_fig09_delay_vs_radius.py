@@ -5,7 +5,7 @@ smallest at the smallest radius.  (The paper additionally reports delay
 *decreasing* with the radius; under our MAC model the ``G n**2`` contention
 growth outweighs the hop-count reduction, so absolute delays grow — the
 protocol ordering, which is the protocol-level claim, is preserved.  See
-EXPERIMENTS.md for the discussion.)
+ROADMAP.md, direction 1, for the discussion.)
 """
 
 from repro.experiments.claims import delay_ratios_across

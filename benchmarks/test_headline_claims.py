@@ -8,7 +8,8 @@
 This benchmark renders Figures 6, 12 and 13 from the session's run store
 (after the figure benchmarks, every job is served from it), evaluates every
 claim and prints a pass/fail table.  The direction of every claim must hold;
-absolute magnitudes are recorded for EXPERIMENTS.md.
+the absolute magnitudes and their gap to the paper are tracked in ROADMAP.md,
+direction 1.
 """
 
 from repro.experiments.claims import evaluate_headline_claims, format_claims

@@ -31,7 +31,6 @@ from repro.build.registry import (
     Registration,
     UnknownComponentError,
     available,
-    create,
     default_registry,
     register,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "SimulationBuilder",
     "UnknownComponentError",
     "available",
-    "create",
     "default_registry",
     "normalize_protocol_name",
     "register",

@@ -34,6 +34,7 @@ from repro.build.registry import (
     ComponentRegistry,
     default_registry,
 )
+from repro.codec import check_options
 from repro.core.network import Network
 from repro.core.node_base import ProtocolNode
 from repro.mac.channel import ChannelReservation
@@ -52,8 +53,7 @@ class SimulationBuilder:
     """Builds every object of one scenario run from a declarative spec.
 
     Args:
-        spec: A :class:`~repro.experiments.scenarios.ScenarioSpec` (or any
-            object with the same attributes).
+        spec: A :class:`~repro.experiments.scenarios.ScenarioSpec`.
         registry: Component registry to resolve plugins from; defaults to the
             process-wide registry with the built-ins loaded.
     """
@@ -94,9 +94,10 @@ class SimulationBuilder:
     # -------------------------------------------------------------- lifecycle
 
     def build(self) -> "SimulationBuilder":
-        """Run every phase once (idempotent); returns the builder itself."""
+        """Check the options, then run every phase once (idempotent); returns the builder."""
         if self._built:
             return self
+        self._check_options()
         self.sim = Simulator(seed=self.config.seed, trace=self.spec.trace)
         self.metrics = MetricsCollector()
         for phase in self.PHASES:
@@ -104,18 +105,26 @@ class SimulationBuilder:
         self._built = True
         return self
 
+    def _check_options(self) -> None:
+        """Check each component's options (protocol ones with the forwarded
+        config values) against the ``constructor`` its registration names."""
+        for kind, name, options in (
+            (PLACEMENT, self.spec.placement, self.spec.placement_options),
+            (WORKLOAD, self.spec.workload, self.spec.workload_options),
+            (PROTOCOL, self.protocol, self.protocol_kwargs()),
+        ):
+            registration = self.registry.lookup(kind, name)
+            constructor = registration.metadata.get("constructor")
+            if constructor is not None:
+                check_options(constructor, options, f"{registration.name} {kind}")
+
     # ----------------------------------------------------------------- phases
 
     def build_field(self) -> None:
         """Place the nodes (via the placement registry) and derive the zones."""
-        placement = getattr(self.spec, "placement", "grid")
-        options = dict(getattr(self.spec, "placement_options", {}) or {})
+        stream = self.sim.rng.stream(PLACEMENT_STREAM)
         nodes = self.registry.create(
-            PLACEMENT,
-            placement,
-            self.config,
-            self.sim.rng.stream(PLACEMENT_STREAM),
-            **options,
+            PLACEMENT, self.spec.placement, self.config, stream, **self.spec.placement_options
         )
         self.field = SensorField(nodes)
         self.zone_map = ZoneMap(self.field, self.config.transmission_radius_m)
@@ -132,9 +141,7 @@ class SimulationBuilder:
     def build_mac(self) -> None:
         """Contention/backoff delay model and the optional shared channel."""
         config = self.config
-        contention = self.registry.create(
-            CONTENTION, getattr(config, "contention", "quadratic"), config
-        )
+        contention = self.registry.create(CONTENTION, config.contention, config)
         self.mac_delay = MacDelayModel(
             contention=contention,
             slot_time_ms=config.slot_time_ms,
@@ -178,7 +185,7 @@ class SimulationBuilder:
     def build_workload(self) -> None:
         """The traffic pattern and its full origination schedule."""
         self.workload = self.registry.create(
-            WORKLOAD, self.spec.workload, self, **dict(self.spec.workload_options)
+            WORKLOAD, self.spec.workload, self, **self.spec.workload_options
         )
         self.schedule = self.workload.generate(self.sim.rng)
 
@@ -202,28 +209,19 @@ class SimulationBuilder:
         """Failure and mobility models (the injector itself is run-time state)."""
         if self.spec.failures is not None:
             self.failure_model = self.registry.create(
-                FAILURE,
-                getattr(self.spec.failures, "model", "transient"),
-                self.spec.failures,
+                FAILURE, self.spec.failures.model, self.spec.failures
             )
         if self.spec.mobility is not None:
             self.mobility_model = self.registry.create(
-                MOBILITY,
-                getattr(self.spec.mobility, "model", "step"),
-                self,
-                self.spec.mobility,
+                MOBILITY, self.spec.mobility.model, self, self.spec.mobility
             )
 
     # ------------------------------------------------------------- protocol kwargs
 
     def protocol_kwargs(self) -> Dict[str, object]:
-        """Constructor options for the protocol nodes (config + spec overrides).
-
-        The protocol's registration declares (via ``config_options`` metadata)
-        which :class:`SimulationConfig` fields it wants forwarded; the spec's
-        ``protocol_options`` override them.  No protocol names are special
-        cased here — plugins opt into config forwarding the same way.
-        """
+        """Constructor options for the protocol nodes: the config fields its
+        registration's ``config_options`` forwards (no protocol is special
+        cased; plugins opt in the same way), then the spec's ``protocol_options``."""
         metadata = self.registry.metadata(PROTOCOL, self.protocol)
         kwargs: Dict[str, object] = {
             field: getattr(self.config, field)

@@ -35,6 +35,11 @@ kind                  factory signature
 ``contention``        ``(config) -> ContentionModel``.
 ====================  =====================================================
 
+A protocol, workload or placement names in metadata ``constructor`` the
+callable its factory passes ``**options`` to.  Before anything is built, the
+spec's options are checked against its annotations by the decoder's rules
+(:func:`repro.codec.check_options`); the constructor checks only ranges.
+
 Protocol names additionally understand the paper's ``f-`` prefix (F-SPMS,
 F-SPIN, ...): :func:`normalize_protocol_name` strips it for *any* registered
 protocol or alias, so a third-party ``@register("protocol", "epidemic")``
@@ -84,6 +89,7 @@ from repro.workload.single_pair import SinglePairWorkload
     PROTOCOL,
     "spms",
     metadata={
+        "constructor": SpmsNode,
         "needs_routing": True,
         "config_options": (
             "adv_size_bytes",
@@ -103,19 +109,20 @@ def _make_spms(node_id, network, interest_model, routing=None, **options):
     PROTOCOL,
     "spin",
     metadata={
-        "config_options": ("adv_size_bytes", "req_size_bytes", "tout_dat_ms")
+        "constructor": SpinNode,
+        "config_options": ("adv_size_bytes", "req_size_bytes", "tout_dat_ms"),
     },
 )
 def _make_spin(node_id, network, interest_model, routing=None, **options):
     return SpinNode(node_id, network, interest_model, **options)
 
 
-@register(PROTOCOL, "flooding", aliases=("flood",))
+@register(PROTOCOL, "flooding", aliases=("flood",), metadata={"constructor": FloodingNode})
 def _make_flooding(node_id, network, interest_model, routing=None, **options):
     return FloodingNode(node_id, network, interest_model, **options)
 
 
-@register(PROTOCOL, "gossip")
+@register(PROTOCOL, "gossip", metadata={"constructor": GossipNode})
 def _make_gossip(node_id, network, interest_model, routing=None, **options):
     return GossipNode(node_id, network, interest_model, **options)
 
@@ -150,7 +157,9 @@ def normalize_protocol_name(
 # ------------------------------------------------------------------ workloads
 
 
-@register(WORKLOAD, "all_to_all", aliases=("all-to-all",))
+@register(
+    WORKLOAD, "all_to_all", aliases=("all-to-all",), metadata={"constructor": AllToAllWorkload}
+)
 def _make_all_to_all(builder, **options) -> AllToAllWorkload:
     config = builder.config
     options.setdefault("packets_per_node", config.packets_per_node)
@@ -162,7 +171,7 @@ def _make_all_to_all(builder, **options) -> AllToAllWorkload:
     return AllToAllWorkload(builder.field.node_ids, **options)
 
 
-@register(WORKLOAD, "cluster")
+@register(WORKLOAD, "cluster", metadata={"constructor": ClusterWorkload})
 def _make_cluster(builder, **options) -> ClusterWorkload:
     config = builder.config
     options.setdefault("data_size_bytes", config.data_size_bytes)
@@ -173,7 +182,9 @@ def _make_cluster(builder, **options) -> ClusterWorkload:
     return ClusterWorkload(builder.field, builder.zone_map, **options)
 
 
-@register(WORKLOAD, "single_pair", aliases=("single-pair",))
+@register(
+    WORKLOAD, "single_pair", aliases=("single-pair",), metadata={"constructor": SinglePairWorkload}
+)
 def _make_single_pair(builder, **options) -> SinglePairWorkload:
     options.setdefault("data_size_bytes", builder.config.data_size_bytes)
     workload = SinglePairWorkload(**options)
@@ -199,7 +210,7 @@ class _ExplicitWorkload(Workload):
         return self._interest
 
 
-@register(WORKLOAD, "explicit")
+@register(WORKLOAD, "explicit", metadata={"constructor": _ExplicitWorkload})
 def _make_explicit_workload(builder) -> _ExplicitWorkload:
     return _ExplicitWorkload()
 
@@ -207,19 +218,19 @@ def _make_explicit_workload(builder) -> _ExplicitWorkload:
 # ----------------------------------------------------------------- placements
 
 
-@register(PLACEMENT, "grid")
+@register(PLACEMENT, "grid", metadata={"constructor": grid_placement})
 def _make_grid(config, rng, **options) -> List:
     options.setdefault("spacing_m", config.grid_spacing_m)
     return grid_placement(config.num_nodes, **options)
 
 
-@register(PLACEMENT, "random", aliases=("uniform",))
+@register(PLACEMENT, "random", aliases=("uniform",), metadata={"constructor": random_placement})
 def _make_random(config, rng, **options) -> List:
     options.setdefault("spacing_m", config.grid_spacing_m)
     return random_placement(config.num_nodes, rng=rng, **options)
 
 
-@register(PLACEMENT, "explicit")
+@register(PLACEMENT, "explicit", metadata={"constructor": explicit_placement})
 def _make_explicit(config, rng, positions) -> List:
     return explicit_placement(config.num_nodes, positions)
 

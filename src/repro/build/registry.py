@@ -7,7 +7,7 @@ optional aliases)::
 
     from repro.build import register
 
-    @register("protocol", "epidemic", aliases=("epi",))
+    @register("protocol", "epidemic", aliases=("epi",), metadata={"constructor": EpidemicNode})
     def make_epidemic(node_id, network, interest_model, routing=None, **kwargs):
         return EpidemicNode(node_id, network, interest_model, **kwargs)
 
@@ -40,16 +40,8 @@ CONTENTION = "contention"
 BUILTIN_KINDS = (PROTOCOL, WORKLOAD, PLACEMENT, MOBILITY, FAILURE, CONTENTION)
 
 
-class UnknownComponentError(ValueError, KeyError):
-    """A component (or component kind) is not registered.
-
-    Subclasses both ``ValueError`` and ``KeyError`` so existing callers that
-    guarded the old string-dispatch errors keep working.
-    """
-
-    # Without this the MRO picks KeyError.__str__, which reprs the message
-    # (stray quotes and escapes in every user-facing error).
-    __str__ = Exception.__str__
+class UnknownComponentError(ValueError):
+    """A component (or component kind) is not registered."""
 
 
 @dataclass(frozen=True)
@@ -62,7 +54,7 @@ class Registration:
         factory: The registered factory callable.
         aliases: Alternative names resolving to this component.
         metadata: Free-form traits consumed by the builder (e.g.
-            ``needs_routing`` for protocols).
+            ``needs_routing`` for protocols, ``constructor`` for options).
     """
 
     kind: str
@@ -180,14 +172,6 @@ class ComponentRegistry:
         """Sorted canonical names registered under *kind*."""
         return sorted(self._components.get(_canonical(kind), {}))
 
-    def has(self, kind: str, name: str) -> bool:
-        """Whether ``(kind, name)`` resolves (canonical name or alias)."""
-        try:
-            self.normalize(kind, name)
-        except UnknownComponentError:
-            return False
-        return True
-
     def normalize(self, kind: str, name: str) -> str:
         """Resolve *name* (canonical or alias, any case) to its canonical name."""
         kind = _canonical(kind)
@@ -250,11 +234,6 @@ def register(
     return _DEFAULT_REGISTRY.register(
         kind, name, aliases=aliases, metadata=metadata, replace=replace
     )
-
-
-def create(kind: str, name: str, *args, **kwargs) -> Any:
-    """Instantiate a component from the default registry."""
-    return default_registry().create(kind, name, *args, **kwargs)
 
 
 def available(kind: str) -> List[str]:

@@ -7,10 +7,12 @@ and missing required ones, and checks every value's type without coercing
 it: ``bool`` takes only ``True``/``False`` and ``int`` any int but a bool;
 ``float`` takes a finite float, or an int in a float's range and keeps it
 an int, so a decoded payload re-encodes to the bytes it was read from (spec
-fingerprints hash them).  ``Optional[T]``, ``Dict[str, T]``,
-``Tuple[T, ...]`` (from a list) and nested dataclasses decode recursively;
-``object`` takes any value.  Range checks stay in each dataclass's
-``__post_init__``.
+fingerprints hash them).  ``Optional[T]`` (or ``T | None``),
+``Dict[str, T]``, ``Tuple[T, ...]`` or ``Sequence[T]`` and a fixed
+``Tuple[A, B]`` (each from a list) and nested dataclasses decode
+recursively; ``object`` takes any value.  Range checks stay in each
+dataclass's ``__post_init__``.  :func:`check_options` checks a component's
+spec options by the same rules against its constructor's signature.
 
 Every failure raises the caller's error class with one line that names the
 field and spells the bad value as JSON (``null``, ``true``, ``"4"``) with
@@ -25,11 +27,13 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import inspect
 import json
 import math
 import sys
-from collections.abc import Mapping
-from typing import Any, Dict, Optional, Tuple, Type, Union
+import types
+from collections.abc import Mapping, Sequence
+from typing import Any, Callable, Dict, Optional, Tuple, Type, Union
 from typing import get_args, get_origin, get_type_hints
 
 #: Scalar annotation -> (the exact types it takes, what a message asks for).
@@ -40,6 +44,9 @@ _SCALARS = {
     str: ((str,), "a string"),
 }
 _MAX = sys.float_info.max
+#: Annotation origins whose arguments decode in turn.
+_CONTAINERS = (Union, types.UnionType, dict, tuple, Sequence)
+_Fail = Callable[[str, str], Exception]  # fail(path, problem) -> the error to raise
 
 
 def spell(item: Any) -> str:
@@ -58,6 +65,83 @@ def _layout(kind: type) -> Tuple[Dict[str, Any], Tuple[str, ...]]:
     missing = dataclasses.MISSING
     required = tuple(f.name for f in fields if f.default is f.default_factory is missing)
     return {f.name: hints[f.name] for f in fields}, required
+
+
+@functools.lru_cache(maxsize=None)  # one entry per checked constructor
+def _parameters(target: Callable[..., Any]) -> Dict[str, Any]:
+    """Each keyword parameter of *target*: its annotation, or ``None`` if it takes a class."""
+    namespace = (target.__init__ if isinstance(target, type) else target).__globals__
+    parameters = {}
+    for name, parameter in inspect.signature(target).parameters.items():
+        if parameter.kind in (parameter.POSITIONAL_OR_KEYWORD, parameter.KEYWORD_ONLY):
+            # One at a time: a name imported only for type checking (the
+            # `random` of random_placement's rng) must not hide the rest.
+            holder = types.SimpleNamespace(__annotations__={name: parameter.annotation})
+            try:
+                hint = get_type_hints(holder, namespace)[name]
+            except NameError:
+                hint = None
+            parameters[name] = hint if _native(hint) else None
+    return parameters
+
+
+def _native(hint: Any) -> bool:
+    return hint in _SCALARS or hint in (object, type(None)) or (
+        get_origin(hint) in _CONTAINERS and all(a is ... or _native(a) for a in get_args(hint))
+    )
+
+
+def _mapping(item: Any, path: str, fail: _Fail) -> Mapping[str, Any]:
+    if not isinstance(item, Mapping):
+        raise fail(path, f"must be a mapping (JSON object), got {spell(item)}")
+    return item
+
+
+def _value(hint: Any, item: Any, path: str, fail: _Fail) -> Any:
+    """*item* decoded by annotation *hint*."""
+    if hint in _SCALARS:
+        types_, expected = _SCALARS[hint]
+        if type(item) not in types_ or (hint is float and not -_MAX <= item <= _MAX):
+            raise fail(path, f"must be {expected}, got {spell(item)}")
+        return item
+    if hint is object:
+        return item
+    if dataclasses.is_dataclass(hint):
+        return _instance(hint, item, path, fail)
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (Union, types.UnionType):  # Optional[T]
+        return None if item is None else _value(args[0], item, path, fail)
+    if origin is dict:
+        mapping = _mapping(item, path, fail)
+        return {k: _value(args[1], v, f"{path}.{k}", fail) for k, v in mapping.items()}
+    if origin in (tuple, Sequence):
+        if not isinstance(item, (list, tuple)):
+            raise fail(path, f"must be a list, got {spell(item)}")
+        fixed = origin is tuple and args[-1] is not Ellipsis
+        if fixed and len(item) != len(args):
+            raise fail(path, f"must be a list of {len(args)} values, got {spell(item)}")
+        hints = args if fixed else args[:1] * len(item)
+        return tuple(
+            _value(h, v, f"{path}[{i}]", fail) for i, (h, v) in enumerate(zip(hints, item))
+        )
+    raise TypeError(f"cannot decode a field annotated {hint!r}")
+
+
+def _instance(kind: type, item: Any, path: str, fail: _Fail) -> Any:
+    hints, required = _layout(kind)
+    unknown = sorted(set(_mapping(item, path, fail)) - set(hints))
+    if unknown:
+        known = ", ".join(sorted(hints))
+        raise fail(path, f"has unknown keys: {', '.join(unknown)} (known: {known})")
+    missing = [name for name in required if name not in item]
+    if missing:
+        raise fail(path, f"is missing required keys: {', '.join(missing)}")
+    prefix = f"{path}." if path else ""
+    kwargs = {name: _value(hints[name], v, prefix + name, fail) for name, v in item.items()}
+    try:
+        return kind(**kwargs)
+    except ValueError as exc:  # the dataclass's own range checks
+        raise fail(path, f"is invalid: {exc}") from exc
 
 
 def loads(text: str, error: Type[Exception], what: str) -> Any:
@@ -101,55 +185,32 @@ def decode(
     def fail(path: str, problem: str) -> Exception:
         return error(f"{what} field {path!r} {problem}" if path else f"{what} {problem}")
 
-    def mapping(item: Any, path: str) -> Mapping[str, Any]:
-        if not isinstance(item, Mapping):
-            raise fail(path, f"must be a mapping (JSON object), got {spell(item)}")
-        return item
-
-    def value(hint: Any, item: Any, path: str) -> Any:
-        if hint in _SCALARS:
-            types, expected = _SCALARS[hint]
-            if type(item) not in types or (hint is float and not -_MAX <= item <= _MAX):
-                raise fail(path, f"must be {expected}, got {spell(item)}")
-            return item
-        if hint is object:
-            return item
-        if dataclasses.is_dataclass(hint):
-            return instance(hint, item, path)
-        origin, args = get_origin(hint), get_args(hint)
-        if origin is Union:  # Optional[T]
-            return None if item is None else value(args[0], item, path)
-        if origin is dict:
-            return {k: value(args[1], v, f"{path}.{k}") for k, v in mapping(item, path).items()}
-        if origin is tuple:
-            if not isinstance(item, (list, tuple)):
-                raise fail(path, f"must be a list, got {spell(item)}")
-            return tuple(value(args[0], v, f"{path}[{i}]") for i, v in enumerate(item))
-        raise TypeError(f"cannot decode a field annotated {hint!r}")
-
-    def instance(kind: type, item: Any, path: str) -> Any:
-        hints, required = _layout(kind)
-        unknown = sorted(set(mapping(item, path)) - set(hints))
-        if unknown:
-            known = ", ".join(sorted(hints))
-            raise fail(path, f"has unknown keys: {', '.join(unknown)} (known: {known})")
-        missing = [name for name in required if name not in item]
-        if missing:
-            raise fail(path, f"is missing required keys: {', '.join(missing)}")
-        prefix = f"{path}." if path else ""
-        kwargs = {name: value(hints[name], v, prefix + name) for name, v in item.items()}
-        try:
-            return kind(**kwargs)
-        except ValueError as exc:  # the dataclass's own range checks
-            raise fail(path, f"is invalid: {exc}") from exc
-
     if schema is not None:
         key, version = schema
-        found = mapping(data, "").get(key)
+        found = _mapping(data, "", fail).get(key)
         if type(found) is not type(version) or found != version:
             raise error(
                 f"unsupported {what} schema version {spell(found)}; "
                 f"this build reads version {version} (key {key!r})"
             )
         data = {k: v for k, v in data.items() if k != key}
-    return instance(cls, data, "")
+    return _instance(cls, data, "", fail)
+
+
+def check_options(target: Callable[..., Any], options: Mapping[str, Any], what: str) -> None:
+    """Raise ``ValueError`` about component *what* unless each option names a
+    parameter of *target* and decodes, unconverted, by its annotation.  A
+    parameter that takes a class (a dataclass too) cannot be set from a spec."""
+    parameters = _parameters(target)
+    unknown = sorted(set(options) - set(parameters))
+    if unknown:
+        known = ", ".join(sorted(name for name, hint in parameters.items() if hint is not None))
+        raise ValueError(f"{what} has unknown options: {', '.join(unknown)} (known: {known})")
+
+    def fail(path: str, problem: str) -> Exception:
+        return ValueError(f"{what} option {path!r} {problem}")
+
+    for name, item in options.items():
+        if parameters[name] is None:
+            raise fail(name, f"cannot be set from a spec, got {spell(item)}")
+        _value(parameters[name], item, name, fail)

@@ -43,9 +43,9 @@ class ProtocolNode(ABC):
         req_size_bytes: int = DEFAULT_REQ_SIZE_BYTES,
     ) -> None:
         for name, size in (("adv_size_bytes", adv_size_bytes), ("req_size_bytes", req_size_bytes)):
-            if isinstance(size, bool) or not isinstance(size, int) or size <= 0:
+            if size <= 0:
                 raise ValueError(
-                    f"{type(self).__name__} {name} must be a positive integer, got {spell(size)}"
+                    f"{type(self).__name__} {name} must be a positive integer, got {size}"
                 )
         self.node_id = node_id
         self.network = network
@@ -103,13 +103,8 @@ class ProtocolNode(ABC):
     # --------------------------------------------------------------- helpers
 
     def checked_timeout(self, name: str, timeout_ms: float) -> float:
-        """*timeout_ms* if it is a :class:`~repro.sim.timers.Timer` duration:
-        a finite number >= 0 that is not a bool."""
-        if (
-            isinstance(timeout_ms, bool)
-            or not isinstance(timeout_ms, (int, float))
-            or not 0 <= timeout_ms < math.inf
-        ):
+        """*timeout_ms* if it is a :class:`~repro.sim.timers.Timer` duration: finite, >= 0."""
+        if not 0 <= timeout_ms < math.inf:
             raise ValueError(
                 f"{type(self).__name__} {name} must be a finite number >= 0, "
                 f"got {spell(timeout_ms)}"

@@ -55,10 +55,9 @@ class SpinNode(ProtocolNode):
             >= 0.  It fires whenever the data takes longer than this to
             arrive, failures or not: a max-power REQ and its DATA can spend
             more than ``tout_dat_ms`` on channel access alone in a dense
-            zone, so failure-free runs retry too (ROADMAP.md, direction 1,
-            cause #1).
-        max_retries: How many times a REQ is retried before giving up until
-            the next ADV is heard.
+            zone, so failure-free runs retry too (ROADMAP.md, direction 1).
+        max_retries: How many times (>= 0) a REQ is retried before giving up
+            until the next ADV is heard.
     """
 
     def __init__(
@@ -79,6 +78,8 @@ class SpinNode(ProtocolNode):
             req_size_bytes=req_size_bytes,
         )
         self.tout_dat_ms = self.checked_timeout("tout_dat_ms", tout_dat_ms)
+        if max_retries < 0:
+            raise ValueError(f"{type(self).__name__} max_retries must be >= 0, got {max_retries}")
         self.max_retries = max_retries
         self._pending: Dict[str, _PendingRequest] = {}
         self._advertised: set = set()

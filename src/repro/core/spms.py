@@ -85,8 +85,8 @@ class SpmsNode(ProtocolNode):
             number >= 0).
         tout_dat_ms: ``tau_DAT`` timeout — how long to wait for requested data
             before escalating to the backup originator (a finite number >= 0).
-        max_attempts: Upper bound on request attempts per item before the node
-            goes back to IDLE (a later ADV restarts negotiation).
+        max_attempts: Upper bound (>= 1) on request attempts per item before
+            the node goes back to IDLE (a later ADV restarts negotiation).
         readvertise_received: The protocol requires every node to advertise
             received data once in its zone (Section 3.2); disabling it is an
             ablation that shows how dissemination stalls beyond the source's
@@ -116,6 +116,8 @@ class SpmsNode(ProtocolNode):
         self.routing = routing
         self.tout_adv_ms = self.checked_timeout("tout_adv_ms", tout_adv_ms)
         self.tout_dat_ms = self.checked_timeout("tout_dat_ms", tout_dat_ms)
+        if max_attempts < 1:
+            raise ValueError(f"{type(self).__name__} max_attempts must be >= 1, got {max_attempts}")
         self.max_attempts = max_attempts
         self.readvertise_received = readvertise_received
         self._states: Dict[str, _ItemState] = {}

@@ -12,8 +12,7 @@ says: the hand-placed walk-through topologies of Sections 3.3 and 3.5.
 from __future__ import annotations
 
 import math
-from numbers import Real
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.sim.rng import RandomStreams
 from repro.topology.node import NodeInfo, Position
@@ -103,34 +102,12 @@ def random_placement(
     ]
 
 
-def explicit_placement(num_nodes: int, positions: Sequence) -> List[NodeInfo]:
+def explicit_placement(num_nodes: int, positions: Sequence[Tuple[float, float]]) -> List[NodeInfo]:
     """Place node ``i`` at ``positions[i]``, an ``(x, y)`` pair in metres.
 
-    The positions can come from a hand-written JSON spec, so they are
-    checked before any geometry sees them.
-
     Raises:
-        ValueError: Unless *positions* holds exactly *num_nodes* entries, each
-            a pair of finite numbers.
+        ValueError: Unless *positions* holds exactly *num_nodes* pairs.
     """
-    if not isinstance(positions, (list, tuple)):
-        raise ValueError(
-            f"positions must be a list of (x, y) pairs, got {type(positions).__name__}"
-        )
     if len(positions) != num_nodes:
         raise ValueError(f"need {num_nodes} positions, one per node, got {len(positions)}")
-    nodes = []
-    for node_id, entry in enumerate(positions):
-        if not (
-            isinstance(entry, (list, tuple))
-            and len(entry) == 2
-            and all(
-                isinstance(c, Real) and not isinstance(c, bool) and math.isfinite(c)
-                for c in entry
-            )
-        ):
-            raise ValueError(
-                f"position {node_id} must be an (x, y) pair of finite numbers, got {entry!r}"
-            )
-        nodes.append(NodeInfo(node_id=node_id, position=Position(*entry)))
-    return nodes
+    return [NodeInfo(node_id=i, position=Position(*entry)) for i, entry in enumerate(positions)]

@@ -8,10 +8,8 @@ scenario and is what the unit/behaviour tests and the quickstart example use.
 
 from __future__ import annotations
 
-import math
 from typing import List, Sequence
 
-from repro.codec import spell
 from repro.core.interests import ExplicitInterest, InterestModel
 from repro.core.metadata import DataItem, intern_descriptor
 from repro.sim.rng import RandomStreams
@@ -39,27 +37,7 @@ class SinglePairWorkload(Workload):
         data_size_bytes: int = 40,
         start_ms: float = 0.0,
     ) -> None:
-        if not isinstance(destinations, (list, tuple)):
-            raise ValueError(
-                f"single_pair destinations must be a list of node ids, got {spell(destinations)}"
-            )
         destinations = list(destinations)
-        # Each option must be of its own type: a bool or a float passes the
-        # range and membership checks (True == 1, 0.0 == 0) and runs the same
-        # scenario under a second spec fingerprint.
-        for name, value in (
-            ("source", source),
-            *(("destination", node) for node in destinations),
-            ("num_items", num_items),
-            ("data_size_bytes", data_size_bytes),
-        ):
-            if type(value) is not int:
-                raise ValueError(f"single_pair {name} must be an integer, got {spell(value)}")
-        for name, value in (("interval_ms", interval_ms), ("start_ms", start_ms)):
-            if type(value) not in (int, float) or not math.isfinite(value):
-                raise ValueError(
-                    f"single_pair {name} must be a finite number, got {spell(value)}"
-                )
         if not destinations:
             raise ValueError("single_pair needs at least one destination")
         if len(set(destinations)) != len(destinations):

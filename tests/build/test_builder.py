@@ -1,5 +1,8 @@
 """Tests for the phase-decomposed simulation builder."""
 
+import math
+import re
+
 import pytest
 
 from repro.build import PLACEMENT, PROTOCOL, SimulationBuilder, UnknownComponentError
@@ -81,6 +84,96 @@ class TestSinglePairNodes:
         message = "^single_pair node 99 is not a node of the 9-node field$"
         with pytest.raises(ValueError, match=message):
             SimulationBuilder(spec).build()
+
+
+class TestOptionCheck:
+    """Options are checked against their constructor's annotations before
+    anything is built; the constructors check only ranges."""
+
+    @staticmethod
+    def refused(message, protocol="spms", **fields):
+        fields.setdefault("workload_options", {"source": 0, "destinations": [1]})
+        config = SimulationConfig(num_nodes=4, transmission_radius_m=15.0, grid_spacing_m=5.0)
+        spec = ScenarioSpec(
+            name="check", protocol=protocol, config=config, workload="single_pair", **fields
+        )
+        builder = SimulationBuilder(spec)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            builder.build()
+        assert builder.sim is None  # nothing was built
+
+    @pytest.mark.parametrize(
+        "value, spelled",
+        [(True, "true"), (1.5, "1.5"), ("48", '"48"'), (None, "null")],
+        ids=["bool", "float", "string", "none"],
+    )
+    @pytest.mark.parametrize("option", ["adv_size_bytes", "req_size_bytes"])
+    def test_a_packet_size_of_another_type_is_refused(self, option, value, spelled):
+        message = f"spms protocol option {option!r} must be an integer, got {spelled}"
+        self.refused(message, protocol_options={option: value})
+
+    @pytest.mark.parametrize(
+        "value, spelled",
+        [(True, "true"), (math.nan, "NaN"), (math.inf, "Infinity"), ("5", '"5"'), (None, "null")],
+        ids=["bool", "nan", "inf", "string", "none"],
+    )
+    @pytest.mark.parametrize(
+        "protocol, option",
+        [("spms", "tout_adv_ms"), ("spms", "tout_dat_ms"), ("spin", "tout_dat_ms")],
+        ids=["spms-tau-adv", "spms-tau-dat", "spin-tau-dat"],
+    )
+    def test_a_timeout_of_another_type_is_refused(self, protocol, option, value, spelled):
+        message = f"{protocol} protocol option {option!r} must be a finite number, got {spelled}"
+        self.refused(message, protocol, protocol_options={option: value})
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"source": 0.0}, "'source' must be an integer, got 0.0"),
+            ({"source": False}, "'source' must be an integer, got false"),
+            ({"destinations": [1.0]}, "'destinations[0]' must be an integer, got 1.0"),
+            ({"destinations": [True]}, "'destinations[0]' must be an integer, got true"),
+            ({"destinations": "12"}, "'destinations' must be a list, got \"12\""),
+            ({"destinations": 1}, "'destinations' must be a list, got 1"),
+            ({"num_items": True}, "'num_items' must be an integer, got true"),
+            ({"num_items": 2.0}, "'num_items' must be an integer, got 2.0"),
+            ({"num_items": None}, "'num_items' must be an integer, got null"),
+            ({"num_items": "2"}, "'num_items' must be an integer, got \"2\""),
+            ({"data_size_bytes": True}, "'data_size_bytes' must be an integer, got true"),
+            ({"data_size_bytes": 40.0}, "'data_size_bytes' must be an integer, got 40.0"),
+            ({"interval_ms": True}, "'interval_ms' must be a finite number, got true"),
+            ({"interval_ms": "5"}, "'interval_ms' must be a finite number, got \"5\""),
+            ({"interval_ms": math.inf}, "'interval_ms' must be a finite number, got Infinity"),
+            ({"start_ms": False}, "'start_ms' must be a finite number, got false"),
+            ({"start_ms": math.nan}, "'start_ms' must be a finite number, got NaN"),
+        ],
+        ids=[
+            "float-source", "bool-source", "float-destination", "bool-destination",
+            "string-destinations", "int-destinations", "bool-item-count", "float-item-count",
+            "null-item-count", "string-item-count", "bool-data-size", "float-data-size",
+            "bool-interval", "string-interval", "infinite-interval", "bool-start", "nan-start",
+        ],
+    )
+    def test_each_single_pair_option_has_its_own_type(self, options, message):
+        # True == 1 and 0.0 == 0, so a bool or a float passes every range
+        # check, and "12" would make the destinations ["1", "2"].
+        self.refused(
+            f"single_pair workload option {message}",
+            workload_options={"source": 0, "destinations": [1], **options},
+        )
+
+    def test_forwarded_config_values_are_checked_with_the_options(self, config):
+        registry = clone_default_registry()
+        registry.add(
+            PROTOCOL,
+            "spin-plugin",
+            registry.get(PROTOCOL, "spin"),
+            metadata={"constructor": SpinNode, "config_options": ("tout_adv_ms",)},
+        )
+        spec = all_to_all_scenario("spin-plugin", config)
+        message = "^spin-plugin protocol has unknown options: tout_adv_ms [(]known: "
+        with pytest.raises(ValueError, match=message):
+            SimulationBuilder(spec, registry=registry).build()
 
 
 class TestPlacements:

@@ -102,10 +102,9 @@ class TestComponentRegistry:
         with pytest.raises(UnknownComponentError, match="registered kinds: kind"):
             registry.normalize("nope", "alpha")
 
-    def test_unknown_component_error_is_value_and_key_error(self):
-        # Callers guarding the historical string-dispatch errors keep working.
+    def test_unknown_component_error_is_a_value_error(self):
+        # The CLI reports a ValueError from the build as a spec problem.
         assert issubclass(UnknownComponentError, ValueError)
-        assert issubclass(UnknownComponentError, KeyError)
 
     def test_metadata_round_trip(self, registry):
         registry.add("kind", "alpha", lambda: "a", metadata={"needs_routing": True})

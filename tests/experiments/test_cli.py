@@ -460,13 +460,13 @@ class TestMalformedSpec:
             # Each of these used to exit 0, with delivery_ratio 1.0000 (or
             # 0.5000 for the repeated destination).
             (("workload_options", "destinations"), [], "build: single_pair needs at least one"),
-            (("workload_options", "num_items"), True, "build: single_pair num_items must be an"),
-            (("workload_options", "source"), 0.0, "build: single_pair source must be an integer"),
+            (("workload_options", "num_items"), True, "single_pair workload option 'num_items'"),
+            (("workload_options", "source"), 0.0, "option 'source' must be an integer, got 0.0"),
             (("workload_options", "destinations"), [3, 3], "build: single_pair destinations repeat"),
-            (("workload_options", "data_size_bytes"), True, "single_pair data_size_bytes must be"),
-            (("workload_options", "interval_ms"), True, "single_pair interval_ms must be a"),
-            (("workload_options", "destinations"), "3", "single_pair destinations must be a list"),
-            (("workload_options", "num_items"), None, "single_pair num_items must be an integer"),
+            (("workload_options", "data_size_bytes"), True, "'data_size_bytes' must be an"),
+            (("workload_options", "interval_ms"), True, "'interval_ms' must be a finite number"),
+            (("workload_options", "destinations"), "3", "'destinations' must be a list, got"),
+            (("workload_options", "num_items"), None, "'num_items' must be an integer, got null"),
         ],
         ids=[
             "protocol-int", "workload-null", "contention-int", "settle-margin-str",
@@ -497,14 +497,48 @@ class TestMalformedSpec:
             ("spms", "config", {**CHAIN_SPEC["config"], "tout_dat_ms": -5}, "got -5"),
             # Each of these used to exit 0: a 1 ms tau_DAT, and two options
             # that no longer exist.
-            ("spms", "protocol_options", {"tout_dat_ms": True}, "tout_dat_ms must be a finite"),
-            ("spms", "protocol_options", {"serve_from_cache": True}, "'serve_from_cache'"),
-            ("spms", "protocol_options", {"cache_relay_data": True}, "'cache_relay_data'"),
+            ("spms", "protocol_options", {"tout_dat_ms": True}, "'tout_dat_ms' must be a finite"),
+            ("spms", "protocol_options", {"serve_from_cache": True}, "options: serve_from_cache"),
+            ("spms", "protocol_options", {"cache_relay_data": True}, "options: cache_relay_data"),
+            # These two crashed once tau_DAT fired (exit 1, a TypeError
+            # traceback); the next two ran as true and as 1.0.
+            (
+                "spms",
+                "protocol_options",
+                {"max_attempts": "x", "tout_dat_ms": 0},
+                "spms protocol option 'max_attempts' must be an integer, got \"x\"",
+            ),
+            (
+                "spin",
+                "protocol_options",
+                {"max_retries": "x", "tout_dat_ms": 0},
+                "spin protocol option 'max_retries' must be an integer, got \"x\"",
+            ),
+            (
+                "spms",
+                "protocol_options",
+                {"readvertise_received": "no"},
+                "spms protocol option 'readvertise_received' must be true or false, got \"no\"",
+            ),
+            (
+                "gossip",
+                "protocol_options",
+                {"forward_probability": True},
+                "gossip protocol option 'forward_probability' must be a finite number, got true",
+            ),
+            # Each of these ran like the floor (1 attempt, 0 retries).
+            ("spms", "protocol_options", {"max_attempts": 0}, "max_attempts must be >= 1, got 0"),
+            ("spms", "protocol_options", {"max_attempts": -5}, "max_attempts must be >= 1, got -5"),
+            ("spin", "protocol_options", {"max_retries": -1}, "max_retries must be >= 0, got -1"),
+            ("spin", "protocol_options", {"max_retries": -5}, "max_retries must be >= 0, got -5"),
         ],
         ids=[
             "negative-tau-dat", "negative-tau-adv", "zero-adv-size", "negative-req-size",
             "negative-spin-timeout", "negative-config-tau-dat", "bool-tau-dat",
-            "serve-from-cache", "cache-relay-data",
+            "serve-from-cache", "cache-relay-data", "string-max-attempts",
+            "string-max-retries", "string-readvertise", "bool-forward-probability",
+            "zero-max-attempts", "negative-max-attempts", "minus-one-max-retries",
+            "negative-max-retries",
         ],
     )
     def test_a_bad_protocol_option_fails_the_build(
@@ -518,6 +552,37 @@ class TestMalformedSpec:
         assert len(lines) == 1
         assert lines[0].startswith("scenario failed to build: ")
         assert message in lines[0]
+        assert not (run_dir / "records.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            # Ran one item per node; crashed with an AttributeError traceback
+            # (exit 1); ran with a 1 m spacing.
+            (
+                {"workload": "all_to_all", "workload_options": {"packets_per_node": True}},
+                "all_to_all workload option 'packets_per_node' must be an integer, got true",
+            ),
+            (
+                {"workload": "all_to_all", "workload_options": {"arrivals": 5}},
+                "all_to_all workload option 'arrivals' cannot be set from a spec, got 5",
+            ),
+            (
+                {"placement": "grid", "placement_options": {"spacing_m": True}},
+                "grid placement option 'spacing_m' must be a finite number, got true",
+            ),
+        ],
+        ids=["bool-packets-per-node", "int-arrivals", "bool-grid-spacing"],
+    )
+    def test_a_bad_workload_or_placement_option_fails_the_build(
+        self, capture, tmp_path, changes, message
+    ):
+        lines, out = capture
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({**CHAIN_SPEC, **changes}))
+        run_dir = tmp_path / "run"
+        assert main(["run", "--spec", str(spec_path), "--run-dir", str(run_dir)], out=out) == 2
+        assert lines == [f"scenario failed to build: {message}"]
         assert not (run_dir / "records.jsonl").exists()
 
     def test_an_integer_too_long_to_parse_exits_2(self, capture, tmp_path):
@@ -562,10 +627,15 @@ class TestMalformedSpec:
             ScenarioSpec.from_dict(spec)
         except SpecValidationError:
             return
+        # Under *_options only a number given for a float option may run:
+        # interval_ms, or a coordinate (the one path four keys deep).
+        float_option = path[-1] == "interval_ms" or len(path) == 4
+        may_run = not path[0].endswith("_options") or (float_option and type(value) in (int, float))
         with tempfile.TemporaryDirectory() as tmp:
             spec_path = Path(tmp) / "spec.json"
             spec_path.write_text(json.dumps(spec))
-            assert main(["run", "--spec", str(spec_path)], out=lambda line: None) in (0, 2)
+            code = main(["run", "--spec", str(spec_path)], out=lambda line: None)
+            assert code in ((0, 2) if may_run else (2,))
 
 
 class TestBatchRunCommand:

@@ -4,11 +4,12 @@ import copy
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import pytest
 
-from repro.codec import decode, loads
+from repro import codec
+from repro.codec import check_options, decode, loads
 
 
 class Invalid(ValueError):
@@ -152,3 +153,48 @@ class TestLoads:
     def test_parses_standard_json(self):
         assert loads('{"x": [1, 2.5, null]}', Invalid, "thing") == {"x": [1, 2.5, None]}
 
+
+class Component:
+    def __init__(
+        self,
+        count: int,
+        ratio: float = 0.5,
+        flag: bool = False,
+        nodes: Sequence[int] = (),
+        pair: Optional[Tuple[float, float]] = None,
+        inner: Optional[Inner] = None,
+        **rest,
+    ) -> None:
+        self.count = count
+
+
+class TestCheckOptions:
+    def test_accepts_values_of_each_annotated_type(self):
+        options = {"count": 2, "ratio": 1, "flag": True, "nodes": [1, 2], "pair": [0, 2.5]}
+        check_options(Component, options, "c")
+        # Nothing is converted: the constructor gets the spec's values.
+        assert options["ratio"] == 1 and type(options["ratio"]) is int
+        assert options["pair"] == [0, 2.5]
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"count": True}, "c option 'count' must be an integer, got true"),
+            ({"ratio": float("nan")}, "c option 'ratio' must be a finite number, got NaN"),
+            ({"flag": "no"}, "c option 'flag' must be true or false, got \"no\""),
+            ({"inner": {}}, "c option 'inner' cannot be set from a spec, got {}"),
+            ({"rest": 1, "cnt": 1}, "c has unknown options: cnt, rest (known: count, flag, "
+             "nodes, pair, ratio)"),
+        ],
+        ids=["bool-int", "nan", "string-bool", "dataclass", "unknown"],
+    )
+    def test_refusals_name_the_option_and_value(self, options, message):
+        with pytest.raises(ValueError) as raised:
+            check_options(Component, options, "c")
+        assert str(raised.value) == message
+
+    def test_a_constructor_is_resolved_once(self):
+        codec._parameters.cache_clear()
+        for _ in range(3):
+            check_options(Component, {"count": 1}, "c")
+        assert codec._parameters.cache_info().misses == 1
