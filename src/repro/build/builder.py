@@ -114,9 +114,11 @@ class SimulationBuilder:
             (PROTOCOL, self.protocol, self.protocol_kwargs()),
         ):
             registration = self.registry.lookup(kind, name)
-            constructor = registration.metadata.get("constructor")
+            metadata = registration.metadata
+            constructor = metadata.get("constructor")
             if constructor is not None:
-                check_options(constructor, options, f"{registration.name} {kind}")
+                what = f"{registration.name} {kind}"
+                check_options(constructor, options, what, metadata.get("supplied", ()))
 
     # ----------------------------------------------------------------- phases
 

@@ -36,9 +36,12 @@ kind                  factory signature
 ====================  =====================================================
 
 A protocol, workload or placement names in metadata ``constructor`` the
-callable its factory passes ``**options`` to.  Before anything is built, the
-spec's options are checked against its annotations by the decoder's rules
-(:func:`repro.codec.check_options`); the constructor checks only ranges.
+callable its factory passes ``**options`` to, and in metadata ``supplied``
+the parameters of that callable the factory fills itself (``node_id``,
+``num_nodes``, ...).  Before anything is built, the spec's options are
+checked against its annotations by the decoder's rules
+(:func:`repro.codec.check_options`), and a supplied parameter cannot be set
+from a spec; the constructor checks only ranges.
 
 Protocol names additionally understand the paper's ``f-`` prefix (F-SPMS,
 F-SPIN, ...): :func:`normalize_protocol_name` strips it for *any* registered
@@ -84,12 +87,16 @@ from repro.workload.single_pair import SinglePairWorkload
 
 # ------------------------------------------------------------------ protocols
 
+#: What every protocol factory passes its node constructor itself.
+_NODE_ARGUMENTS = ("node_id", "network", "interest_model")
+
 
 @register(
     PROTOCOL,
     "spms",
     metadata={
         "constructor": SpmsNode,
+        "supplied": (*_NODE_ARGUMENTS, "routing"),
         "needs_routing": True,
         "config_options": (
             "adv_size_bytes",
@@ -110,6 +117,7 @@ def _make_spms(node_id, network, interest_model, routing=None, **options):
     "spin",
     metadata={
         "constructor": SpinNode,
+        "supplied": _NODE_ARGUMENTS,
         "config_options": ("adv_size_bytes", "req_size_bytes", "tout_dat_ms"),
     },
 )
@@ -117,12 +125,17 @@ def _make_spin(node_id, network, interest_model, routing=None, **options):
     return SpinNode(node_id, network, interest_model, **options)
 
 
-@register(PROTOCOL, "flooding", aliases=("flood",), metadata={"constructor": FloodingNode})
+@register(
+    PROTOCOL,
+    "flooding",
+    aliases=("flood",),
+    metadata={"constructor": FloodingNode, "supplied": _NODE_ARGUMENTS},
+)
 def _make_flooding(node_id, network, interest_model, routing=None, **options):
     return FloodingNode(node_id, network, interest_model, **options)
 
 
-@register(PROTOCOL, "gossip", metadata={"constructor": GossipNode})
+@register(PROTOCOL, "gossip", metadata={"constructor": GossipNode, "supplied": _NODE_ARGUMENTS})
 def _make_gossip(node_id, network, interest_model, routing=None, **options):
     return GossipNode(node_id, network, interest_model, **options)
 
@@ -158,7 +171,10 @@ def normalize_protocol_name(
 
 
 @register(
-    WORKLOAD, "all_to_all", aliases=("all-to-all",), metadata={"constructor": AllToAllWorkload}
+    WORKLOAD,
+    "all_to_all",
+    aliases=("all-to-all",),
+    metadata={"constructor": AllToAllWorkload, "supplied": ("node_ids",)},
 )
 def _make_all_to_all(builder, **options) -> AllToAllWorkload:
     config = builder.config
@@ -171,7 +187,11 @@ def _make_all_to_all(builder, **options) -> AllToAllWorkload:
     return AllToAllWorkload(builder.field.node_ids, **options)
 
 
-@register(WORKLOAD, "cluster", metadata={"constructor": ClusterWorkload})
+@register(
+    WORKLOAD,
+    "cluster",
+    metadata={"constructor": ClusterWorkload, "supplied": ("field", "zone_map")},
+)
 def _make_cluster(builder, **options) -> ClusterWorkload:
     config = builder.config
     options.setdefault("data_size_bytes", config.data_size_bytes)
@@ -218,19 +238,26 @@ def _make_explicit_workload(builder) -> _ExplicitWorkload:
 # ----------------------------------------------------------------- placements
 
 
-@register(PLACEMENT, "grid", metadata={"constructor": grid_placement})
+@register(PLACEMENT, "grid", metadata={"constructor": grid_placement, "supplied": ("num_nodes",)})
 def _make_grid(config, rng, **options) -> List:
     options.setdefault("spacing_m", config.grid_spacing_m)
     return grid_placement(config.num_nodes, **options)
 
 
-@register(PLACEMENT, "random", aliases=("uniform",), metadata={"constructor": random_placement})
+@register(
+    PLACEMENT,
+    "random",
+    aliases=("uniform",),
+    metadata={"constructor": random_placement, "supplied": ("num_nodes", "rng")},
+)
 def _make_random(config, rng, **options) -> List:
     options.setdefault("spacing_m", config.grid_spacing_m)
     return random_placement(config.num_nodes, rng=rng, **options)
 
 
-@register(PLACEMENT, "explicit", metadata={"constructor": explicit_placement})
+@register(
+    PLACEMENT, "explicit", metadata={"constructor": explicit_placement, "supplied": ("num_nodes",)}
+)
 def _make_explicit(config, rng, positions) -> List:
     return explicit_placement(config.num_nodes, positions)
 

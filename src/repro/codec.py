@@ -32,7 +32,7 @@ import json
 import math
 import sys
 import types
-from collections.abc import Mapping, Sequence
+from collections.abc import Collection, Mapping, Sequence
 from typing import Any, Callable, Dict, Optional, Tuple, Type, Union
 from typing import get_args, get_origin, get_type_hints
 
@@ -197,20 +197,29 @@ def decode(
     return _instance(cls, data, "", fail)
 
 
-def check_options(target: Callable[..., Any], options: Mapping[str, Any], what: str) -> None:
+def check_options(
+    target: Callable[..., Any],
+    options: Mapping[str, Any],
+    what: str,
+    supplied: Collection[str] = (),
+) -> None:
     """Raise ``ValueError`` about component *what* unless each option names a
     parameter of *target* and decodes, unconverted, by its annotation.  A
-    parameter that takes a class (a dataclass too) cannot be set from a spec."""
+    parameter that takes a class (a dataclass too), or that the component's
+    factory passes itself (*supplied*), cannot be set from a spec."""
     parameters = _parameters(target)
     unknown = sorted(set(options) - set(parameters))
     if unknown:
-        known = ", ".join(sorted(name for name, hint in parameters.items() if hint is not None))
-        raise ValueError(f"{what} has unknown options: {', '.join(unknown)} (known: {known})")
+        known = ", ".join(
+            sorted(n for n, hint in parameters.items() if hint is not None and n not in supplied)
+        )
+        listed = f"known: {known}" if known else "it takes no options"
+        raise ValueError(f"{what} has unknown options: {', '.join(unknown)} ({listed})")
 
     def fail(path: str, problem: str) -> Exception:
         return ValueError(f"{what} option {path!r} {problem}")
 
     for name, item in options.items():
-        if parameters[name] is None:
+        if parameters[name] is None or name in supplied:
             raise fail(name, f"cannot be set from a spec, got {spell(item)}")
         _value(parameters[name], item, name, fail)

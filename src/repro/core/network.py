@@ -256,7 +256,7 @@ class Network:
     ) -> None:
         """Common path for broadcast and unicast transmissions.
 
-        Charges and counts the transmission, then schedules
+        Charges and counts the transmission, then posts
         ``deliver(target, packet)`` for its arrival; a *deliver* of ``None``
         transmits to no receiver.  The caller has synced the position caches.
 
@@ -319,15 +319,14 @@ class Network:
             end = ready_at + airtime_ms
         if deliver is None:
             return
-        # One delivery event per transmission (not one per receiver): every
+        # One delivery per transmission (not one per receiver): every
         # receiver of a broadcast hears the packet at the same instant, so a
-        # single event delivering in receiver order reproduces the exact
+        # single delivery in receiver order reproduces the exact
         # per-receiver event sequence at a fraction of the calendar traffic.
-        # A unicast hop's event delivers straight to its one receiver.
-        self.sim.schedule(
-            (end + processing_ms) - now,
-            functools.partial(deliver, target, packet),
-            name=self._deliver_names[type_label],
+        # A unicast hop's delivery goes straight to its one receiver.  Nothing
+        # cancels a delivery, so it is a bare calendar entry, not an Event.
+        self.sim.post(
+            (end + processing_ms) - now, deliver, target, packet, self._deliver_names[type_label]
         )
 
     def broadcast(self, sender: int, packet: Packet) -> bool:

@@ -58,6 +58,10 @@ class SpinNode(ProtocolNode):
             zone, so failure-free runs retry too (ROADMAP.md, direction 1).
         max_retries: How many times (>= 0) a REQ is retried before giving up
             until the next ADV is heard.
+
+    Attributes:
+        retries: REQs re-sent because the retry timer fired, like
+            ``SpmsNode.escalations`` for SPMS.
     """
 
     def __init__(
@@ -81,6 +85,7 @@ class SpinNode(ProtocolNode):
         if max_retries < 0:
             raise ValueError(f"{type(self).__name__} max_retries must be >= 0, got {max_retries}")
         self.max_retries = max_retries
+        self.retries = 0
         self._pending: Dict[str, _PendingRequest] = {}
         self._advertised: set = set()
 
@@ -165,6 +170,7 @@ class SpinNode(ProtocolNode):
         if target is None:
             self._clear_pending(descriptor_name)
             return
+        self.retries += 1
         self._send_request(descriptor, pending, target)
 
     def _pick_retry_target(self, pending: _PendingRequest) -> Optional[int]:

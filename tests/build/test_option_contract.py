@@ -1,6 +1,7 @@
 """The option contract: each built-in protocol, workload and placement names
-the constructor its factory passes the spec's options to, and that
-constructor's signature types every option the check lets through."""
+the constructor its factory passes the spec's options to, and the parameters
+of it that the factory fills itself; that constructor's signature types
+every option the check lets through."""
 
 import inspect
 import typing
@@ -36,21 +37,38 @@ UNSETTABLE = {
 }
 
 
+#: The parameters each registration's factory passes its constructor itself
+#: (metadata ``supplied``); a spec that sets one would pass it twice.
+SUPPLIED = {
+    "protocol/flooding": {"node_id", "network", "interest_model"},
+    "protocol/gossip": {"node_id", "network", "interest_model"},
+    "protocol/spin": {"node_id", "network", "interest_model"},
+    "protocol/spms": {"node_id", "network", "interest_model", "routing"},
+    "workload/all_to_all": {"node_ids"},
+    "workload/cluster": {"field", "zone_map"},
+    "workload/explicit": set(),
+    "workload/single_pair": set(),
+    "placement/explicit": {"num_nodes"},
+    "placement/grid": {"num_nodes"},
+    "placement/random": {"num_nodes", "rng"},
+}
+
+
 def _key(registration):
     return f"{registration.kind}/{registration.name}"
 
 
-def _refusal(constructor, name, value):
+def _refusal(constructor, name, value, supplied=()):
     """The check's message for option *name* set to *value*, or ``None``."""
     try:
-        check_options(constructor, {name: value}, "x")
+        check_options(constructor, {name: value}, "x", supplied)
     except ValueError as exc:
         return str(exc)
     return None
 
 
 def test_every_builtin_is_covered():
-    assert sorted(map(_key, REGISTRATIONS)) == sorted(UNSETTABLE)
+    assert sorted(map(_key, REGISTRATIONS)) == sorted(UNSETTABLE) == sorted(SUPPLIED)
 
 
 @pytest.mark.parametrize("registration", REGISTRATIONS, ids=_key)
@@ -68,6 +86,26 @@ class TestEveryRegistration:
             else:
                 assert " must be " in message
         assert unsettable == UNSETTABLE[_key(registration)]
+
+    def test_each_supplied_name_is_a_parameter_the_check_refuses(self, registration):
+        constructor = registration.metadata["constructor"]
+        supplied = registration.metadata.get("supplied", ())
+        assert set(supplied) == SUPPLIED[_key(registration)]
+        assert set(supplied) <= set(inspect.signature(constructor).parameters)
+        for name in supplied:
+            message = _refusal(constructor, name, 1, supplied)
+            assert message == f"x option {name!r} cannot be set from a spec, got 1"
+
+    def test_the_known_list_names_only_settable_options(self, registration):
+        constructor = registration.metadata["constructor"]
+        supplied = registration.metadata.get("supplied", ())
+        settable = set(inspect.signature(constructor).parameters)
+        settable -= UNSETTABLE[_key(registration)] | SUPPLIED[_key(registration)]
+        message = _refusal(constructor, "bogus", 1, supplied)
+        if settable:
+            assert message == f"x has unknown options: bogus (known: {', '.join(sorted(settable))})"
+        else:
+            assert message == "x has unknown options: bogus (it takes no options)"
 
     def test_every_settable_default_passes(self, registration):
         constructor = registration.metadata["constructor"]

@@ -2,6 +2,10 @@
 
 import pytest
 
+from repro.experiments import figures
+from repro.experiments.matrix import get_matrix
+from repro.experiments.runner import ExperimentRunner
+from repro.experiments.scenarios import ScenarioSpec
 
 from tests.helpers import build_network, chain_positions
 
@@ -103,3 +107,52 @@ class TestSpinFailureRecovery:
         harness.sim.schedule(0.2, lambda: harness.network.fail_node(0))
         harness.run()
         assert harness.delivered("item", 3)
+
+
+def _retries(runner):
+    return sum(node.retries for node in runner.nodes.values())
+
+
+class TestRetryCounter:
+    """``SpinNode.retries`` counts the REQs its retry timer re-sends."""
+
+    def test_each_resent_request_counts_once(self):
+        harness = build_network(chain_positions(2, spacing=5.0), protocol="spin", tout_dat_ms=3.0)
+        harness.originate("item", source=0, destinations=[1])
+        harness.sim.schedule(0.05, lambda: harness.network.fail_node(0))
+        harness.run()
+        node = harness.nodes[1]
+        assert node.retries == node.max_retries == 3
+        assert harness.metrics.packets_sent["REQ"] == 1 + node.retries
+        assert harness.nodes[0].retries == 0
+
+    @pytest.mark.parametrize("num_nodes, retries", [(16, 0), (36, 52)])
+    def test_failure_free_fig06_retries(self, num_nodes, retries):
+        # ROADMAP direction 1: SPIN's 25 ms timeout fires without failures
+        # once a max-power REQ and its DATA wait longer than that for the
+        # channel, as they do from n = 36 on fig06's bench grid.
+        (job,) = [
+            job
+            for job in get_matrix("fig06", scale=figures.bench_scale()).expand()
+            if job.protocol == "spin" and job.value == num_nodes
+        ]
+        runner = ExperimentRunner(job.spec)
+        runner.run_record(key=job.key, axes=job.axes)
+        assert _retries(runner) == retries
+
+    def test_the_chain_spec_never_retries(self):
+        spec = ScenarioSpec.from_dict(
+            {
+                "schema_version": 2,
+                "name": "chain/spin",
+                "protocol": "spin",
+                "workload": "single_pair",
+                "workload_options": {"source": 0, "destinations": [3]},
+                "placement": "explicit",
+                "placement_options": {"positions": [[0, 0], [5, 0], [10, 0], [15, 0]]},
+                "config": {"num_nodes": 4, "seed": 3},
+            }
+        )
+        runner = ExperimentRunner(spec)
+        assert runner.run_record().delivery_ratio == 1.0
+        assert _retries(runner) == 0

@@ -531,6 +531,14 @@ class TestMalformedSpec:
             ("spms", "protocol_options", {"max_attempts": -5}, "max_attempts must be >= 1, got -5"),
             ("spin", "protocol_options", {"max_retries": -1}, "max_retries must be >= 0, got -1"),
             ("spin", "protocol_options", {"max_retries": -5}, "max_retries must be >= 0, got -5"),
+            # The factory passes node_id itself: this read "_make_spms() got
+            # multiple values for argument 'node_id'".
+            (
+                "spms",
+                "protocol_options",
+                {"node_id": 1},
+                "spms protocol option 'node_id' cannot be set from a spec, got 1",
+            ),
         ],
         ids=[
             "negative-tau-dat", "negative-tau-adv", "zero-adv-size", "negative-req-size",
@@ -538,7 +546,7 @@ class TestMalformedSpec:
             "serve-from-cache", "cache-relay-data", "string-max-attempts",
             "string-max-retries", "string-readvertise", "bool-forward-probability",
             "zero-max-attempts", "negative-max-attempts", "minus-one-max-retries",
-            "negative-max-retries",
+            "negative-max-retries", "supplied-node-id",
         ],
     )
     def test_a_bad_protocol_option_fails_the_build(
@@ -571,8 +579,26 @@ class TestMalformedSpec:
                 {"placement": "grid", "placement_options": {"spacing_m": True}},
                 "grid placement option 'spacing_m' must be a finite number, got true",
             ),
+            # The factories pass these themselves: each read "… got multiple
+            # values for argument …" in Python's words.
+            (
+                {"placement": "grid", "placement_options": {"num_nodes": 4}},
+                "grid placement option 'num_nodes' cannot be set from a spec, got 4",
+            ),
+            (
+                {"workload": "all_to_all", "workload_options": {"node_ids": [0, 1]}},
+                "all_to_all workload option 'node_ids' cannot be set from a spec, got [0, 1]",
+            ),
+            # This read "(known: )".
+            (
+                {"workload": "explicit", "workload_options": {"bogus": 1}},
+                "explicit workload has unknown options: bogus (it takes no options)",
+            ),
         ],
-        ids=["bool-packets-per-node", "int-arrivals", "bool-grid-spacing"],
+        ids=[
+            "bool-packets-per-node", "int-arrivals", "bool-grid-spacing",
+            "supplied-num-nodes", "supplied-node-ids", "explicit-takes-none",
+        ],
     )
     def test_a_bad_workload_or_placement_option_fails_the_build(
         self, capture, tmp_path, changes, message
@@ -584,6 +610,18 @@ class TestMalformedSpec:
         assert main(["run", "--spec", str(spec_path), "--run-dir", str(run_dir)], out=out) == 2
         assert lines == [f"scenario failed to build: {message}"]
         assert not (run_dir / "records.jsonl").exists()
+
+    def test_the_known_list_leaves_out_what_the_factory_supplies(self, capture, tmp_path):
+        # It listed node_id, which the factory passes itself.
+        lines, out = capture
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({**CHAIN_SPEC, "protocol_options": {"bogus": 1}}))
+        assert main(["run", "--spec", str(spec_path)], out=out) == 2
+        assert lines == [
+            "scenario failed to build: spms protocol has unknown options: bogus (known: "
+            "adv_size_bytes, max_attempts, readvertise_received, req_size_bytes, tout_adv_ms, "
+            "tout_dat_ms)"
+        ]
 
     def test_an_integer_too_long_to_parse_exits_2(self, capture, tmp_path):
         lines, out = capture

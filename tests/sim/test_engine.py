@@ -53,6 +53,28 @@ class TestScheduling:
         with pytest.raises(ValueError):
             sim.schedule_at(1.0, lambda: None)
 
+    def test_post_calls_its_function_at_now_plus_delay(self):
+        sim = Simulator(trace=True)
+        fired = []
+
+        def deliver(a, b):
+            fired.append((sim.now, a, b))
+
+        sim.schedule(1.0, lambda: sim.post(0.5, deliver, 7, "x", "deliver.ADV"))
+        sim.run()
+        assert fired == [(1.5, 7, "x")]
+        assert [(rec.time, rec.label, rec.detail) for rec in sim.trace_log] == [
+            (1.0, "anonymous", None),
+            (1.5, "deliver.ADV", None),
+        ]
+
+    @pytest.mark.parametrize("delay", [-1.0, math.nan])
+    def test_post_rejects_a_negative_or_nan_delay(self, delay):
+        sim = Simulator()
+        with pytest.raises(ValueError, match="NaN"):
+            sim.post(delay, lambda a, b: None, None, None, "deliver.DATA")
+        assert sim.pending_events == 0
+
     def test_cancel_prevents_execution(self):
         sim = Simulator()
         fired = []
@@ -88,6 +110,50 @@ class TestRunControl:
         sim.run()
         assert fired == ["early", "late"]
 
+    def test_run_into_the_past_rejected(self):
+        # Accepted, run(until=3.0) set the clock back from 10.0 to 3.0, and
+        # a 1.0 delay then fired at 4.0, after the events at 10.0.
+        sim = Simulator()
+        fired = []
+        sim.schedule(10.0, lambda: fired.append(sim.now))
+        sim.schedule(12.0, lambda: fired.append(sim.now))
+        assert sim.run(until=10.0) == 10.0
+        with pytest.raises(ValueError, match="past"):
+            sim.run(until=3.0)
+        assert sim.now == 10.0
+        sim.schedule(1.0, lambda: fired.append(sim.now))
+        sim.run()
+        assert fired == [10.0, 11.0, 12.0]
+
+    def test_run_until_nan_rejected(self):
+        # Accepted, a NaN horizon compared false and the calendar ran dry.
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, lambda: fired.append(sim.now))
+        with pytest.raises(ValueError, match="NaN"):
+            sim.run(until=math.nan)
+        assert fired == [] and sim.now == 0.0
+        assert sim.run(until=0.0) == 0.0
+        assert sim.run(until=1.0) == 1.0
+        assert fired == [1.0]
+
+    def test_run_until_now_is_allowed_and_keeps_the_clock(self):
+        sim = Simulator()
+        sim.schedule(5.0, lambda: None)
+        sim.schedule(9.0, lambda: None)
+        assert sim.run(until=6.0) == 6.0
+        assert sim.run(until=6.0) == 6.0
+        assert sim.events_processed == 1
+
+    def test_run_until_with_only_cancelled_events_beyond_keeps_last_fired_time(self):
+        # The clock moves to the horizon only when a live event lies beyond
+        # it; cancelled ones are discarded first.
+        sim = Simulator()
+        sim.schedule(2.0, lambda: None)
+        sim.cancel(sim.schedule(8.0, lambda: None))
+        assert sim.run(until=5.0) == 2.0
+        assert sim.pending_events == 0
+
     def test_stop_requested_from_handler(self):
         sim = Simulator()
         fired = []
@@ -97,9 +163,9 @@ class TestRunControl:
         assert fired == [1]
 
     def test_handler_cancelling_a_same_time_event_skips_it(self):
-        # Cancellation is lazy and the loop fires whatever pop_due hands it,
-        # so an event cancelled by an earlier handler at the same instant
-        # must never be popped.
+        # Cancellation is lazy, so the loop must check each entry it pops:
+        # an event cancelled by an earlier handler at the same instant must
+        # never fire.
         sim = Simulator()
         fired = []
         sim.schedule(1.0, lambda: (fired.append("first"), sim.cancel(victim)))

@@ -1,10 +1,15 @@
-"""Tests for the event calendar."""
+"""Tests for the event calendar.
+
+:meth:`Simulator.run` is the only code that pops the calendar, so every
+pop here goes through it: :class:`_Calendar` fires one event per step.
+"""
 
 import heapq
 
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.sim.engine import Simulator
 from repro.sim.events import Event, EventQueue
 
 
@@ -12,14 +17,46 @@ def _noop() -> None:
     pass
 
 
-def _peek_time(queue: EventQueue):
-    """Firing time of *queue*'s earliest live event, or ``None``.
+class _Calendar:
+    """An :class:`EventQueue` popped through :meth:`Simulator.run`.
 
-    Reads the heap directly, dropping cancelled entries from its top, so the
-    fused :meth:`EventQueue.pop_due` can be checked against a separate peek.
+    Each pushed event stops the run when it fires, so :meth:`step` fires
+    exactly the next live event due by *until* and returns it, or returns
+    ``None`` when none is due.
     """
-    heap = queue._heap
-    while heap and heap[0][2].cancelled:
+
+    def __init__(self) -> None:
+        self.sim = Simulator()
+        self.queue = self.sim._queue
+        self.fired = []
+
+    def push(self, time: float, name: str = "") -> Event:
+        event = Event(time=time, action=_noop, name=name)
+        event.action = lambda: self._fire(event)
+        return self.queue.push(event)
+
+    def _fire(self, event: Event) -> None:
+        self.fired.append(event)
+        self.sim.stop()
+
+    def step(self, until=None):
+        count = len(self.fired)
+        self.sim.run(until)
+        return self.fired[-1] if len(self.fired) > count else None
+
+    def __len__(self) -> int:
+        return len(self.queue)
+
+
+def _peek_time(calendar: _Calendar):
+    """Firing time of *calendar*'s earliest live event, or ``None``.
+
+    Reads the heap directly, dropping cancelled entries from its top, so
+    :meth:`Simulator.run`'s horizon check can be compared with a separate
+    peek.
+    """
+    heap = calendar.queue._heap
+    while heap and heap[0][2] is None and heap[0][3].cancelled:
         heapq.heappop(heap)
     return heap[0][0] if heap else None
 
@@ -30,7 +67,7 @@ class TestEvent:
         assert "hello" in repr(event)
 
     def test_events_define_no_order(self):
-        # The heap orders (time, sequence, event) entries; an event itself
+        # The heap orders (time, sequence, ...) entries; an event itself
         # is never compared, so it defines no ordering to fall back on.
         early, late = Event(time=1.0, action=_noop), Event(time=2.0, action=_noop)
         with pytest.raises(TypeError):
@@ -39,40 +76,40 @@ class TestEvent:
 
 class TestEventQueue:
     def test_pop_returns_events_in_time_order(self):
-        queue = EventQueue()
-        queue.push(Event(time=3.0, action=_noop, name="c"))
-        queue.push(Event(time=1.0, action=_noop, name="a"))
-        queue.push(Event(time=2.0, action=_noop, name="b"))
-        assert [queue.pop_due().name for _ in range(3)] == ["a", "b", "c"]
+        calendar = _Calendar()
+        calendar.push(3.0, "c")
+        calendar.push(1.0, "a")
+        calendar.push(2.0, "b")
+        assert [calendar.step().name for _ in range(3)] == ["a", "b", "c"]
 
     def test_simultaneous_events_fire_in_fifo_order(self):
-        queue = EventQueue()
+        calendar = _Calendar()
         for name in ("first", "second", "third"):
-            queue.push(Event(time=5.0, action=_noop, name=name))
-        assert [queue.pop_due().name for _ in range(3)] == ["first", "second", "third"]
+            calendar.push(5.0, name)
+        assert [calendar.step().name for _ in range(3)] == ["first", "second", "third"]
 
     def test_same_time_events_fire_fifo_across_interleaved_cancels(self):
-        queue = EventQueue()
-        events = {name: queue.push(Event(time=5.0, action=_noop, name=name)) for name in "abcd"}
+        calendar = _Calendar()
+        events = {name: calendar.push(5.0, name) for name in "abcd"}
         events["b"].cancel()
-        events["e"] = queue.push(Event(time=5.0, action=_noop, name="e"))
+        events["e"] = calendar.push(5.0, "e")
         events["a"].cancel()
-        assert queue.pop_due().name == "c"
+        assert calendar.step().name == "c"
         # A push after a pop still queues behind every earlier push.
-        events["f"] = queue.push(Event(time=5.0, action=_noop, name="f"))
+        events["f"] = calendar.push(5.0, "f")
         events["e"].cancel()
-        assert [queue.pop_due().name for _ in range(2)] == ["d", "f"]
-        assert queue.pop_due() is None
+        assert [calendar.step().name for _ in range(2)] == ["d", "f"]
+        assert calendar.step() is None
 
     def test_pop_skips_cancelled_events(self):
-        queue = EventQueue()
-        keep = queue.push(Event(time=2.0, action=_noop, name="keep"))
-        drop = queue.push(Event(time=1.0, action=_noop, name="drop"))
+        calendar = _Calendar()
+        keep = calendar.push(2.0, "keep")
+        drop = calendar.push(1.0, "drop")
         drop.cancel()
-        assert queue.pop_due() is keep
+        assert calendar.step() is keep
 
     def test_pop_empty_returns_none(self):
-        assert EventQueue().pop_due() is None
+        assert _Calendar().step() is None
 
     def test_len_counts_only_live_events(self):
         queue = EventQueue()
@@ -102,12 +139,12 @@ class TestEventQueue:
 
     @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=200))
     def test_property_pop_order_is_sorted(self, times):
-        queue = EventQueue()
+        calendar = _Calendar()
         for t in times:
-            queue.push(Event(time=t, action=_noop))
+            calendar.push(t)
         popped = []
         while True:
-            event = queue.pop_due()
+            event = calendar.step()
             if event is None:
                 break
             popped.append(event.time)
@@ -115,8 +152,8 @@ class TestEventQueue:
         assert len(popped) == len(times)
 
     def test_live_count_after_cancel_is_exact(self):
-        # Regression for the incremental live counter: len() must stay exact
-        # through cancellations without scanning the heap.
+        # len() must stay exact through cancellations, which leave their
+        # entries in the heap.
         queue = EventQueue()
         events = [queue.push(Event(time=float(i), action=_noop)) for i in range(5)]
         assert len(queue) == 5
@@ -133,14 +170,14 @@ class TestEventQueue:
         assert len(queue) == 1
 
     def test_cancel_after_pop_does_not_corrupt_count(self):
-        queue = EventQueue()
-        first = queue.push(Event(time=1.0, action=_noop))
-        queue.push(Event(time=2.0, action=_noop))
-        assert queue.pop_due() is first
+        calendar = _Calendar()
+        first = calendar.push(1.0)
+        calendar.push(2.0)
+        assert calendar.step() is first
         first.cancel()  # already out of the calendar; must be a no-op
-        assert len(queue) == 1
-        assert queue.pop_due() is not None
-        assert len(queue) == 0
+        assert len(calendar) == 1
+        assert calendar.step() is not None
+        assert len(calendar) == 0
 
     def test_cancel_of_unpushed_event_is_harmless(self):
         queue = EventQueue()
@@ -149,11 +186,24 @@ class TestEventQueue:
         assert len(queue) == 0
 
     def test_pop_decrements_live_count(self):
-        queue = EventQueue()
-        queue.push(Event(time=1.0, action=_noop))
-        queue.push(Event(time=2.0, action=_noop))
-        queue.pop_due()
-        assert len(queue) == 1
+        calendar = _Calendar()
+        calendar.push(1.0)
+        calendar.push(2.0)
+        calendar.step()
+        assert len(calendar) == 1
+
+    def test_bare_entries_share_the_sequence_and_count_as_live(self):
+        calendar = _Calendar()
+        fired = []
+        calendar.push(5.0, "event")
+        calendar.sim.post(5.0, lambda a, b: fired.append((a, b)), "bare", 1, "deliver.DATA")
+        calendar.push(5.0, "after")
+        assert len(calendar) == 3
+        assert calendar.step().name == "event"
+        calendar.sim.run()
+        assert fired == [("bare", 1)]
+        assert [event.name for event in calendar.fired] == ["event", "after"]
+        assert len(calendar) == 0
 
     @given(
         st.lists(
@@ -163,60 +213,60 @@ class TestEventQueue:
         )
     )
     def test_property_live_count_matches_heap_scan(self, entries):
-        queue = EventQueue()
-        events = [queue.push(Event(time=t, action=_noop)) for t, _ in entries]
+        calendar = _Calendar()
+        events = [calendar.push(t) for t, _ in entries]
         for event, (_, cancel) in zip(events, entries):
             if cancel:
                 event.cancel()
         expected = sum(1 for _, cancel in entries if not cancel)
-        assert len(queue) == expected
-        while queue.pop_due() is not None:
+        assert len(calendar) == expected
+        while calendar.step() is not None:
             expected -= 1
-            assert len(queue) == expected
-        assert len(queue) == 0
+            assert len(calendar) == expected
+        assert len(calendar) == 0
 
 
-class TestPopDue:
-    def test_pop_due_returns_events_up_to_horizon(self):
-        queue = EventQueue()
-        queue.push(Event(time=1.0, action=_noop, name="a"))
-        queue.push(Event(time=5.0, action=_noop, name="b"))
-        assert queue.pop_due(2.0).name == "a"
-        assert queue.pop_due(2.0) is None
+class TestRunHorizon:
+    def test_run_fires_events_up_to_horizon(self):
+        calendar = _Calendar()
+        calendar.push(1.0, "a")
+        calendar.push(5.0, "b")
+        assert calendar.step(2.0).name == "a"
+        assert calendar.step(2.0) is None
         # The beyond-horizon event stays queued.
-        assert len(queue) == 1
-        assert queue.pop_due(None).name == "b"
+        assert len(calendar) == 1
+        assert calendar.step(None).name == "b"
 
-    def test_pop_due_event_exactly_at_horizon_fires(self):
-        queue = EventQueue()
-        queue.push(Event(time=2.0, action=_noop, name="edge"))
-        assert queue.pop_due(2.0).name == "edge"
+    def test_event_exactly_at_horizon_fires(self):
+        calendar = _Calendar()
+        calendar.push(2.0, "edge")
+        assert calendar.step(2.0).name == "edge"
 
-    def test_pop_due_skips_cancelled(self):
-        queue = EventQueue()
-        early = queue.push(Event(time=1.0, action=_noop))
-        queue.push(Event(time=3.0, action=_noop, name="live"))
+    def test_run_skips_cancelled(self):
+        calendar = _Calendar()
+        early = calendar.push(1.0)
+        calendar.push(3.0, "live")
         early.cancel()
-        assert queue.pop_due(None).name == "live"
-        assert queue.pop_due(None) is None
+        assert calendar.step(None).name == "live"
+        assert calendar.step(None) is None
 
-    def test_pop_due_empty_returns_none(self):
-        assert EventQueue().pop_due(10.0) is None
+    def test_empty_calendar_fires_nothing(self):
+        assert _Calendar().step(10.0) is None
 
     @given(
         st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=50),
         st.floats(min_value=0.0, max_value=100.0),
     )
-    def test_property_pop_due_equals_peek_then_pop(self, times, horizon):
-        fused, staged = EventQueue(), EventQueue()
+    def test_property_run_to_horizon_equals_peek_then_pop(self, times, horizon):
+        fused, staged = _Calendar(), _Calendar()
         for t in times:
-            fused.push(Event(time=t, action=_noop))
-            staged.push(Event(time=t, action=_noop))
+            fused.push(t)
+            staged.push(t)
         while True:
-            via_fused = fused.pop_due(horizon)
+            via_fused = fused.step(horizon)
             next_time = _peek_time(staged)
             via_staged = (
-                staged.pop_due()
+                staged.step()
                 if next_time is not None and next_time <= horizon
                 else None
             )
@@ -234,8 +284,8 @@ class TestPopDue:
         )
     )
     def test_property_cancelled_events_never_pop(self, entries):
-        queue = EventQueue()
-        events = [queue.push(Event(time=t, action=_noop)) for t, _ in entries]
+        calendar = _Calendar()
+        events = [calendar.push(t) for t, _ in entries]
         expected = []
         for event, (t, cancel) in zip(events, entries):
             if cancel:
@@ -244,7 +294,7 @@ class TestPopDue:
                 expected.append(t)
         popped = []
         while True:
-            event = queue.pop_due()
+            event = calendar.step()
             if event is None:
                 break
             popped.append(event.time)
